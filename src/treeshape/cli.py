@@ -58,8 +58,10 @@ def _add_pipeline_args(parser: argparse.ArgumentParser) -> None:
     _add_weight_args(parser)
     parser.add_argument("--normalize", action="store_true",
                         help="rescale every tree by its main-root length before analysis")
-    parser.add_argument("--n-main", type=int, default=100, help="main-branch sample count")
-    parser.add_argument("--n-lat", type=int, default=50, help="lateral-branch sample count")
+    parser.add_argument("--n-main", type=_sample_count, default=100,
+                        help="main-branch sample count (>= 2)")
+    parser.add_argument("--n-lat", type=_sample_count, default=50,
+                        help="lateral-branch sample count (>= 2)")
     parser.add_argument("--reg-iter", type=int, default=10, help="registration sweeps")
     parser.add_argument("--reg-tol", type=float, default=1e-8, help="registration stop tolerance")
     parser.add_argument("--fixed-s", action="store_true",
@@ -83,11 +85,39 @@ def _pair_options(args: argparse.Namespace) -> PairOptions:
     )
 
 
-def _parse_range(text: str, count: int) -> tuple[float, ...]:
+def _sample_count(text: str) -> int:
+    value = int(text)
+    if value < 2:
+        raise argparse.ArgumentTypeError(f"sample count must be at least 2, got {value}")
+    return value
+
+
+def _split_range(text: str, n_parts: int) -> list[str]:
     parts = text.split(":")
-    if len(parts) != count:
-        raise ValueError(f"expected {count} colon-separated values, got {text!r}")
-    return tuple(float(p) for p in parts)
+    if len(parts) != n_parts:
+        raise argparse.ArgumentTypeError(
+            f"expected {n_parts} colon-separated values, got {text!r}")
+    return parts
+
+
+def _coeff_range(text: str) -> tuple[float, float]:
+    """``LO:HI`` with LO < HI."""
+    lo, hi = (float(p) for p in _split_range(text, 2))
+    if not lo < hi:
+        raise argparse.ArgumentTypeError(f"LO must be below HI, got {text!r}")
+    return lo, hi
+
+
+def _alpha_range(text: str) -> tuple[float, float, int]:
+    """``LO:HI:COUNT`` with an integer COUNT >= 1."""
+    lo, hi, count = _split_range(text, 3)
+    try:
+        steps = int(count)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"COUNT must be an integer, got {count!r}") from None
+    if steps < 1:
+        raise argparse.ArgumentTypeError(f"COUNT must be at least 1, got {steps}")
+    return float(lo), float(hi), steps
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -132,7 +162,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("modes", help="sweep one principal mode of an atlas")
     p.add_argument("atlas")
     p.add_argument("--mode", type=int, default=0, help="mode index (0-based)")
-    p.add_argument("--alpha-range", default="-2:2:5",
+    p.add_argument("--alpha-range", type=_alpha_range, default="-2:2:5",
                    help="LO:HI:COUNT sweep in standard deviations "
                         "(use --alpha-range=-2:2:5 for negative bounds)")
     p.add_argument("--out", type=Path, required=True, help=".svg row or .json tree array")
@@ -141,7 +171,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("atlas")
     p.add_argument("--n", type=int, default=1, help="number of samples")
     p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--range", default="-1:1",
+    p.add_argument("--range", type=_coeff_range, default="-1:1",
                    help="LO:HI bound on mode coefficients (--range=-1:1 form "
                         "for negative bounds)")
     p.add_argument("--out", type=Path, required=True, help=".json tree array or .svg row")
@@ -269,8 +299,8 @@ def _cmd_atlas(args) -> int:
 
 def _cmd_modes(args) -> int:
     atlas = Atlas.load(args.atlas)
-    lo, hi, count = _parse_range(args.alpha_range, 3)
-    alphas = np.linspace(lo, hi, int(count))
+    lo, hi, count = args.alpha_range
+    alphas = np.linspace(lo, hi, count)
     trees = [statistics.mode_path(atlas, args.mode, float(a)) for a in alphas]
     if args.out.suffix == ".svg":
         _write_text(args.out, render.render_tree_row(
@@ -283,10 +313,9 @@ def _cmd_modes(args) -> int:
 
 def _cmd_sample(args) -> int:
     atlas = Atlas.load(args.atlas)
-    lo, hi = _parse_range(args.range, 2)
     rng = np.random.default_rng(args.seed)
     trees = [
-        statistics.sample_random(atlas, rng, (lo, hi), tree_id=f"sample-{i:03d}")
+        statistics.sample_random(atlas, rng, args.range, tree_id=f"sample-{i:03d}")
         for i in range(args.n)
     ]
     _write_trees(args.out, trees)

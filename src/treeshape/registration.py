@@ -258,53 +258,82 @@ def _dp_edge_cost(qa: np.ndarray, qb: np.ndarray, di: int, dj: int) -> np.ndarra
 
     The edge from (i-di, j-dj) to (i, j) carries the trapezoid-rule energy of
     |qa(t) - sqrt(slope) * qb(gamma(t))|^2 over its di grid intervals, with
-    gamma linear on the edge.
+    gamma linear on the edge.  The two squared-norm terms are summed over the
+    di+1 quadrature nodes as vectors; the cross term of all nodes is one
+    matrix product of the node-stacked samples.
     """
     n = len(qa)
     h = 1.0 / (n - 1)
     slope = dj / di
-    root = math.sqrt(slope)
-    na = np.einsum("ic,ic->i", qa, qa)
-    block = np.zeros((n - di, n - dj))
-    for k in range(di + 1):
-        wk = 0.5 * h if k in (0, di) else h
-        x = np.arange(n - dj) + k * slope  # fractional qb index per target j
-        i0 = np.minimum(x.astype(int), n - 2)
-        fr = x - i0
-        u = qb[i0] * (1.0 - fr)[:, None] + qb[i0 + 1] * fr[:, None]  # (n-dj, 2)
-        a_part = qa[k : n - di + k]  # (n-di, 2)
-        cross = a_part @ u.T
-        nb = np.einsum("jc,jc->j", u, u)
-        block += wk * (
-            na[k : n - di + k][:, None] + slope * nb[None, :] - 2.0 * root * cross
-        )
-    np.clip(block, 0.0, None, out=block)
+    wk = np.full(di + 1, h)
+    wk[[0, -1]] = 0.5 * h
+    # samples of the edge starting at row/column r, node k, component c sit
+    # at [r, c, k]; gathered from the component-major flattening c*n + index
+    comp = np.array([[0], [n]])
+    a = qa.T.ravel().take(np.arange(n - di)[:, None, None] + comp + np.arange(di + 1))
+    x = np.arange(n - dj)[:, None, None] + np.arange(di + 1) * slope  # qb index
+    i0 = np.minimum(x.astype(int), n - 2)
+    fr = x - i0
+    flat_b = qb.T.ravel()
+    u = flat_b.take(i0 + comp) * (1.0 - fr) + flat_b.take(i0 + comp + 1) * fr
+    na = np.einsum("ick,ick->i", a, a * wk)
+    nb = np.einsum("jck,jck->j", u, u * wk)
+    right = u * (-2.0 * math.sqrt(slope) * wk)
+    block = a.reshape(n - di, -1) @ right.reshape(n - dj, -1).T
+    block += na[:, None]
+    block += slope * nb
+    np.maximum(block, 0.0, out=block)
     return block
 
 
 def _reparam_dp(
     qa: np.ndarray, qb: np.ndarray, max_step: int = DP_MAX_STEP
 ) -> tuple[np.ndarray, float]:
-    """Minimum-energy monotone grid path; returns (gamma values, energy)."""
+    """Minimum-energy monotone grid path; returns (gamma values, energy).
+
+    E[i, j], the least energy of a path from (0, 0) to (i, j), is filled one
+    row at a time: the candidates E[i-di, j-dj] + block_t[i-di, j-dj] of all
+    stencil steps t with di <= i are gathered into one (T, n) array and
+    reduced by argmin.  argmin keeps the first minimum, so a tie goes to the
+    earliest step in stencil order (sorted (di, dj)).  The edge-cost blocks
+    sit in one flat buffer and are gathered by flat offsets; scratch memory
+    is O(sum of block sizes) plus O(T n) index arrays, never (T, n, n).
+    """
     n = len(qa)
     stencil = [(di, dj) for di, dj in _dp_stencil(max_step) if di < n and dj < n]
-    blocks = [_dp_edge_cost(qa, qb, di, dj) for di, dj in stencil]
-    E = np.full((n, n), np.inf)
-    E[0, 0] = 0.0
-    bt = np.full((n, n), -1, dtype=np.int16)
+    di_t = np.array([di for di, _ in stencil], dtype=np.intp)[:, None]
+    dj_t = np.array([dj for _, dj in stencil], dtype=np.intp)[:, None]
+    offsets = np.cumsum([0] + [(n - di) * (n - dj) for di, dj in stencil])
+    costs = np.empty(offsets[-1] + 1)
+    for t, (di, dj) in enumerate(stencil):
+        costs[offsets[t] : offsets[t + 1]] = _dp_edge_cost(qa, qb, di, dj).ravel()
+    costs[-1] = np.inf  # columns j < dj have no edge of step t: they read this
+    # flat indices of block_t[i-di, j-dj] and E[i-di, j-dj], set for row 0
+    # and advanced by a fixed stride per row
+    cols = np.arange(n)
+    valid = cols >= dj_t
+    shift = np.where(valid, cols - dj_t, 0)
+    c_idx = np.where(valid, offsets[:-1, None] - di_t * (n - dj_t) + shift, offsets[-1])
+    c_step = np.where(valid, n - dj_t, 0)
+    e_idx = np.where(valid, shift - di_t * n, 0)
+    e_step = np.where(valid, n, 0)
+    # the stencil is sorted by di, so the steps with di <= i are a prefix
+    steps_up_to = np.searchsorted(di_t[:, 0], cols, side="right")
+    E = np.full(n * n, np.inf)
+    E[0] = 0.0
+    bt = np.zeros((n, n), dtype=np.int16)
     for i in range(1, n):
-        row = E[i]
-        for t, (di, dj) in enumerate(stencil):
-            if di > i:
-                continue
-            cand = E[i - di, : n - dj] + blocks[t][i - di]
-            cur = row[dj:]
-            better = cand < cur
-            if np.any(better):
-                cur[better] = cand[better]
-                bt[i, dj:][better] = t
-    if not np.isfinite(E[n - 1, n - 1]):
-        return np.linspace(0.0, 1.0, n), float(E[n - 1, n - 1])
+        c_idx += c_step
+        e_idx += e_step
+        m = steps_up_to[i]
+        cand = E[e_idx[:m]]
+        cand += costs[c_idx[:m]]
+        best = cand.argmin(axis=0)
+        bt[i] = best
+        E[i * n : (i + 1) * n] = cand[best, cols]
+    energy = float(E[-1])
+    if not np.isfinite(energy):
+        return np.linspace(0.0, 1.0, n), energy
     # walk the path back and linearly interpolate gamma between its knots
     path_i, path_j = [n - 1], [n - 1]
     i = j = n - 1
@@ -317,7 +346,7 @@ def _reparam_dp(
     path_i.reverse()
     path_j.reverse()
     values = np.interp(np.arange(n), path_i, path_j) / (n - 1)
-    return values, float(E[n - 1, n - 1])
+    return values, energy
 
 
 def optimal_reparam_main(q1: Srvf, q2: Srvf, max_step: int = DP_MAX_STEP) -> Gamma:

@@ -243,10 +243,3 @@ def l2_dist_sq(q1: Srvf, q2: Srvf) -> float:
     d = q1.samples - q2.samples
     w = trapezoid_weights(q1.n)
     return float(w @ np.einsum("ij,ij->i", d, d))
-
-
-def l2_inner(q1: Srvf, q2: Srvf) -> float:
-    if q1.n != q2.n:
-        raise ValueError(f"sample counts differ: {q1.n} vs {q2.n}")
-    w = trapezoid_weights(q1.n)
-    return float(w @ np.einsum("ij,ij->i", q1.samples, q2.samples))

@@ -15,6 +15,7 @@ from pathlib import Path
 from typing import Sequence
 
 import numpy as np
+from scipy.special import ndtr
 
 from .metric import DEFAULT_OPTIONS, PairOptions, parallel_map, resolve_workers
 from .registration import apply_registration, preshape_dissimilarity_sq, register
@@ -325,6 +326,8 @@ class Atlas:
 
 
 VARIANCE_TARGET = 0.99
+# least standard-normal mass of a sampling range (rejection draws ~1/mass)
+MIN_RANGE_MASS = 1e-9
 
 
 def _gram_modes(V: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -426,13 +429,23 @@ def sample_random(
 
     Coefficients are standard normal draws, redrawn until they fall inside
     ``coeff_range`` so implausibly remote trees are avoided.  Deterministic
-    for a seeded generator.
+    for a seeded generator.  A range with lo >= hi, or with a standard-normal
+    mass below ``MIN_RANGE_MASS`` (which would take ~1/mass redraws), is a
+    ValueError.
     """
     if atlas.retained < 1:
         raise ValueError("atlas has no retained modes to sample from")
+    lo, hi = coeff_range
+    if not lo < hi:
+        raise ValueError(f"coefficient range needs lo < hi, got ({lo}, {hi})")
+    mass = ndtr(hi) - ndtr(lo)
+    if mass < MIN_RANGE_MASS:
+        raise ValueError(
+            f"coefficient range ({lo}, {hi}) holds {mass:.3g} of the standard "
+            f"normal mass, below {MIN_RANGE_MASS:g}"
+        )
     if isinstance(rng, (int, np.integer)):
         rng = np.random.default_rng(int(rng))
-    lo, hi = coeff_range
     coeffs = np.empty(atlas.retained)
     for i in range(atlas.retained):
         b = rng.standard_normal()

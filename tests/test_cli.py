@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 from treeshape import load_root, save_root
-from treeshape.cli import main
+from treeshape.cli import build_parser, main
 from treeshape.metric import DistanceMatrix
 
 from conftest import smooth_tree
@@ -152,12 +152,52 @@ class TestMeanAndAtlas:
             outs.append(out.read_bytes())
         assert outs[0] == outs[1]
 
-    def test_modes_bad_range_exit_1(self, collection_dir, tmp_path, capsys):
+    def test_modes_bad_range_exit_2(self, tmp_path, capsys):
+        # options are checked while parsing, before the atlas file is read
+        assert main(["modes", str(tmp_path / "atlas.json"), "--alpha-range", "oops",
+                     "--out", str(tmp_path / "x.svg")]) == 2
+        assert "--alpha-range" in capsys.readouterr().err
+
+
+class TestUsageErrors:
+    """Bad option values exit with 2 before any file is read."""
+
+    @pytest.mark.parametrize("argv", [
+        ["matrix", "roots", "--n-main", "1"],
+        ["matrix", "roots", "--n-lat", "0"],
+        ["distance", "a.json", "b.json", "--n-main", "2.5"],
+        ["atlas", "roots", "--n-lat", "-3"],
+        ["sample", "atlas.json", "--range=1:-1"],
+        ["sample", "atlas.json", "--range=0.5:0.5"],
+        ["sample", "atlas.json", "--range=-1:1:3"],
+        ["sample", "atlas.json", "--range=a:b"],
+        ["modes", "atlas.json", "--alpha-range=-2:2:2.7"],
+        ["modes", "atlas.json", "--alpha-range=-2:2:0"],
+        ["modes", "atlas.json", "--alpha-range=-2:2"],
+        ["modes", "atlas.json", "--alpha-range=x:2:5"],
+    ])
+    def test_exit_2(self, argv, tmp_path, capsys):
+        option = next(a for a in argv if a.startswith("--")).split("=")[0]
+        assert main([*argv, "--out", str(tmp_path / "out.json")]) == 2
+        assert f"argument {option}" in capsys.readouterr().err
+        assert not (tmp_path / "out.json").exists()
+
+    def test_smallest_valid_values_parse(self):
+        args = build_parser().parse_args([
+            "matrix", "roots", "--n-main", "2", "--n-lat", "2", "--out", "m.csv"])
+        assert (args.n_main, args.n_lat) == (2, 2)
+        args = build_parser().parse_args(["sample", "a.json", "--range=-0.5:2", "--out", "s.json"])
+        assert args.range == (-0.5, 2.0)
+
+    def test_alpha_range_count_one_and_descending(self, collection_dir, tmp_path):
         atlas_path = tmp_path / "atlas.json"
-        main(["atlas", str(collection_dir), *FAST_FLAGS, "--max-iter", "5",
-              "--out", str(atlas_path)])
-        assert main(["modes", str(atlas_path), "--alpha-range", "oops",
-                     "--out", str(tmp_path / "x.svg")]) == 1
+        assert main(["atlas", str(collection_dir), *FAST_FLAGS, "--max-iter", "3",
+                     "--out", str(atlas_path)]) == 0
+        for spec, count in (("0:1:1", 1), ("2:-2:3", 3)):
+            out = tmp_path / "modes.json"
+            assert main(["modes", str(atlas_path), f"--alpha-range={spec}",
+                         "--out", str(out)]) == 0
+            assert len(json.loads(out.read_text())) == count
 
 
 class TestRegression:

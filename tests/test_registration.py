@@ -1,7 +1,11 @@
 import itertools
+import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
 
 from treeshape import (
     Gamma,
@@ -19,6 +23,9 @@ from treeshape import (
 )
 from treeshape.metric import prepare_pair
 from treeshape.registration import (
+    DP_MAX_STEP,
+    _dp_edge_cost,
+    _dp_stencil,
     _reparam_dp,
     lateral_cost_matrix,
     reparam_energy,
@@ -189,6 +196,138 @@ class TestReparamDP:
     def test_mismatched_counts(self):
         with pytest.raises(ValueError):
             optimal_reparam_main(Srvf(np.ones((10, 2))), Srvf(np.ones((11, 2))))
+
+
+def reference_edge_cost(qa, qb, di, dj):
+    """Per-node loop form of the edge-cost blocks (one n x n term per node)."""
+    n = len(qa)
+    h = 1.0 / (n - 1)
+    slope = dj / di
+    root = math.sqrt(slope)
+    na = np.einsum("ic,ic->i", qa, qa)
+    block = np.zeros((n - di, n - dj))
+    for k in range(di + 1):
+        wk = 0.5 * h if k in (0, di) else h
+        x = np.arange(n - dj) + k * slope
+        i0 = np.minimum(x.astype(int), n - 2)
+        fr = x - i0
+        u = qb[i0] * (1.0 - fr)[:, None] + qb[i0 + 1] * fr[:, None]
+        a_part = qa[k : n - di + k]
+        cross = a_part @ u.T
+        nb = np.einsum("jc,jc->j", u, u)
+        block += wk * (
+            na[k : n - di + k][:, None] + slope * nb[None, :] - 2.0 * root * cross
+        )
+    np.clip(block, 0.0, None, out=block)
+    return block
+
+
+def reference_reparam_dp(qa, qb, edge_cost=reference_edge_cost, max_step=DP_MAX_STEP):
+    """Loop form of the DP: strict-< updates, stencil step by stencil step."""
+    n = len(qa)
+    stencil = [(di, dj) for di, dj in _dp_stencil(max_step) if di < n and dj < n]
+    blocks = [edge_cost(qa, qb, di, dj) for di, dj in stencil]
+    E = np.full((n, n), np.inf)
+    E[0, 0] = 0.0
+    bt = np.full((n, n), -1, dtype=np.int16)
+    for i in range(1, n):
+        row = E[i]
+        for t, (di, dj) in enumerate(stencil):
+            if di > i:
+                continue
+            cand = E[i - di, : n - dj] + blocks[t][i - di]
+            cur = row[dj:]
+            better = cand < cur
+            if np.any(better):
+                cur[better] = cand[better]
+                bt[i, dj:][better] = t
+    path_i, path_j = [n - 1], [n - 1]
+    i = j = n - 1
+    while i > 0 or j > 0:
+        di, dj = stencil[bt[i, j]]
+        i -= di
+        j -= dj
+        path_i.append(i)
+        path_j.append(j)
+    values = np.interp(np.arange(n), path_i[::-1], path_j[::-1]) / (n - 1)
+    return values, float(E[n - 1, n - 1])
+
+
+def random_pair(seed, n):
+    """Generic pair: white noise or a smooth random curve pair."""
+    gen = np.random.default_rng(seed)
+    if seed % 2:
+        return gen.normal(size=(n, 2)), gen.normal(size=(n, 2))
+    t = np.linspace(0.0, 1.0, n)[:, None]
+    c = gen.normal(size=(2, 4))
+    qa = np.hstack([np.cos(c[0, 0] + c[0, 1] * t), np.sin(c[0, 2] * t * t)]) * (1 + c[0, 3] ** 2)
+    qb = np.hstack([np.cos(c[1, 0] + c[1, 1] * t), np.sin(c[1, 2] * t)]) * (1 + c[1, 3] ** 2)
+    return qa, qb
+
+
+class TestReparamDPMatchesLoop:
+    """The vectorized DP against the loop form it replaced."""
+
+    @given(n=st.integers(2, 60), seed=st.integers(0, 2**32 - 1))
+    @settings(max_examples=60, deadline=None)
+    def test_random_pairs(self, n, seed):
+        qa, qb = random_pair(seed, n)
+        values, energy = _reparam_dp(qa, qb)
+        ref_values, ref_energy = reference_reparam_dp(qa, qb)
+        np.testing.assert_array_equal(values, ref_values)
+        assert abs(energy - ref_energy) <= 1e-12 * max(1.0, ref_energy)
+
+    @given(n=st.integers(2, 30), data=st.data())
+    @settings(max_examples=60, deadline=None)
+    def test_recursion_bit_identical_on_shared_blocks(self, n, data):
+        # with the same edge costs, argmin over the gathered candidates is the
+        # strict-< loop exactly, ties included (hypothesis favours repeated
+        # values such as 0 and 1, which make many paths tie)
+        elems = st.floats(-4.0, 4.0, allow_nan=False, width=32)
+        qa = data.draw(arrays(np.float64, (n, 2), elements=elems))
+        qb = data.draw(arrays(np.float64, (n, 2), elements=elems))
+        values, energy = _reparam_dp(qa, qb)
+        ref_values, ref_energy = reference_reparam_dp(qa, qb, edge_cost=_dp_edge_cost)
+        np.testing.assert_array_equal(values, ref_values)
+        assert energy == ref_energy
+
+    @pytest.mark.parametrize("n", [2, 3, 4, 11, 40])
+    @pytest.mark.parametrize("case", ["zero", "constant", "identical"])
+    def test_tie_cases(self, n, case):
+        gen = np.random.default_rng(n)
+        q = gen.normal(size=(n, 2))
+        qa, qb = {
+            "zero": (np.zeros((n, 2)), np.zeros((n, 2))),
+            "constant": (np.full((n, 2), 0.7), np.full((n, 2), 0.7)),
+            "identical": (q, q.copy()),
+        }[case]
+        values, energy = _reparam_dp(qa, qb)
+        ref_values, ref_energy = reference_reparam_dp(qa, qb)
+        np.testing.assert_array_equal(values, ref_values)
+        assert abs(energy - ref_energy) <= 1e-12 * max(1.0, ref_energy)
+
+    @pytest.mark.parametrize("n", [2, 3, 11, 40])
+    def test_all_paths_tied(self, n):
+        # zero against a constant curve: every path costs |c|^2 exactly, so
+        # the winner is decided by last-bit rounding of the edge costs, which
+        # the matrix product orders differently; the energy still agrees
+        qa, qb = np.zeros((n, 2)), np.ones((n, 2))
+        values, energy = _reparam_dp(qa, qb)
+        _, ref_energy = reference_reparam_dp(qa, qb)
+        assert abs(energy - ref_energy) <= 1e-12 * max(1.0, ref_energy)
+        assert energy == pytest.approx(2.0, abs=1e-12)
+        assert values[0] == 0.0 and values[-1] == 1.0
+
+    @pytest.mark.parametrize("n", [3, 20, 100])
+    def test_edge_cost_blocks(self, n):
+        for seed in range(4):
+            qa, qb = random_pair(seed, n)
+            for di, dj in _dp_stencil(DP_MAX_STEP):
+                if di < n and dj < n:
+                    block = _dp_edge_cost(qa, qb, di, dj)
+                    ref = reference_edge_cost(qa, qb, di, dj)
+                    assert block.shape == ref.shape
+                    np.testing.assert_allclose(block, ref, rtol=0, atol=1e-14 * max(1.0, ref.max()))
 
 
 class TestMatchLaterals:

@@ -262,6 +262,16 @@ class TestSampleRandom:
             tree = sample_random(atlas, gen, (-1.0, 1.0))
             assert tree.main.length > 0
 
+    @pytest.mark.parametrize("coeff_range", [(1.0, -1.0), (0.5, 0.5), (30.0, 31.0), (-9.0, -8.0)])
+    def test_empty_or_negligible_range_raises(self, atlas4, coeff_range):
+        # lo >= hi never accepts a draw; the tail ranges hold < 1e-9 of the mass
+        with pytest.raises(ValueError, match="range"):
+            sample_random(atlas4, 0, coeff_range)
+
+    def test_narrow_range_still_samples(self, atlas4):
+        tree = sample_random(atlas4, 5, (2.0, 3.0))
+        assert tree.main.length > 0
+
     def test_coefficient_statistics(self, atlas4):
         # mean of truncated-normal coefficients stays near 0
         atlas = atlas4
