@@ -18,12 +18,20 @@ from typing import Sequence
 import numpy as np
 
 from .registration import Registration, apply_registration, register
-from .srvf import LateralSrvf, Srvf, SrvfTree, Weights, DEFAULT_WEIGHTS, srvft_to_tree, tree_to_srvft
+from .srvf import (
+    DEFAULT_WEIGHTS,
+    LateralSrvf,
+    Srvf,
+    SrvfTree,
+    Weights,
+    augment_srvfts,
+    srvft_to_tree,
+    tree_to_srvft,
+)
 from .tree_model import (
     DEFAULT_LATERAL_SAMPLES,
     DEFAULT_MAIN_SAMPLES,
     RootTree,
-    augment_pair,
     normalize_scale,
     resample_tree,
 )
@@ -48,19 +56,36 @@ class PairOptions:
 DEFAULT_OPTIONS = PairOptions()
 
 
+def _resampled(tree: RootTree, opts: PairOptions) -> RootTree:
+    if opts.normalize:
+        tree = normalize_scale(tree)
+    return resample_tree(tree, opts.n_main, opts.n_lateral)
+
+
+def prepare_trees(
+    trees: Sequence[RootTree], opts: PairOptions = DEFAULT_OPTIONS
+) -> list[SrvfTree]:
+    """Normalize (if asked) and resample each tree, then convert each to SRVF.
+
+    This is the one preparation path: every pipeline prepares each tree once
+    and equalizes lateral counts afterwards, at the SRVF level, with
+    ``augment_srvfts``.  All trees are resampled before any is converted, so
+    when several steps would fail, the first resampling error is raised.
+    """
+    resampled = [_resampled(t, opts) for t in trees]
+    return [tree_to_srvft(t, opts.n_lateral) for t in resampled]
+
+
 def prepare_pair(
     a: RootTree, b: RootTree, opts: PairOptions = DEFAULT_OPTIONS
 ) -> tuple[SrvfTree, SrvfTree]:
-    """Resample, augment to equal lateral counts, and convert both trees."""
-    if opts.normalize:
-        a, b = normalize_scale(a), normalize_scale(b)
-    a = resample_tree(a, opts.n_main, opts.n_lateral)
-    b = resample_tree(b, opts.n_main, opts.n_lateral)
-    a2, b2 = augment_pair(a, b)
-    return (
-        tree_to_srvft(a2, opts.n_lateral),
-        tree_to_srvft(b2, opts.n_lateral),
-    )
+    """Prepare both trees and augment them to equal lateral counts."""
+    Qa, Qb = augment_srvfts(prepare_trees([a, b], opts))
+    return Qa, Qb
+
+
+def _register(Qa: SrvfTree, Qb: SrvfTree, w: Weights, opts: PairOptions) -> Registration:
+    return register(Qa, Qb, w, max_iter=opts.max_iter, tol=opts.tol, remap_s=opts.remap_s)
 
 
 def register_pair(
@@ -71,8 +96,7 @@ def register_pair(
 ) -> tuple[SrvfTree, SrvfTree, Registration]:
     """Full pipeline from raw trees to a registration of b onto a."""
     Qa, Qb = prepare_pair(a, b, opts)
-    reg = register(Qa, Qb, w, max_iter=opts.max_iter, tol=opts.tol, remap_s=opts.remap_s)
-    return Qa, Qb, reg
+    return Qa, Qb, _register(Qa, Qb, w, opts)
 
 
 def distance_sq(
@@ -227,12 +251,25 @@ class DistanceMatrix:
         )
 
 
-def _pair_distance(args: tuple) -> tuple[int, int, float, str]:
-    i, j, a, b, w, opts = args
+def _attempt(fn, *args):
+    """fn(*args), or the "Type: message" text of the exception it raised."""
     try:
-        return (i, j, distance(a, b, w, opts), "")
+        return fn(*args)
     except Exception as exc:  # recorded per pair, matrix entry flagged invalid
-        return (i, j, float("nan"), f"{type(exc).__name__}: {exc}")
+        return f"{type(exc).__name__}: {exc}"
+
+
+def _prepared_distance(Qa: SrvfTree, Qb: SrvfTree, w: Weights, opts: PairOptions) -> float:
+    Qa, Qb = augment_srvfts([Qa, Qb])
+    return float(np.sqrt(max(_register(Qa, Qb, w, opts).cost, 0.0)))
+
+
+def _pair_distance(args: tuple) -> tuple[int, int, float, str]:
+    i, j, Qa, Qb, failure, w, opts = args
+    result = failure or _attempt(_prepared_distance, Qa, Qb, w, opts)
+    if isinstance(result, str):
+        return (i, j, float("nan"), result)
+    return (i, j, result, "")
 
 
 def resolve_workers(n_jobs: int | None = None) -> int:
@@ -261,15 +298,27 @@ def pairwise_matrix(
 ) -> DistanceMatrix:
     """Registered distances between all unordered pairs.
 
-    Each pair is augmented and registered independently; the matrix is
-    symmetric with a zero diagonal by construction.
+    Each tree is prepared once, in the calling process; each pair is then
+    augmented and registered independently, giving the same value as
+    ``distance``.  The matrix is symmetric with a zero diagonal by
+    construction.
     """
     if len(trees) < 2:
         raise ValueError("need at least 2 trees")
     m = len(trees)
-    jobs = [
-        (i, j, trees[i], trees[j], w, opts) for i in range(m) for j in range(i + 1, m)
+    # each tree resampled and converted, or the message of the step that
+    # failed; a pair fails with the error prepare_trees raises on it
+    resampled = [_attempt(_resampled, t, opts) for t in trees]
+    prepared = [
+        r if isinstance(r, str) else _attempt(tree_to_srvft, r, opts.n_lateral)
+        for r in resampled
     ]
+    jobs = []
+    for i in range(m):
+        for j in range(i + 1, m):
+            steps = (resampled[i], resampled[j], prepared[i], prepared[j])
+            failure = next((x for x in steps if isinstance(x, str)), "")
+            jobs.append((i, j, prepared[i], prepared[j], failure, w, opts))
     results = parallel_map(_pair_distance, jobs, resolve_workers(n_jobs))
     values = np.zeros((m, m))
     failures = []

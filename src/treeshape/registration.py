@@ -13,6 +13,7 @@ import math
 import warnings
 from dataclasses import dataclass
 from functools import lru_cache
+from typing import NamedTuple
 
 import numpy as np
 from scipy.optimize import linear_sum_assignment
@@ -253,37 +254,126 @@ def _dp_stencil(max_step: int) -> tuple[tuple[int, int], ...]:
     return tuple(steps)
 
 
-def _dp_edge_cost(qa: np.ndarray, qb: np.ndarray, di: int, dj: int) -> np.ndarray:
-    """Cost of every edge with step (di, dj): block[(i-di), (j-dj)] layout.
+class _DpRowStep(NamedTuple):
+    """Grid data of the stencil steps (di, dj) that share one row step di.
+
+    Their blocks sit next to each other in the cost buffer, from ``start``,
+    each (n - di, n - 1) with row stride n - 1; columns c >= n - dj have no
+    edge and are never read.  Index arrays address the component-major
+    flattening (c * n + index) of the SRVF samples.
+    """
+
+    di: int
+    start: int
+    a_idx: np.ndarray  # (n-di, 2, di+1): qa samples of node k of edge row r
+    b_lo: np.ndarray  # (J, n-1, 2, di+1): qb lerp indices i0 and i0 + 1
+    b_hi: np.ndarray
+    w_lo: np.ndarray  # (J, n-1, 1, di+1): lerp weights 1 - fr and fr
+    w_hi: np.ndarray
+    wk: np.ndarray  # (di+1,): trapezoid weights of the nodes
+    factor: np.ndarray  # (J, 1, 1, di+1): -2 sqrt(slope) wk
+    slope: np.ndarray  # (J, 1): dj / di
+
+
+class _DpPlan(NamedTuple):
+    """Everything of the DP that depends only on the grid size n."""
+
+    stencil: tuple[tuple[int, int], ...]
+    base: np.ndarray  # (T,): flat offset of block t in the cost buffer
+    size: int  # entries of all blocks; the buffer's extra last entry is +inf
+    row_steps: tuple[_DpRowStep, ...]
+    # per step t and column j: flat indices of block_t[i-di, j-dj] and of
+    # E[i-di, j-dj] at row i = 0, and their advance per row
+    c_idx: np.ndarray
+    c_step: np.ndarray
+    e_idx: np.ndarray
+    e_step: np.ndarray
+    steps_up_to: np.ndarray  # (n,): steps with di <= i, a stencil prefix
+
+
+def _frozen(*arrays: np.ndarray) -> tuple[np.ndarray, ...]:
+    for arr in arrays:
+        arr.flags.writeable = False
+    return arrays
+
+
+@lru_cache(maxsize=8)
+def _dp_plan(n: int, max_step: int) -> _DpPlan:
+    """The plan of grid size n, built by the first DP on that grid."""
+    stencil = tuple((di, dj) for di, dj in _dp_stencil(max_step) if di < n and dj < n)
+    di_t = np.array([di for di, _ in stencil], dtype=np.intp)[:, None]
+    dj_t = np.array([dj for _, dj in stencil], dtype=np.intp)[:, None]
+    ends = np.cumsum((n - di_t[:, 0]) * (n - 1))
+    size = int(ends[-1])
+    base = ends - (n - di_t[:, 0]) * (n - 1)
+    h = 1.0 / (n - 1)
+    comp = np.array([[0], [n]])
+    row_steps = []
+    for di in sorted({di for di, _ in stencil}):
+        steps = [t for t, (d, _) in enumerate(stencil) if d == di]
+        slope = np.array([stencil[t][1] for t in steps]) / di
+        wk = np.full(di + 1, h)
+        wk[[0, -1]] = 0.5 * h
+        a_idx = np.arange(n - di)[:, None, None] + comp + np.arange(di + 1)
+        # qb position of node k on the edge from column c; positions past
+        # qb's last sample occur only in the unread columns c >= n - dj and
+        # are clamped, so those columns stay finite
+        x = np.arange(n - 1)[:, None, None] + np.arange(di + 1) * slope[:, None, None, None]
+        x = np.minimum(x, n - 1)
+        i0 = np.minimum(x.astype(int), n - 2)
+        fr = x - i0
+        factor = (-2.0 * np.sqrt(slope))[:, None, None, None] * wk
+        row_steps.append(_DpRowStep(
+            di, int(base[steps[0]]),
+            *_frozen(a_idx, i0 + comp, i0 + comp + 1, 1.0 - fr, fr, wk, factor,
+                     slope[:, None]),
+        ))
+    cols = np.arange(n)
+    valid = cols >= dj_t
+    shift = np.where(valid, cols - dj_t, 0)
+    rows = _frozen(
+        np.where(valid, base[:, None] - di_t * (n - 1) + shift, size),
+        np.where(valid, n - 1, 0),
+        np.where(valid, shift - di_t * n, 0),
+        np.where(valid, n, 0),
+        np.searchsorted(di_t[:, 0], cols, side="right"),
+    )
+    return _DpPlan(stencil, *_frozen(base), size, tuple(row_steps), *rows)
+
+
+def _dp_edge_cost(qa: np.ndarray, qb: np.ndarray, max_step: int) -> np.ndarray:
+    """Costs of every stencil edge, in one flat buffer laid out by ``_dp_plan``.
 
     The edge from (i-di, j-dj) to (i, j) carries the trapezoid-rule energy of
     |qa(t) - sqrt(slope) * qb(gamma(t))|^2 over its di grid intervals, with
-    gamma linear on the edge.  The two squared-norm terms are summed over the
-    di+1 quadrature nodes as vectors; the cross term of all nodes is one
-    matrix product of the node-stacked samples.
+    gamma linear on the edge; it sits at ``base[t] + (i-di) * (n-1) + j-dj``.
+    Per row step di, the blocks of all its steps come from one batched
+    matrix product, one gemm per step: the node-stacked qa samples extended
+    by [|qa|^2, 1] against the weighted qb samples extended by
+    [1, slope * |u|^2].  The last entry of the buffer is +inf.
     """
     n = len(qa)
-    h = 1.0 / (n - 1)
-    slope = dj / di
-    wk = np.full(di + 1, h)
-    wk[[0, -1]] = 0.5 * h
-    # samples of the edge starting at row/column r, node k, component c sit
-    # at [r, c, k]; gathered from the component-major flattening c*n + index
-    comp = np.array([[0], [n]])
-    a = qa.T.ravel().take(np.arange(n - di)[:, None, None] + comp + np.arange(di + 1))
-    x = np.arange(n - dj)[:, None, None] + np.arange(di + 1) * slope  # qb index
-    i0 = np.minimum(x.astype(int), n - 2)
-    fr = x - i0
+    plan = _dp_plan(n, max_step)
+    costs = np.empty(plan.size + 1)
+    flat_a = qa.T.ravel()
     flat_b = qb.T.ravel()
-    u = flat_b.take(i0 + comp) * (1.0 - fr) + flat_b.take(i0 + comp + 1) * fr
-    na = np.einsum("ick,ick->i", a, a * wk)
-    nb = np.einsum("jck,jck->j", u, u * wk)
-    right = u * (-2.0 * math.sqrt(slope) * wk)
-    block = a.reshape(n - di, -1) @ right.reshape(n - dj, -1).T
-    block += na[:, None]
-    block += slope * nb
-    np.maximum(block, 0.0, out=block)
-    return block
+    for g in plan.row_steps:
+        rows, inner, steps = n - g.di, 2 * (g.di + 1), len(g.slope)
+        a = flat_a.take(g.a_idx)
+        u = flat_b.take(g.b_lo) * g.w_lo + flat_b.take(g.b_hi) * g.w_hi
+        left = np.empty((rows, inner + 2))
+        left[:, :inner] = a.reshape(rows, inner)
+        left[:, inner] = np.einsum("ick,ick->i", a, a * g.wk)
+        left[:, inner + 1] = 1.0
+        right = np.empty((steps, n - 1, inner + 2))
+        right[..., :inner] = (u * g.factor).reshape(steps, n - 1, inner)
+        right[..., inner] = 1.0
+        right[..., inner + 1] = g.slope * np.einsum("tjck,tjck->tj", u, u * g.wk)
+        out = costs[g.start : g.start + steps * rows * (n - 1)]
+        np.matmul(left, right.transpose(0, 2, 1), out=out.reshape(steps, rows, n - 1))
+    np.maximum(costs, 0.0, out=costs)
+    costs[-1] = np.inf  # columns j < dj have no edge of step t: they read this
+    return costs
 
 
 def _reparam_dp(
@@ -300,32 +390,18 @@ def _reparam_dp(
     is O(sum of block sizes) plus O(T n) index arrays, never (T, n, n).
     """
     n = len(qa)
-    stencil = [(di, dj) for di, dj in _dp_stencil(max_step) if di < n and dj < n]
-    di_t = np.array([di for di, _ in stencil], dtype=np.intp)[:, None]
-    dj_t = np.array([dj for _, dj in stencil], dtype=np.intp)[:, None]
-    offsets = np.cumsum([0] + [(n - di) * (n - dj) for di, dj in stencil])
-    costs = np.empty(offsets[-1] + 1)
-    for t, (di, dj) in enumerate(stencil):
-        costs[offsets[t] : offsets[t + 1]] = _dp_edge_cost(qa, qb, di, dj).ravel()
-    costs[-1] = np.inf  # columns j < dj have no edge of step t: they read this
-    # flat indices of block_t[i-di, j-dj] and E[i-di, j-dj], set for row 0
-    # and advanced by a fixed stride per row
+    plan = _dp_plan(n, max_step)
+    costs = _dp_edge_cost(qa, qb, max_step)
+    c_idx = plan.c_idx.copy()
+    e_idx = plan.e_idx.copy()
     cols = np.arange(n)
-    valid = cols >= dj_t
-    shift = np.where(valid, cols - dj_t, 0)
-    c_idx = np.where(valid, offsets[:-1, None] - di_t * (n - dj_t) + shift, offsets[-1])
-    c_step = np.where(valid, n - dj_t, 0)
-    e_idx = np.where(valid, shift - di_t * n, 0)
-    e_step = np.where(valid, n, 0)
-    # the stencil is sorted by di, so the steps with di <= i are a prefix
-    steps_up_to = np.searchsorted(di_t[:, 0], cols, side="right")
     E = np.full(n * n, np.inf)
     E[0] = 0.0
     bt = np.zeros((n, n), dtype=np.int16)
     for i in range(1, n):
-        c_idx += c_step
-        e_idx += e_step
-        m = steps_up_to[i]
+        c_idx += plan.c_step
+        e_idx += plan.e_step
+        m = plan.steps_up_to[i]
         cand = E[e_idx[:m]]
         cand += costs[c_idx[:m]]
         best = cand.argmin(axis=0)
@@ -338,7 +414,7 @@ def _reparam_dp(
     path_i, path_j = [n - 1], [n - 1]
     i = j = n - 1
     while i > 0 or j > 0:
-        di, dj = stencil[bt[i, j]]
+        di, dj = plan.stencil[bt[i, j]]
         i -= di
         j -= dj
         path_i.append(i)

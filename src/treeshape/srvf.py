@@ -10,7 +10,7 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass
 from pathlib import Path
-from typing import NamedTuple
+from typing import NamedTuple, Sequence
 
 import numpy as np
 
@@ -193,6 +193,32 @@ def tree_to_srvft(tree: RootTree, n_lateral: int | None = None) -> SrvfTree:
         LateralSrvf(to_srvf(br, n_lateral), float(t)) for t, br in tree.laterals
     )
     return SrvfTree(q0=q0, laterals=laterals, anchor=tree.main.start)
+
+
+def augment_srvfts(Qs: Sequence[SrvfTree]) -> list[SrvfTree]:
+    """Equalize lateral counts by adding zero laterals, at the SRVF level.
+
+    Each SRVF-tree gains one zero lateral at every attachment position of the
+    *other* trees (with multiplicity, in tree order), then its laterals are
+    stably sorted by s, so real laterals stay ahead of added ones on ties.
+    A virtual lateral's SRVF is zero and its s equals its t, so this equals
+    ``tree_to_srvft`` of the trees equalized by ``augment_pair`` or
+    ``augment_collection``.  Zero laterals take the lateral sample count of
+    the inputs.
+    """
+    if not Qs:
+        raise ValueError("empty collection")
+    n_lateral = next((q.n for Q in Qs for q, _ in Q.laterals), None)
+    if n_lateral is None:
+        return list(Qs)
+    zero = Srvf.zero(n_lateral)
+    all_s = [Q.s_values() for Q in Qs]
+    out = []
+    for i, Q in enumerate(Qs):
+        extra = tuple(LateralSrvf(zero, s) for j, ss in enumerate(all_s) if j != i for s in ss)
+        laterals = sorted(Q.laterals + extra, key=lambda lat: lat.s)
+        out.append(SrvfTree(q0=Q.q0, laterals=tuple(laterals), anchor=Q.anchor))
+    return out
 
 
 def _param_point(points: np.ndarray, s: float) -> tuple[np.ndarray, float]:

@@ -17,7 +17,7 @@ from typing import Sequence
 import numpy as np
 from scipy.special import ndtr
 
-from .metric import DEFAULT_OPTIONS, PairOptions, parallel_map, resolve_workers
+from .metric import DEFAULT_OPTIONS, PairOptions, parallel_map, prepare_trees, resolve_workers
 from .registration import apply_registration, preshape_dissimilarity_sq, register
 from .srvf import (
     DEFAULT_WEIGHTS,
@@ -25,16 +25,11 @@ from .srvf import (
     Srvf,
     SrvfTree,
     Weights,
+    augment_srvfts,
     srvft_to_tree,
-    tree_to_srvft,
     trapezoid_weights,
 )
-from .tree_model import (
-    RootTree,
-    augment_collection,
-    normalize_scale,
-    resample_tree,
-)
+from .tree_model import RootTree
 
 
 @dataclass(frozen=True)
@@ -146,11 +141,8 @@ def _registration_cost(args: tuple) -> float:
 def prepare_collection(
     trees: Sequence[RootTree], opts: PairOptions = DEFAULT_OPTIONS
 ) -> list[SrvfTree]:
-    """Normalize/resample/augment a collection and convert to SRVF-trees."""
-    if opts.normalize:
-        trees = [normalize_scale(t) for t in trees]
-    trees = [resample_tree(t, opts.n_main, opts.n_lateral) for t in trees]
-    return [tree_to_srvft(t, opts.n_lateral) for t in augment_collection(trees)]
+    """Prepare every tree and augment the collection to equal lateral counts."""
+    return augment_srvfts(prepare_trees(trees, opts))
 
 
 def karcher_mean(
@@ -326,8 +318,9 @@ class Atlas:
 
 
 VARIANCE_TARGET = 0.99
-# least standard-normal mass of a sampling range (rejection draws ~1/mass)
-MIN_RANGE_MASS = 1e-9
+# least standard-normal mass of a sampling range: rejection sampling takes
+# ~1/mass draws per coefficient, about 1 s at this floor (~1 us a draw)
+MIN_RANGE_MASS = 1e-6
 
 
 def _gram_modes(V: np.ndarray) -> tuple[np.ndarray, np.ndarray]:

@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from treeshape import (
     Srvf,
@@ -12,14 +14,24 @@ from treeshape import (
     preshape_dissimilarity_sq,
     register,
 )
+from treeshape import metric as metric_mod
 from treeshape.metric import (
     DistanceMatrix,
     PairOptions,
     interpolate_srvft,
     prepare_pair,
+    prepare_trees,
     register_pair,
 )
-from treeshape.srvf import SrvfTree
+from treeshape.srvf import SrvfTree, augment_srvfts, tree_to_srvft
+from treeshape.statistics import prepare_collection
+from treeshape.tree_model import (
+    Branch,
+    augment_collection,
+    augment_pair,
+    resample_tree,
+    tree_from_dict,
+)
 
 from conftest import smooth_tree, straight_tree, transform_tree, well_posed_pair
 
@@ -206,6 +218,52 @@ class TestPairwiseMatrix:
         serial = pairwise_matrix(trees, opts=FAST, n_jobs=1)
         parallel = pairwise_matrix(trees, opts=FAST, n_jobs=2)
         np.testing.assert_array_equal(serial.values, parallel.values)
+        # every entry is exactly what distance() gives for the pair
+        for i in range(4):
+            for j in range(i + 1, 4):
+                assert serial.values[i, j] == distance(trees[i], trees[j], opts=FAST)
+
+    def test_prepares_each_tree_once(self, rng, monkeypatch):
+        calls = []
+
+        def counting(tree, *args):
+            calls.append(tree.id)
+            return resample_tree(tree, *args)
+
+        monkeypatch.setattr(metric_mod, "resample_tree", counting)
+        trees = [smooth_tree(rng, f"t{i}", i) for i in range(4)]
+        pairwise_matrix(trees, opts=FAST, n_jobs=1)
+        assert sorted(calls) == ["t0", "t1", "t2", "t3"]
+
+    @pytest.mark.parametrize("n_main", [2, 3])
+    def test_preparation_failure_matches_pairwise_preparation(self, rng, n_main):
+        # a curved main resampled to 2 or 3 points moves away from its
+        # laterals' bases, so resampling fails; at 2 points the SRVF of the
+        # straight trees fails too, and in a pair the resampling error of
+        # either tree takes precedence, as when each pair was prepared alone
+        opts = PairOptions(n_main=n_main, n_lateral=20)
+        lat = [(0.3, 0.3, 1.0), (0.6, 0.2, -1.0)]
+        trees = [
+            straight_tree("s0", laterals=lat[:1]),
+            smooth_tree(rng, "bad1", 2),
+            straight_tree("s2", laterals=lat),
+            smooth_tree(rng, "bad3", 1),
+        ]
+        expected = []
+        for i in range(4):
+            for j in range(i + 1, 4):
+                try:
+                    reference_prepare(trees[i], trees[j], opts=opts)
+                except Exception as exc:
+                    expected.append((i, j, f"{type(exc).__name__}: {exc}"))
+        assert len(expected) == {2: 6, 3: 5}[n_main]
+        assert len({msg for _, _, msg in expected}) == {2: 3, 3: 2}[n_main]
+        dm = pairwise_matrix(trees, opts=opts)
+        assert dm.failures == tuple(expected)
+        failed = {(i, j) for i, j, _ in expected}
+        for i in range(4):
+            for j in range(i + 1, 4):
+                assert np.isnan(dm.values[i, j]) == ((i, j) in failed)
 
     def test_needs_two(self, rng):
         with pytest.raises(ValueError):
@@ -243,17 +301,16 @@ def test_interpolate_requires_alignment(rng):
 
 
 def test_pairwise_failure_recorded(rng, monkeypatch):
-    trees = [smooth_tree(rng, f"t{i}", 1) for i in range(3)]
-    import treeshape.metric as metric_mod
+    # lateral counts 1, 2, 1: only the pair (t0, t2) registers 2 laterals
+    trees = [smooth_tree(rng, f"t{i}", n) for i, n in enumerate([1, 2, 1])]
+    real_register = metric_mod.register
 
-    real_distance = metric_mod.distance
-
-    def flaky(a, b, w, opts):
-        if {a.id, b.id} == {"t0", "t2"}:
+    def flaky(a, b, w, **kwargs):
+        if a.n_laterals == 2:
             raise ValueError("forced failure")
-        return real_distance(a, b, w, opts)
+        return real_register(a, b, w, **kwargs)
 
-    monkeypatch.setattr(metric_mod, "distance", flaky)
+    monkeypatch.setattr(metric_mod, "register", flaky)
     dm = metric_mod.pairwise_matrix(trees, opts=FAST)
     assert len(dm.failures) == 1
     i, j, msg = dm.failures[0]
@@ -261,3 +318,60 @@ def test_pairwise_failure_recorded(rng, monkeypatch):
     assert "forced failure" in msg
     assert np.isnan(dm.values[i, j]) and np.isnan(dm.values[j, i])
     assert np.isfinite(dm.values[0, 1])
+
+
+# ---------------------------------------------------------------------------
+# one preparation path
+
+
+def reference_prepare(*trees, opts=FAST):
+    """Tree-level preparation: resample, add virtual laterals, then SRVF."""
+    trees = [resample_tree(t, opts.n_main, opts.n_lateral) for t in trees]
+    augmented = augment_pair(*trees) if len(trees) == 2 else augment_collection(trees)
+    return [tree_to_srvft(t, opts.n_lateral) for t in augmented]
+
+
+def assert_srvfts_equal(got, want):
+    assert len(got) == len(want)
+    for Q, R in zip(got, want):
+        np.testing.assert_array_equal(Q.q0.samples, R.q0.samples)
+        np.testing.assert_array_equal(Q.anchor, R.anchor)
+        np.testing.assert_array_equal(Q.s_values(), R.s_values())
+        assert len(Q.laterals) == len(R.laterals)
+        for (q, _), (r, _) in zip(Q.laterals, R.laterals):
+            np.testing.assert_array_equal(q.samples, r.samples)
+
+
+# shared attachment positions make s ties across trees; virtual laterals keep
+# their t through resampling, so they tie exactly
+TIED_T = [0.2, 0.35, 0.5, 0.8]
+
+
+@st.composite
+def root_dicts(draw, tree_id):
+    """A tree in file form, real and virtual laterals, on one of two mains."""
+    bend = draw(st.sampled_from([0.0, 0.2]))
+    t = np.linspace(0.0, 1.0, 40)
+    main = Branch(np.column_stack([bend * np.sin(np.pi * t), -t]))
+    laterals = []
+    for _ in range(draw(st.integers(0, 3))):
+        at = draw(st.sampled_from(TIED_T) | st.floats(0.05, 0.95))
+        start = main.point_at(at)
+        if draw(st.booleans()):
+            laterals.append({"t": at, "points": [start.tolist()], "virtual": True})
+        else:
+            end = start + draw(st.sampled_from([[0.3, -0.1], [-0.2, -0.2]]))
+            laterals.append({"t": at, "points": [start.tolist(), end.tolist()]})
+    return {"id": tree_id, "main": main.points.tolist(), "laterals": laterals}
+
+
+class TestOnePreparationPath:
+    @given(data=st.data(), m=st.integers(1, 4))
+    @settings(max_examples=60, deadline=None)
+    def test_srvf_augmentation_equals_tree_augmentation(self, data, m):
+        trees = [tree_from_dict(data.draw(root_dicts(f"t{i}"))) for i in range(m)]
+        want = reference_prepare(*trees)
+        assert_srvfts_equal(augment_srvfts(prepare_trees(trees, FAST)), want)
+        assert_srvfts_equal(prepare_collection(trees, FAST), want)
+        if m == 2:
+            assert_srvfts_equal(prepare_pair(*trees, FAST), want)

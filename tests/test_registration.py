@@ -25,6 +25,7 @@ from treeshape.metric import prepare_pair
 from treeshape.registration import (
     DP_MAX_STEP,
     _dp_edge_cost,
+    _dp_plan,
     _dp_stencil,
     _reparam_dp,
     lateral_cost_matrix,
@@ -253,6 +254,23 @@ def reference_reparam_dp(qa, qb, edge_cost=reference_edge_cost, max_step=DP_MAX_
     return values, float(E[n - 1, n - 1])
 
 
+def planned_blocks(qa, qb):
+    """Edge-cost function reading each step's block from one flat buffer
+    through the plan's base offsets (rows of stride n - 1, unread columns
+    c >= n - dj dropped)."""
+    n = len(qa)
+    plan = _dp_plan(n, DP_MAX_STEP)
+    costs = _dp_edge_cost(qa, qb, DP_MAX_STEP)
+    assert costs.shape == (plan.size + 1,) and costs[-1] == np.inf
+
+    def block(_qa, _qb, di, dj):
+        start = plan.base[plan.stencil.index((di, dj))]
+        rows = costs[start : start + (n - di) * (n - 1)].reshape(n - di, n - 1)
+        return rows[:, : n - dj]
+
+    return block
+
+
 def random_pair(seed, n):
     """Generic pair: white noise or a smooth random curve pair."""
     gen = np.random.default_rng(seed)
@@ -287,7 +305,7 @@ class TestReparamDPMatchesLoop:
         qa = data.draw(arrays(np.float64, (n, 2), elements=elems))
         qb = data.draw(arrays(np.float64, (n, 2), elements=elems))
         values, energy = _reparam_dp(qa, qb)
-        ref_values, ref_energy = reference_reparam_dp(qa, qb, edge_cost=_dp_edge_cost)
+        ref_values, ref_energy = reference_reparam_dp(qa, qb, edge_cost=planned_blocks(qa, qb))
         np.testing.assert_array_equal(values, ref_values)
         assert energy == ref_energy
 
@@ -322,9 +340,10 @@ class TestReparamDPMatchesLoop:
     def test_edge_cost_blocks(self, n):
         for seed in range(4):
             qa, qb = random_pair(seed, n)
+            block_of = planned_blocks(qa, qb)
             for di, dj in _dp_stencil(DP_MAX_STEP):
                 if di < n and dj < n:
-                    block = _dp_edge_cost(qa, qb, di, dj)
+                    block = block_of(qa, qb, di, dj)
                     ref = reference_edge_cost(qa, qb, di, dj)
                     assert block.shape == ref.shape
                     np.testing.assert_allclose(block, ref, rtol=0, atol=1e-14 * max(1.0, ref.max()))

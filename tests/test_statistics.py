@@ -1,3 +1,5 @@
+import time
+
 import numpy as np
 import pytest
 
@@ -262,15 +264,43 @@ class TestSampleRandom:
             tree = sample_random(atlas, gen, (-1.0, 1.0))
             assert tree.main.length > 0
 
-    @pytest.mark.parametrize("coeff_range", [(1.0, -1.0), (0.5, 0.5), (30.0, 31.0), (-9.0, -8.0)])
+    @pytest.mark.parametrize(
+        "coeff_range", [(1.0, -1.0), (0.5, 0.5), (30.0, 31.0), (-9.0, -8.0), (5.0, 6.0)]
+    )
     def test_empty_or_negligible_range_raises(self, atlas4, coeff_range):
-        # lo >= hi never accepts a draw; the tail ranges hold < 1e-9 of the mass
+        # lo >= hi never accepts a draw; the tail ranges hold < 1e-6 of the
+        # mass ((5, 6) holds 2.9e-7), so they are refused before any draw
+        start = time.perf_counter()
         with pytest.raises(ValueError, match="range"):
             sample_random(atlas4, 0, coeff_range)
+        assert time.perf_counter() - start < 1.0
 
     def test_narrow_range_still_samples(self, atlas4):
         tree = sample_random(atlas4, 5, (2.0, 3.0))
         assert tree.main.length > 0
+
+    def test_range_just_above_the_mass_floor_samples(self, atlas4):
+        # (4, 5) holds 3.1e-5 of the mass: ~3e4 draws per coefficient
+        tree = sample_random(atlas4, 5, (4.0, 5.0))
+        assert tree.main.length > 0
+
+    def test_seeded_sample_is_plain_rejection_sampling(self, atlas4):
+        # the seeded output for a range above the floor is that of redrawing
+        # standard normals until each falls in the range
+        gen = np.random.default_rng(7)
+        coeffs = []
+        for _ in range(atlas4.retained):
+            b = gen.standard_normal()
+            while not (-1.0 <= b <= 1.0):
+                b = gen.standard_normal()
+            coeffs.append(b)
+        Q = exp_map(atlas4.mean, atlas4.tangent_from_coeffs(np.array(coeffs)), atlas4.weights)
+        want = srvft_to_tree(Q, tree_id="sample")
+        got = sample_random(atlas4, 7, (-1.0, 1.0))
+        np.testing.assert_array_equal(got.main.points, want.main.points)
+        assert [t for t, _ in got.laterals] == [t for t, _ in want.laterals]
+        for (_, b1), (_, b2) in zip(got.laterals, want.laterals):
+            np.testing.assert_array_equal(b1.points, b2.points)
 
     def test_coefficient_statistics(self, atlas4):
         # mean of truncated-normal coefficients stays near 0
