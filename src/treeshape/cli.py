@@ -62,7 +62,8 @@ def _add_pipeline_args(parser: argparse.ArgumentParser) -> None:
                         help="main-branch sample count (>= 2)")
     parser.add_argument("--n-lat", type=_sample_count, default=50,
                         help="lateral-branch sample count (>= 2)")
-    parser.add_argument("--reg-iter", type=int, default=10, help="registration sweeps")
+    parser.add_argument("--reg-iter", type=_positive_int, default=10,
+                        help="registration sweeps (>= 1)")
     parser.add_argument("--reg-tol", type=float, default=1e-8, help="registration stop tolerance")
     parser.add_argument("--fixed-s", action="store_true",
                         help="keep attachment positions fixed under reparameterization")
@@ -89,6 +90,13 @@ def _sample_count(text: str) -> int:
     value = int(text)
     if value < 2:
         raise argparse.ArgumentTypeError(f"sample count must be at least 2, got {value}")
+    return value
+
+
+def _positive_int(text: str) -> int:
+    value = int(text)
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"must be at least 1, got {value}")
     return value
 
 
@@ -169,7 +177,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("sample", help="randomly synthesize roots from an atlas")
     p.add_argument("atlas")
-    p.add_argument("--n", type=int, default=1, help="number of samples")
+    p.add_argument("--n", type=_positive_int, default=1, help="number of samples (>= 1)")
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--range", type=_coeff_range, default="-1:1",
                    help="LO:HI bound on mode coefficients (--range=-1:1 form "
@@ -271,7 +279,7 @@ def _cmd_mean(args) -> int:
     print(
         f"mean of {len(trees)} trees in {len(obj) - 1} accepted steps; "
         f"objective {obj[0]:.6g} -> {obj[-1]:.6g}"
-        f" ({'converged' if result.converged else 'iteration limit'})"
+        f" (stopped: {result.stop_reason})"
     )
     return 0
 

@@ -18,7 +18,9 @@ from typing import NamedTuple
 import numpy as np
 from scipy.optimize import linear_sum_assignment
 
-from .srvf import LateralSrvf, Srvf, SrvfTree, Weights, l2_dist_sq, trapezoid_weights
+from .srvf import (
+    LateralSrvf, Srvf, SrvfTree, Weights, _sq_dists, l2_dist_sq, trapezoid_weights,
+)
 
 # Monotone-path stencil: coprime index steps up to this bound, i.e. local
 # slopes between 1/10 and 10.  Tighter strips cannot track warps with strong
@@ -114,25 +116,131 @@ class Registration:
 
 
 # ---------------------------------------------------------------------------
+# array kernels
+#
+# ``register`` stacks each tree's laterals once, as (N, k, 2) samples plus (N,)
+# attachment positions, and runs every sweep on these kernels; the public
+# building blocks further down wrap the same kernels for SrvfTree arguments.
+
+
+def _stack(Q: SrvfTree) -> tuple[np.ndarray, np.ndarray]:
+    """(N, k, 2) lateral samples and (N,) attachment positions of a tree."""
+    if not Q.laterals:
+        return np.zeros((0, 2, 2)), np.zeros(0)
+    return np.stack([q.samples for q, _ in Q.laterals]), Q.s_values()
+
+
+def _from_arrays(
+    q0: np.ndarray, lats: np.ndarray, s: np.ndarray, anchor: np.ndarray
+) -> SrvfTree:
+    return SrvfTree(
+        q0=Srvf(q0),
+        laterals=tuple(LateralSrvf(Srvf(q), x) for q, x in zip(lats, s.tolist())),
+        anchor=anchor,
+    )
+
+
+def _warp(samples: np.ndarray, gamma: Gamma) -> np.ndarray:
+    """(q o gamma) * sqrt(gamma') of (n, 2) samples; the samples themselves
+    for an identity gamma."""
+    n = len(samples)
+    if gamma.n != n:
+        raise ValueError("gamma grid does not match the SRVF grid")
+    if gamma.is_identity():
+        return samples
+    pos = gamma.values * (n - 1)
+    idx = np.arange(n)
+    warped = np.column_stack([np.interp(pos, idx, samples[:, c]) for c in range(2)])
+    return warped * np.sqrt(gamma.derivative())[:, None]
+
+
+def _remap(s: np.ndarray, gamma: Gamma, remap_s: bool) -> np.ndarray:
+    """Attachment positions after reparameterization: gamma^-1(s), where the
+    old attachment point now occurs, or s unchanged."""
+    if not remap_s or gamma.is_identity():
+        return s
+    return gamma.inverse_at(s)
+
+
+def _transform(
+    Q: SrvfTree, rotation: np.ndarray | None, gamma: Gamma | None, remap_s: bool
+) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    """Main samples, lateral samples, positions and anchor of a moved tree."""
+    q0, anchor = Q.q0.samples, Q.anchor
+    lats, s = _stack(Q)
+    if gamma is not None:
+        q0 = _warp(q0, gamma)
+        s = _remap(s, gamma, remap_s)
+    if rotation is not None:
+        rot = np.asarray(rotation)
+        q0, lats, anchor = q0 @ rot.T, lats @ rot.T, rot @ anchor
+    return q0, lats, s, anchor
+
+
+def _cost_matrix(
+    qa: np.ndarray, sa: np.ndarray, qb: np.ndarray, sb: np.ndarray, w: Weights
+) -> np.ndarray:
+    """Lateral matching costs: shape term plus attachment-position term."""
+    if qa.shape[1:] != qb.shape[1:]:
+        raise ValueError("lateral sample counts differ between trees")
+    tw = trapezoid_weights(qa.shape[1])
+    na = np.einsum("imc,imc,m->i", qa, qa, tw)
+    nb = np.einsum("imc,imc,m->i", qb, qb, tw)
+    cross = np.einsum("imc,jmc,m->ij", qa, qb, tw)
+    shape_cost = na[:, None] + nb[None, :] - 2.0 * cross
+    ds = sa[:, None] - sb[None, :]
+    return w.lambda_s * np.clip(shape_cost, 0.0, None) + w.lambda_p * ds * ds
+
+
+def _assign(cost: np.ndarray) -> np.ndarray:
+    """Exact linear assignment: perm[k] is the column matched to row k."""
+    rows, cols = linear_sum_assignment(cost)
+    perm = np.empty(len(cost), dtype=int)
+    perm[rows] = cols
+    return perm
+
+
+def _procrustes(
+    a0: np.ndarray, qa: np.ndarray, b0: np.ndarray, qb: np.ndarray, w: Weights
+) -> np.ndarray:
+    """Weighted 2D Procrustes rotation of the stacked main and index-aligned
+    lateral samples of b onto those of a."""
+    A = np.concatenate([a0, qa.reshape(-1, 2)])
+    B = np.concatenate([b0, qb.reshape(-1, 2)])
+    wv = np.concatenate(
+        [w.lambda_m * trapezoid_weights(len(a0))]
+        + [w.lambda_s * trapezoid_weights(qa.shape[1])] * len(qa)
+    )
+    M = (B * wv[:, None]).T @ A  # sum_i w_i b_i a_i^T
+    U, S, Vt = np.linalg.svd(M)
+    if S[0] < 1e-12:
+        warnings.warn("degenerate cross-covariance; returning identity rotation")
+        return np.eye(2)
+    V = Vt.T
+    d = np.sign(np.linalg.det(V @ U.T))
+    return V @ np.diag([1.0, d]) @ U.T
+
+
+def _preshape_cost(
+    w: Weights, main_sq: float, shapes: list[float], sa: list[float], sb: list[float]
+) -> float:
+    """The dissimilarity from its terms: the main term first, then the shape
+    and position terms of each lateral, interleaved."""
+    total = w.lambda_m * main_sq
+    for shape, x, y in zip(shapes, sa, sb):
+        total += w.lambda_s * shape
+        total += w.lambda_p * (x - y) ** 2
+    return float(total)
+
+
+# ---------------------------------------------------------------------------
 # building blocks
-
-
-def rotate_srvf(q: Srvf, rotation: np.ndarray) -> Srvf:
-    return Srvf(q.samples @ np.asarray(rotation).T)
 
 
 def warp_srvf(q: Srvf, gamma: Gamma) -> Srvf:
     """(q o gamma) * sqrt(gamma'), sampled on the original grid."""
-    if gamma.n != q.n:
-        raise ValueError("gamma grid does not match the SRVF grid")
-    if gamma.is_identity():
-        return q
-    pos = gamma.values * (q.n - 1)
-    idx = np.arange(q.n)
-    warped = np.column_stack(
-        [np.interp(pos, idx, q.samples[:, c]) for c in range(2)]
-    )
-    return Srvf(warped * np.sqrt(gamma.derivative())[:, None])
+    warped = _warp(q.samples, gamma)
+    return q if warped is q.samples else Srvf(warped)
 
 
 def transform_tree(
@@ -142,21 +250,7 @@ def transform_tree(
     remap_s: bool = True,
 ) -> SrvfTree:
     """Rotate all SRVFs and reparameterize the main branch (no reordering)."""
-    q0 = Q.q0
-    laterals = Q.laterals
-    anchor = Q.anchor
-    if gamma is not None and not gamma.is_identity():
-        q0 = warp_srvf(q0, gamma)
-        if remap_s:
-            laterals = tuple(
-                LateralSrvf(q, float(gamma.inverse_at(s))) for q, s in laterals
-            )
-    if rotation is not None:
-        rot = np.asarray(rotation)
-        q0 = rotate_srvf(q0, rot)
-        laterals = tuple(LateralSrvf(rotate_srvf(q, rot), s) for q, s in laterals)
-        anchor = rot @ anchor
-    return SrvfTree(q0=q0, laterals=laterals, anchor=anchor)
+    return _from_arrays(*_transform(Q, rotation, gamma, remap_s))
 
 
 def apply_registration(Q: SrvfTree, reg: Registration) -> SrvfTree:
@@ -167,41 +261,20 @@ def apply_registration(Q: SrvfTree, reg: Registration) -> SrvfTree:
     sample and the anchor, and reorders laterals so index k corresponds to
     the reference's lateral k.
     """
-    moved = transform_tree(Q, rotation=reg.rotation, gamma=reg.gamma, remap_s=reg.remap_s)
-    laterals = tuple(moved.laterals[j] for j in reg.assignment)
-    return SrvfTree(q0=moved.q0, laterals=laterals, anchor=moved.anchor)
+    q0, lats, s, anchor = _transform(Q, reg.rotation, reg.gamma, reg.remap_s)
+    return _from_arrays(q0, lats[reg.assignment], s[reg.assignment], anchor)
 
 
 def lateral_cost_matrix(a: SrvfTree, b: SrvfTree, w: Weights) -> np.ndarray:
     """Pairwise matching costs: shape term plus attachment-position term."""
-    n = a.n_laterals
-    if n != b.n_laterals:
-        raise ValueError(f"lateral counts differ: {n} vs {b.n_laterals}")
-    if n == 0:
-        return np.zeros((0, 0))
-    qa = np.stack([q.samples for q, _ in a.laterals])  # (n, m, 2)
-    qb = np.stack([q.samples for q, _ in b.laterals])
-    if qa.shape[1] != qb.shape[1]:
-        raise ValueError("lateral sample counts differ between trees")
-    tw = trapezoid_weights(qa.shape[1])
-    na = np.einsum("imc,imc,m->i", qa, qa, tw)
-    nb = np.einsum("imc,imc,m->i", qb, qb, tw)
-    cross = np.einsum("imc,jmc,m->ij", qa, qb, tw)
-    shape_cost = na[:, None] + nb[None, :] - 2.0 * cross
-    ds = a.s_values()[:, None] - b.s_values()[None, :]
-    return w.lambda_s * np.clip(shape_cost, 0.0, None) + w.lambda_p * ds * ds
+    if a.n_laterals != b.n_laterals:
+        raise ValueError(f"lateral counts differ: {a.n_laterals} vs {b.n_laterals}")
+    return _cost_matrix(*_stack(a), *_stack(b), w)
 
 
 def match_laterals(a: SrvfTree, b: SrvfTree, w: Weights) -> np.ndarray:
     """Minimum-cost lateral correspondence via exact linear assignment."""
-    n = a.n_laterals
-    if n == 0:
-        return np.arange(0)
-    cost = lateral_cost_matrix(a, b, w)
-    rows, cols = linear_sum_assignment(cost)
-    perm = np.empty(n, dtype=int)
-    perm[rows] = cols
-    return perm
+    return _assign(lateral_cost_matrix(a, b, w))
 
 
 def optimal_rotation(
@@ -215,27 +288,10 @@ def optimal_rotation(
     covariance (both singular values below 1e-12) yields the identity with a
     warning.
     """
-    blocks_a = [a.q0.samples]
-    blocks_b = [b.q0.samples]
-    weights = [w.lambda_m * trapezoid_weights(a.q0.n)]
-    if a.n_laterals:
-        for k, j in enumerate(np.asarray(assignment, dtype=int)):
-            qa = a.laterals[k].q
-            qb = b.laterals[j].q
-            blocks_a.append(qa.samples)
-            blocks_b.append(qb.samples)
-            weights.append(w.lambda_s * trapezoid_weights(qa.n))
-    A = np.vstack(blocks_a)
-    B = np.vstack(blocks_b)
-    wv = np.concatenate(weights)
-    M = (B * wv[:, None]).T @ A  # sum_i w_i b_i a_i^T
-    U, S, Vt = np.linalg.svd(M)
-    if S[0] < 1e-12:
-        warnings.warn("degenerate cross-covariance; returning identity rotation")
-        return np.eye(2)
-    V = Vt.T
-    d = np.sign(np.linalg.det(V @ U.T))
-    return V @ np.diag([1.0, d]) @ U.T
+    qa, _ = _stack(a)
+    qb, _ = _stack(b)
+    perm = np.asarray(assignment, dtype=int)
+    return _procrustes(a.q0.samples, qa, b.q0.samples, qb[perm], w)
 
 
 # ---------------------------------------------------------------------------
@@ -456,29 +512,10 @@ def preshape_dissimilarity_sq(a: SrvfTree, b: SrvfTree, w: Weights) -> float:
         raise ValueError(
             f"lateral counts differ: {a.n_laterals} vs {b.n_laterals}"
         )
-    total = w.lambda_m * l2_dist_sq(a.q0, b.q0)
-    for (qa, sa), (qb, sb) in zip(a.laterals, b.laterals):
-        total += w.lambda_s * l2_dist_sq(qa, qb)
-        total += w.lambda_p * (sa - sb) ** 2
-    return float(total)
-
-
-def _aligned_cost(
-    a: SrvfTree,
-    b: SrvfTree,
-    rotation: np.ndarray,
-    gamma: Gamma,
-    assignment: np.ndarray,
-    w: Weights,
-    remap_s: bool = True,
-) -> float:
-    moved = transform_tree(b, rotation=rotation, gamma=gamma, remap_s=remap_s)
-    reordered = SrvfTree(
-        q0=moved.q0,
-        laterals=tuple(moved.laterals[j] for j in assignment),
-        anchor=moved.anchor,
-    )
-    return preshape_dissimilarity_sq(a, reordered, w)
+    qa, sa = _stack(a)
+    qb, sb = _stack(b)
+    main_sq = _sq_dists(a.q0.samples, b.q0.samples)[0]
+    return _preshape_cost(w, main_sq, _sq_dists(qa, qb), sa.tolist(), sb.tolist())
 
 
 def register(
@@ -495,8 +532,11 @@ def register(
     Coordinate descent, assignment first (attachment positions dominate the
     topology and are rotation invariant), then rotation, then the main-curve
     warp.  Stops when the relative cost decrease over a sweep drops below
-    ``tol`` or after ``max_iter`` sweeps.
+    ``tol`` or after ``max_iter`` (at least 1) sweeps.  A non-finite cost is
+    a ValueError.
     """
+    if max_iter < 1:
+        raise ValueError(f"registration needs at least one sweep, got max_iter={max_iter}")
     if a.n_laterals != b.n_laterals:
         raise ValueError(
             f"trees must be augmented to equal lateral counts "
@@ -504,42 +544,58 @@ def register(
         )
     if a.q0.n != b.q0.n:
         raise ValueError("main-branch sample counts differ")
-    n = a.q0.n
-    N = a.n_laterals
-    gamma = Gamma.identity(n)
+    a0, b0 = a.q0.samples, b.q0.samples
+    qa, sa = _stack(a)
+    qb, sb = _stack(b)
+    sa_list = sa.tolist()
+
+    def aligned_cost(main: np.ndarray, shapes: list[float], s: np.ndarray, perm) -> float:
+        """Cost of the moved main, the per-lateral shape terms and the moved
+        positions, with b's laterals taken in ``perm`` order."""
+        main_sq = _sq_dists(a0, main)[0]
+        cost = _preshape_cost(w, main_sq, shapes, sa_list, s[perm].tolist())
+        if not math.isfinite(cost):
+            raise ValueError("registration cost is not finite")
+        return cost
+
+    N = len(qa)
+    gamma = Gamma.identity(a.q0.n)
+    b_warped, s_moved = b0, sb  # b's main and positions under gamma
+    rotation = np.eye(2)
     assignment = np.arange(N)
-    cost = _aligned_cost(a, b, np.eye(2), gamma, assignment, w, remap_s)
+    lat_rot = qb @ rotation.T  # b's laterals under rotation
+    cost = aligned_cost(b0 @ rotation.T, _sq_dists(qa, lat_rot[assignment]), sb, assignment)
     history = [cost]
     # Warm-start the rotation from a main-branch-only Procrustes fit; large
     # rotations otherwise mislead the first matching sweep into a poor local
     # optimum.  The identity stays a candidate, and candidates are scored by
     # the full cost under their own best match, so the start never exceeds
     # the identity-aligned cost.
-    rotation = np.eye(2)
     if N:
         main_only = Weights(max(w.lambda_m, 1e-12), 0.0, 0.0)
         with warnings.catch_warnings():
             warnings.simplefilter("ignore")
-            candidate = optimal_rotation(a, b, assignment, main_only)
+            candidate = _procrustes(a0, qa, b0, qb, main_only)
         best = cost
-        for cand in (np.eye(2), candidate):
-            pi = match_laterals(a, transform_tree(b, rotation=cand), w)
-            c = _aligned_cost(a, b, cand, gamma, pi, w, remap_s)
+        for cand, lat in ((np.eye(2), lat_rot), (candidate, qb @ candidate.T)):
+            pi = _assign(_cost_matrix(qa, sa, lat, sb, w))
+            c = aligned_cost(b0 @ cand.T, _sq_dists(qa, lat[pi]), sb, pi)
             if c < best:
-                best = c
-                rotation = cand
-                assignment = pi
+                best, rotation, assignment, lat_rot = c, cand, pi, lat
     for _ in range(max_iter):
-        moved = transform_tree(b, rotation=rotation, gamma=gamma, remap_s=remap_s)
-        assignment = match_laterals(a, moved, w)
-        b_warped = transform_tree(b, gamma=gamma, remap_s=remap_s)
-        rotation = optimal_rotation(a, b_warped, assignment, w)
-        q2_rot = rotate_srvf(b.q0, rotation)
-        gamma_new = optimal_reparam_main(a.q0, q2_rot, max_step)
-        cost_new = _aligned_cost(a, b, rotation, gamma_new, assignment, w, remap_s)
-        cost_keep = _aligned_cost(a, b, rotation, gamma, assignment, w, remap_s)
+        assignment = _assign(_cost_matrix(qa, sa, lat_rot, s_moved, w))
+        rotation = _procrustes(a0, qa, b_warped, qb[assignment], w)
+        lat_rot = qb @ rotation.T
+        shapes = _sq_dists(qa, lat_rot[assignment])
+        # through the public DP entry, so per-function timings (such as the
+        # benchmark's optimal_reparam_main metrics) still see the DP apart
+        gamma_new = optimal_reparam_main(a.q0, Srvf(b0 @ rotation.T), max_step)
+        warped_new = _warp(b0, gamma_new)
+        s_new = _remap(sb, gamma_new, remap_s)
+        cost_new = aligned_cost(warped_new @ rotation.T, shapes, s_new, assignment)
+        cost_keep = aligned_cost(b_warped @ rotation.T, shapes, s_moved, assignment)
         if cost_new <= cost_keep:
-            gamma = gamma_new
+            gamma, b_warped, s_moved = gamma_new, warped_new, s_new
             sweep_cost = cost_new
         else:
             sweep_cost = cost_keep

@@ -150,15 +150,16 @@ def to_srvf(branch: Branch, n: int) -> Srvf:
     """SRVF of a branch sampled at n uniform parameters.
 
     The branch is resampled to uniform arc length, the derivative estimated
-    by central finite differences (second-order one-sided at the endpoints),
-    and scaled by the reciprocal square root of the speed.  Virtual branches
+    by central finite differences (second-order one-sided at the endpoints;
+    first-order at n = 2, where both are the one segment's slope), and
+    scaled by the reciprocal square root of the speed.  Virtual branches
     yield all-zero samples.
     """
     if branch.is_virtual:
         return Srvf.zero(n)
     pts = resample_branch(branch, n).points
     h = 1.0 / (n - 1)
-    deriv = np.gradient(pts, h, axis=0, edge_order=2)
+    deriv = np.gradient(pts, h, axis=0, edge_order=min(2, n - 1))
     speed = np.linalg.norm(deriv, axis=1)
     q = np.zeros_like(deriv)
     moving = speed > 1e-12
@@ -221,21 +222,6 @@ def augment_srvfts(Qs: Sequence[SrvfTree]) -> list[SrvfTree]:
     return out
 
 
-def _param_point(points: np.ndarray, s: float) -> tuple[np.ndarray, float]:
-    """Point of a polyline at curve parameter s, plus its arc-length fraction."""
-    n = len(points)
-    x = float(s) * (n - 1)
-    i0 = min(int(np.floor(x)), n - 2)
-    frac = x - i0
-    point = (1.0 - frac) * points[i0] + frac * points[i0 + 1]
-    cum = _cumulative_arclength(points)
-    total = cum[-1]
-    if total <= 0.0:
-        return point, 0.0
-    arc = cum[i0] + frac * (cum[i0 + 1] - cum[i0])
-    return point, float(arc / total)
-
-
 def srvft_to_tree(Q: SrvfTree, tree_id: str = "reconstructed", eps_null: float = EPS_NULL) -> RootTree:
     """Map an SRVF-tree back to a root tree.
 
@@ -247,14 +233,26 @@ def srvft_to_tree(Q: SrvfTree, tree_id: str = "reconstructed", eps_null: float =
     (as happens for interior geodesic points).
     """
     main = from_srvf(Q.q0, Q.anchor)
+    points = main.points
+    n = len(points)
+    # attachment points by linear interpolation at parameter s, and their
+    # arc-length fractions along the main
+    x = Q.s_values() * (n - 1)
+    i0 = np.minimum(np.floor(x).astype(int), n - 2)
+    frac = x - i0
+    starts = (1.0 - frac)[:, None] * points[i0] + frac[:, None] * points[i0 + 1]
+    cum = _cumulative_arclength(points)
+    total = cum[-1]
+    if total <= 0.0:
+        t_arc = np.zeros(len(x))
+    else:
+        t_arc = (cum[i0] + frac * (cum[i0 + 1] - cum[i0])) / total
     laterals = []
-    for q, s in Q.laterals:
-        s = min(max(float(s), 0.0), 1.0)
-        point, t_arc = _param_point(main.points, s)
+    for (q, _), point, t in zip(Q.laterals, starts, t_arc.tolist()):
         if np.sqrt(q.norm_sq) < eps_null:
-            laterals.append(Lateral(t_arc, Branch(point[None, :], is_virtual=True)))
+            laterals.append(Lateral(t, Branch(point[None, :], is_virtual=True)))
         else:
-            laterals.append(Lateral(t_arc, from_srvf(q, point)))
+            laterals.append(Lateral(t, from_srvf(q, point)))
     return RootTree(id=tree_id, main=main, laterals=tuple(laterals))
 
 
@@ -262,10 +260,16 @@ def srvft_to_tree(Q: SrvfTree, tree_id: str = "reconstructed", eps_null: float =
 # flat L2 geometry
 
 
+def _sq_dists(qa: np.ndarray, qb: np.ndarray) -> list[float]:
+    """Trapezoid-rule |qa - qb|^2 of each pair of (..., m, 2) sample arrays."""
+    if qa.shape != qb.shape:
+        raise ValueError(f"sample counts differ: {qa.shape[-2]} vs {qb.shape[-2]}")
+    m = qa.shape[-2]
+    d = qa - qb
+    tw = trapezoid_weights(m)
+    return [float(tw @ r) for r in np.einsum("...ij,...ij->...i", d, d).reshape(-1, m)]
+
+
 def l2_dist_sq(q1: Srvf, q2: Srvf) -> float:
     """Integral of |q1 - q2|^2 over [0, 1] by the trapezoid rule."""
-    if q1.n != q2.n:
-        raise ValueError(f"sample counts differ: {q1.n} vs {q2.n}")
-    d = q1.samples - q2.samples
-    w = trapezoid_weights(q1.n)
-    return float(w @ np.einsum("ij,ij->i", d, d))
+    return _sq_dists(q1.samples, q2.samples)[0]

@@ -18,7 +18,7 @@ import numpy as np
 from scipy.special import ndtr
 
 from .metric import DEFAULT_OPTIONS, PairOptions, parallel_map, prepare_trees, resolve_workers
-from .registration import apply_registration, preshape_dissimilarity_sq, register
+from .registration import Registration, apply_registration, register
 from .srvf import (
     DEFAULT_WEIGHTS,
     LateralSrvf,
@@ -120,22 +120,21 @@ def exp_map(mu: SrvfTree, v: np.ndarray, w: Weights) -> SrvfTree:
 
 @dataclass(frozen=True)
 class KarcherResult:
+    """The mean, the samples registered to it, the objective per accepted step,
+    and why the descent stopped: ``gradient`` (the tangent mean fell below
+    ``tol``), ``halving-exhausted`` (no halved step lowered the objective) or
+    ``iteration-limit``; ``converged`` is false only for the last."""
+
     mean: SrvfTree
     registered: tuple[SrvfTree, ...]
     objective: tuple[float, ...]
     converged: bool
+    stop_reason: str
 
 
-def _register_to(args: tuple) -> SrvfTree:
+def _register(args: tuple) -> Registration:
     mu, Q, w, max_iter, tol, remap_s = args
-    return apply_registration(
-        Q, register(mu, Q, w, max_iter=max_iter, tol=tol, remap_s=remap_s)
-    )
-
-
-def _registration_cost(args: tuple) -> float:
-    mu, Q, w, max_iter, tol, remap_s = args
-    return register(mu, Q, w, max_iter=max_iter, tol=tol, remap_s=remap_s).cost
+    return register(mu, Q, w, max_iter=max_iter, tol=tol, remap_s=remap_s)
 
 
 def prepare_collection(
@@ -160,64 +159,62 @@ def karcher_mean(
     registered distance to all others), then repeatedly registers every
     sample to the current mean and moves the mean toward the tangent
     average.  A step that would increase the objective is halved until it
-    does not, so the objective sequence is nonincreasing.
+    does not, so the objective sequence is nonincreasing; when eight halvings
+    do not, the descent stops with ``halving-exhausted``.
     """
     if not trees:
         raise ValueError("empty collection")
     samples = prepare_collection(trees, opts)
     m = len(samples)
     if m == 1:
-        return KarcherResult(samples[0], (samples[0],), (0.0,), True)
+        return KarcherResult(samples[0], (samples[0],), (0.0,), True, "gradient")
     jobs = resolve_workers(n_jobs)
 
-    def reg_args(mu: SrvfTree) -> list[tuple]:
-        return [(mu, Q, w, opts.max_iter, opts.tol, opts.remap_s) for Q in samples]
+    def registered_to(mu: SrvfTree) -> tuple[list[SrvfTree], float]:
+        """The samples registered to mu, and the objective: the sum of their
+        registration costs, in sample order."""
+        args = [(mu, Q, w, opts.max_iter, opts.tol, opts.remap_s) for Q in samples]
+        regs = parallel_map(_register, args, jobs)
+        registered = [apply_registration(Q, reg) for Q, reg in zip(samples, regs)]
+        return registered, float(sum(reg.cost for reg in regs))
 
     # medoid initialization
-    pair_cost = np.zeros((m, m))
+    upper = np.triu_indices(m, 1)
     pairs = [(samples[i], samples[j], w, opts.max_iter, opts.tol, opts.remap_s)
-             for i in range(m) for j in range(i + 1, m)]
-    costs = parallel_map(_registration_cost, pairs, jobs)
-    k = 0
-    for i in range(m):
-        for j in range(i + 1, m):
-            pair_cost[i, j] = pair_cost[j, i] = costs[k]
-            k += 1
-    medoid = int(np.argmin(pair_cost.sum(axis=1)))
+             for i, j in zip(*upper)]
+    pair_cost = np.zeros((m, m))
+    pair_cost[upper] = [reg.cost for reg in parallel_map(_register, pairs, jobs)]
+    medoid = int(np.argmin((pair_cost + pair_cost.T).sum(axis=1)))
     mu = samples[medoid]
     anchor = np.mean([Q.anchor for Q in samples], axis=0)
     mu = SrvfTree(q0=mu.q0, laterals=mu.laterals, anchor=anchor)
 
     layout = TangentLayout.of(mu)
     scale = layout.metric_scale(w)
-    registered = parallel_map(_register_to, reg_args(mu), jobs)
-    objective = [float(sum(preshape_dissimilarity_sq(mu, Q, w) for Q in registered))]
-    converged = False
+    registered, obj = registered_to(mu)
+    objective = [obj]
+    stop_reason = "iteration-limit"
     for _ in range(max_iter):
         flat_mu = flatten_srvft(mu)
         vbar = np.mean([flatten_srvft(Q) for Q in registered], axis=0) - flat_mu
         if float(np.linalg.norm(vbar * scale)) < tol:
-            converged = True
+            stop_reason = "gradient"
             break
-        accepted = False
         step_k = step
         for _ in range(8):
             candidate = unflatten_srvft(flat_mu + step_k * vbar, layout, mu.anchor)
-            cand_registered = parallel_map(_register_to, reg_args(candidate), jobs)
-            cand_obj = float(
-                sum(preshape_dissimilarity_sq(candidate, Q, w) for Q in cand_registered)
-            )
+            cand_registered, cand_obj = registered_to(candidate)
             if cand_obj <= objective[-1] + 1e-15:
                 mu = candidate
                 registered = cand_registered
                 objective.append(cand_obj)
-                accepted = True
                 break
             step_k *= 0.5
-        if not accepted:
-            converged = True
+        else:
+            stop_reason = "halving-exhausted"
             break
-    return KarcherResult(mu, tuple(registered), tuple(objective), converged)
+    converged = stop_reason != "iteration-limit"
+    return KarcherResult(mu, tuple(registered), tuple(objective), converged, stop_reason)
 
 
 # ---------------------------------------------------------------------------

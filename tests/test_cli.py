@@ -59,6 +59,13 @@ class TestDistanceCommand:
     def test_usage_error_exit_2(self):
         assert main(["distance"]) == 2
 
+    def test_two_samples_on_a_curved_main_exit_1(self, tree_files, capsys):
+        # a curved main resampled to its two endpoints leaves the laterals'
+        # bases off the main curve
+        pa, pb = tree_files
+        assert main(["distance", str(pa), str(pb), "--n-main", "2", "--n-lat", "2"]) == 1
+        assert "from the main curve" in capsys.readouterr().err
+
     def test_unknown_command_exit_2(self):
         assert main(["frobnicate"]) == 2
 
@@ -119,7 +126,9 @@ class TestMeanAndAtlas:
                      "--out", str(out)]) == 0
         tree = load_root(out)
         assert tree.main.length > 0
-        assert "objective" in capsys.readouterr().out
+        summary = capsys.readouterr().out
+        assert "objective" in summary
+        assert "(stopped: " in summary
 
     def test_atlas_then_modes_and_sample(self, collection_dir, tmp_path, capsys):
         atlas_path = tmp_path / "atlas.json"
@@ -167,6 +176,10 @@ class TestUsageErrors:
         ["matrix", "roots", "--n-lat", "0"],
         ["distance", "a.json", "b.json", "--n-main", "2.5"],
         ["atlas", "roots", "--n-lat", "-3"],
+        ["distance", "a.json", "b.json", "--reg-iter", "0"],
+        ["matrix", "roots", "--reg-iter", "-3"],
+        ["sample", "atlas.json", "--n", "0"],
+        ["sample", "atlas.json", "--n", "-2"],
         ["sample", "atlas.json", "--range=1:-1"],
         ["sample", "atlas.json", "--range=0.5:0.5"],
         ["sample", "atlas.json", "--range=-1:1:3"],
@@ -186,6 +199,10 @@ class TestUsageErrors:
         args = build_parser().parse_args([
             "matrix", "roots", "--n-main", "2", "--n-lat", "2", "--out", "m.csv"])
         assert (args.n_main, args.n_lat) == (2, 2)
+        args = build_parser().parse_args(["matrix", "roots", "--reg-iter", "1", "--out", "m.csv"])
+        assert args.reg_iter == 1
+        args = build_parser().parse_args(["sample", "a.json", "--n", "1", "--out", "s.json"])
+        assert args.n == 1
         args = build_parser().parse_args(["sample", "a.json", "--range=-0.5:2", "--out", "s.json"])
         assert args.range == (-0.5, 2.0)
 

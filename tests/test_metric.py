@@ -106,6 +106,15 @@ class TestDistance:
         assert abs(distance(a, b, opts=FAST) ** 2 - distance_sq(a, b, opts=FAST)) < 1e-12
 
 
+def test_two_samples_per_branch_on_straight_trees():
+    # straight branches are resampled exactly, so n = 2 gives the n = 3 result
+    a = straight_tree("a", 1.0, laterals=[(0.3, 0.3, 1.0)])
+    b = straight_tree("b", 1.5, laterals=[(0.6, 0.2, -1.0)])
+    d2 = distance(a, b, opts=PairOptions(n_main=2, n_lateral=2))
+    d3 = distance(a, b, opts=PairOptions(n_main=3, n_lateral=3))
+    assert d2 == pytest.approx(d3, abs=1e-12)
+
+
 class TestGeodesic:
     def test_endpoints_reproduce_inputs(self, rng):
         a = smooth_tree(rng, "a", 2)
@@ -238,9 +247,9 @@ class TestPairwiseMatrix:
     @pytest.mark.parametrize("n_main", [2, 3])
     def test_preparation_failure_matches_pairwise_preparation(self, rng, n_main):
         # a curved main resampled to 2 or 3 points moves away from its
-        # laterals' bases, so resampling fails; at 2 points the SRVF of the
-        # straight trees fails too, and in a pair the resampling error of
-        # either tree takes precedence, as when each pair was prepared alone
+        # laterals' bases, so resampling fails and the pairs with either
+        # curved tree fail, as when each pair was prepared alone; the pair of
+        # straight trees succeeds at both sample counts
         opts = PairOptions(n_main=n_main, n_lateral=20)
         lat = [(0.3, 0.3, 1.0), (0.6, 0.2, -1.0)]
         trees = [
@@ -256,8 +265,8 @@ class TestPairwiseMatrix:
                     reference_prepare(trees[i], trees[j], opts=opts)
                 except Exception as exc:
                     expected.append((i, j, f"{type(exc).__name__}: {exc}"))
-        assert len(expected) == {2: 6, 3: 5}[n_main]
-        assert len({msg for _, _, msg in expected}) == {2: 3, 3: 2}[n_main]
+        assert len(expected) == 5
+        assert len({msg for _, _, msg in expected}) == 2
         dm = pairwise_matrix(trees, opts=opts)
         assert dm.failures == tuple(expected)
         failed = {(i, j) for i, j, _ in expected}

@@ -21,7 +21,7 @@ from treeshape import (
     resample_tree,
     tree_to_srvft,
 )
-from treeshape.metric import prepare_pair
+from treeshape.metric import interpolate_srvft, prepare_pair
 from treeshape.registration import (
     DP_MAX_STEP,
     _dp_edge_cost,
@@ -33,6 +33,10 @@ from treeshape.registration import (
     warp_srvf,
 )
 
+from treeshape.srvf import LateralSrvf, SrvfTree, srvft_to_tree
+from treeshape.tree_model import tree_to_dict
+
+import reference_registration as ref
 from conftest import rotation_matrix, smooth_tree, straight_tree, transform_tree as move_tree
 
 
@@ -467,6 +471,14 @@ class TestRegister:
             Qa2, Qb2 = prepare_pair(a, move_tree(b, theta=theta))
             assert abs(register(Qa2, Qb2, w).cost - base) < 1e-6
 
+    @pytest.mark.parametrize("max_iter", [0, -3])
+    def test_needs_one_sweep(self, rng, max_iter):
+        # with no sweep the warm-start rotation and assignment would come back
+        # with the identity-aligned cost
+        Qa, Qb = prepare_pair(smooth_tree(rng, "a", 1), smooth_tree(rng, "b", 2))
+        with pytest.raises(ValueError, match="at least one sweep"):
+            register(Qa, Qb, Weights(), max_iter=max_iter)
+
     def test_mismatched_counts_rejected(self, rng):
         a = srvft_of(smooth_tree(rng, "a", 1))
         b = srvft_of(smooth_tree(rng, "b", 2))
@@ -480,3 +492,90 @@ class TestRegister:
         dump = reg.to_debug_dict()
         assert set(dump) == {"angle", "gamma", "assignment", "cost", "cost_history"}
         assert len(dump["gamma"]) == Qa.q0.n
+
+
+def random_srvf(rng: np.random.Generator, n: int) -> np.ndarray:
+    """Smooth random SRVF samples plus a little noise."""
+    t = np.linspace(0.0, 1.0, n)[:, None]
+    wave = np.sin(np.pi * rng.uniform(0.5, 3.0, 2) * t + rng.uniform(0.0, np.pi, 2))
+    return rng.normal(size=2) + 0.5 * rng.normal(size=2) * wave + 0.05 * rng.normal(size=(n, 2))
+
+
+@st.composite
+def srvft_pairs(draw):
+    """Two SRVF-trees with 0-6 laterals (some zero, some at s = 0 or 1) on
+    grids of 3-40 samples; b is random or a rotated, perturbed copy of a."""
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    n, k, N = draw(st.integers(3, 40)), draw(st.integers(3, 40)), draw(st.integers(0, 6))
+
+    def random_tree() -> SrvfTree:
+        lats = []
+        for _ in range(N):
+            q = np.zeros((k, 2)) if rng.uniform() < 0.3 else random_srvf(rng, k)
+            s = float(rng.choice([0.0, 1.0])) if rng.uniform() < 0.15 else float(rng.uniform())
+            lats.append(LateralSrvf(Srvf(q), s))
+        lats.sort(key=lambda lat: lat.s)
+        return SrvfTree(Srvf(random_srvf(rng, n)), tuple(lats), rng.normal(size=2))
+
+    a = random_tree()
+    if draw(st.booleans()):
+        b = random_tree()
+    else:
+        R = rotation_matrix(rng.uniform(-np.pi, np.pi))
+        b = SrvfTree(
+            Srvf(a.q0.samples @ R.T + 0.05 * rng.normal(size=(n, 2))),
+            tuple(LateralSrvf(Srvf(q.samples @ R.T), s) for q, s in a.laterals[::-1]),
+            a.anchor,
+        )
+    w = draw(st.sampled_from([Weights(), Weights(1.0, 1.0, 1.0), Weights(0.02, 0.5, 2.0)]))
+    return a, b, w
+
+
+def reconstruction(to_tree, Q):
+    """``tree_to_dict`` of the reconstructed tree, or the error it raised."""
+    try:
+        return tree_to_dict(to_tree(Q))
+    except ValueError as exc:
+        return f"{type(exc).__name__}: {exc}"
+
+
+class TestArrayRegisterMatchesObjects:
+    """``register`` and ``srvft_to_tree`` on stacked arrays against the
+    object-based versions they replaced: the same numbers, bit for bit."""
+
+    @settings(max_examples=60, deadline=None)
+    @given(pair=srvft_pairs(), remap_s=st.booleans())
+    def test_registration_and_reconstruction(self, pair, remap_s):
+        a, b, w = pair
+        got = register(a, b, w, remap_s=remap_s)
+        want = ref.register(a, b, w, remap_s=remap_s)
+        np.testing.assert_array_equal(got.rotation, want.rotation)
+        np.testing.assert_array_equal(got.gamma.values, want.gamma.values)
+        np.testing.assert_array_equal(got.assignment, want.assignment)
+        assert got.cost_history == want.cost_history
+        moved = apply_registration(b, got)
+        moved_ref = ref.apply_registration(b, want)
+        assert preshape_dissimilarity_sq(a, moved, w) == got.cost
+        assert ref.preshape_dissimilarity_sq(a, moved_ref, w) == got.cost
+        for Q, Q_ref in (
+            (a, a),
+            (moved, moved_ref),
+            (interpolate_srvft(a, moved, 0.5), interpolate_srvft(a, moved_ref, 0.5)),
+        ):
+            assert reconstruction(srvft_to_tree, Q) == reconstruction(ref.srvft_to_tree, Q_ref)
+
+    def test_bench_like_pairs(self, rng):
+        # prepared trees with augmented (zero) laterals, at the default grid
+        for n_a, n_b in ((0, 0), (1, 3), (4, 2)):
+            Qa, Qb = prepare_pair(smooth_tree(rng, "a", n_a), smooth_tree(rng, "b", n_b))
+            got, want = register(Qa, Qb, Weights()), ref.register(Qa, Qb, Weights())
+            np.testing.assert_array_equal(got.gamma.values, want.gamma.values)
+            assert got.cost_history == want.cost_history
+
+    def test_non_finite_cost_raises(self):
+        # samples so large that squared differences overflow
+        big = Srvf(np.full((5, 2), 1e200))
+        a = SrvfTree(big, (), np.zeros(2))
+        b = SrvfTree(Srvf(-big.samples), (), np.zeros(2))
+        with pytest.raises(ValueError, match="not finite"):
+            register(a, b, Weights())

@@ -36,6 +36,13 @@ class TestToSrvf:
         q = to_srvf(br, 100)
         np.testing.assert_allclose(q.samples[:, 0], np.sqrt(2.0), atol=1e-9)
 
+    def test_two_samples(self):
+        # at n = 2 both one-sided differences are the segment's slope, the
+        # same as the endpoint samples at n = 3
+        line = Branch(np.array([[0.0, 0.0], [1.2, -1.6]]))
+        np.testing.assert_allclose(
+            to_srvf(line, 2).samples, to_srvf(line, 3).samples[[0, -1]], rtol=1e-15)
+
     def test_virtual_is_zero(self):
         br = Branch(np.array([[0.3, -0.7]]), is_virtual=True)
         q = to_srvf(br, 50)

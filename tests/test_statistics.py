@@ -111,6 +111,7 @@ class TestKarcherMean:
         d = preshape_dissimilarity_sq(result.mean, result.registered[0], W)
         assert d < 1e-16  # mean of {x, x} is x
         assert result.converged
+        assert result.stop_reason == "gradient"
 
     def test_two_straight_mains(self):
         a = straight_tree("a", 1.0)
@@ -136,11 +137,33 @@ class TestKarcherMean:
         obj = np.array(result.objective)
         assert np.all(np.diff(obj) <= 1e-12)
 
+    def test_objective_is_the_sum_of_registered_dissimilarities(self, rng):
+        # the objective adds up registration costs; re-evaluating the
+        # dissimilarity of each registered sample gives the same float
+        trees = small_collection(rng, 3)
+        result = karcher_mean(trees, W, opts=FAST, max_iter=3)
+        total = float(sum(preshape_dissimilarity_sq(result.mean, Q, W) for Q in result.registered))
+        assert result.objective[-1] == total
+
+    def test_stop_at_iteration_limit(self, rng):
+        result = karcher_mean(small_collection(rng, 3), W, opts=FAST, max_iter=1)
+        assert len(result.objective) == 2
+        assert (result.stop_reason, result.converged) == ("iteration-limit", False)
+
+    def test_stop_when_halving_is_exhausted(self, rng):
+        # a step a million times the tangent mean overshoots even after
+        # eight halvings; trees without laterals keep every candidate valid
+        trees = small_collection(rng, 3, n_lat=0)
+        result = karcher_mean(trees, W, opts=FAST, step=1e6, max_iter=5)
+        assert len(result.objective) == 1
+        assert (result.stop_reason, result.converged) == ("halving-exhausted", True)
+
     def test_single_tree(self, rng):
         x = smooth_tree(rng, "x", 1)
         result = karcher_mean([x], W, opts=FAST)
         assert len(result.registered) == 1
         assert result.objective == (0.0,)
+        assert result.stop_reason == "gradient"
 
     def test_empty_rejected(self):
         with pytest.raises(ValueError):
