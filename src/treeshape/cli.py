@@ -8,7 +8,6 @@ independent of the worker count.
 from __future__ import annotations
 
 import argparse
-import json
 import sys
 from pathlib import Path
 
@@ -21,22 +20,23 @@ from .statistics import Atlas, RegressionModel
 from .tree_model import (
     RootTree,
     extract_bio_params,
+    json_text,
     load_collection,
     load_root,
     save_root,
     tree_to_dict,
+    write_text,
 )
 
 BIO_PARAM_NAMES = ("main_length", "lateral_mean_length", "lateral_std_length")
 
 
 def _json_text(payload) -> str:
-    return json.dumps(payload, indent=2, sort_keys=True) + "\n"
+    return json_text(payload)
 
 
 def _write_text(path: Path, text: str) -> None:
-    path.parent.mkdir(parents=True, exist_ok=True)
-    path.write_text(text, encoding="utf-8")
+    write_text(path, text)
 
 
 def _write_trees(path: Path, trees: list[RootTree]) -> None:

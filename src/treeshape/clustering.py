@@ -14,6 +14,7 @@ from pathlib import Path
 import numpy as np
 
 from .metric import DistanceMatrix
+from .tree_model import json_text, write_text
 
 LINKAGE_METHODS = ("single", "complete", "average")
 
@@ -55,10 +56,7 @@ class Dendrogram:
         }
 
     def save(self, path: str | Path) -> None:
-        Path(path).write_text(
-            json.dumps(self.to_dict(), indent=2, sort_keys=True) + "\n",
-            encoding="utf-8",
-        )
+        write_text(path, json_text(self.to_dict()))
 
     @classmethod
     def from_dict(cls, data: dict) -> "Dendrogram":

@@ -20,8 +20,6 @@ import numpy as np
 from .registration import Registration, apply_registration, register
 from .srvf import (
     DEFAULT_WEIGHTS,
-    LateralSrvf,
-    Srvf,
     SrvfTree,
     Weights,
     augment_srvfts,
@@ -32,8 +30,10 @@ from .tree_model import (
     DEFAULT_LATERAL_SAMPLES,
     DEFAULT_MAIN_SAMPLES,
     RootTree,
+    json_text,
     normalize_scale,
     resample_tree,
+    write_text,
 )
 
 THREADS_ENV_VAR = "TREESHAPE_THREADS"
@@ -155,16 +155,10 @@ def interpolate_srvft(Qa: SrvfTree, Qb: SrvfTree, r: float) -> SrvfTree:
     """Convex combination of two index-aligned SRVF-trees."""
     if Qa.n_laterals != Qb.n_laterals:
         raise ValueError("trees must be index-aligned")
-    q0 = Srvf((1.0 - r) * Qa.q0.samples + r * Qb.q0.samples)
-    laterals = tuple(
-        LateralSrvf(
-            Srvf((1.0 - r) * qa.samples + r * qb.samples),
-            (1.0 - r) * sa + r * sb,
-        )
-        for (qa, sa), (qb, sb) in zip(Qa.laterals, Qb.laterals)
-    )
-    anchor = (1.0 - r) * Qa.anchor + r * Qb.anchor
-    return SrvfTree(q0=q0, laterals=laterals, anchor=anchor)
+    return SrvfTree(*(
+        (1.0 - r) * x + r * y
+        for x, y in zip((Qa.q0, Qa.q_lat, Qa.s, Qa.anchor), (Qb.q0, Qb.q_lat, Qb.s, Qb.anchor))
+    ))
 
 
 def geodesic(
@@ -225,14 +219,8 @@ class DistanceMatrix:
         }
 
     def save(self, path: str | Path) -> None:
-        path = Path(path)
-        if path.suffix == ".csv":
-            path.write_text(self.to_csv(), encoding="utf-8")
-        else:
-            path.write_text(
-                json.dumps(self.to_dict(), indent=2, sort_keys=True) + "\n",
-                encoding="utf-8",
-            )
+        csv_file = Path(path).suffix == ".csv"
+        write_text(path, self.to_csv() if csv_file else json_text(self.to_dict()))
 
     @classmethod
     def load(cls, path: str | Path) -> "DistanceMatrix":

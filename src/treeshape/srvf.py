@@ -7,10 +7,8 @@ distances, geodesics and means reduce to vector arithmetic on samples.
 """
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass
-from pathlib import Path
-from typing import NamedTuple, Sequence
+from typing import Sequence
 
 import numpy as np
 
@@ -20,6 +18,8 @@ from .tree_model import (
     Lateral,
     RootTree,
     _cumulative_arclength,
+    float_array,
+    json_fields,
     resample_branch,
 )
 
@@ -39,7 +39,7 @@ def trapezoid_weights(n: int) -> np.ndarray:
 
 @dataclass(frozen=True)
 class Srvf:
-    """SRVF samples at n uniform parameters on [0, 1]; shape (n, 2)."""
+    """SRVF samples of one branch at n uniform parameters on [0, 1]; shape (n, 2)."""
 
     samples: np.ndarray
 
@@ -59,65 +59,79 @@ class Srvf:
     @property
     def norm_sq(self) -> float:
         """Integral of the squared sample norm; equals the curve arc length."""
-        w = trapezoid_weights(self.n)
-        return float(w @ np.einsum("ij,ij->i", self.samples, self.samples))
-
-    def is_null(self, eps: float = EPS_NULL) -> bool:
-        return self.norm_sq < eps * eps
-
-    @staticmethod
-    def zero(n: int) -> "Srvf":
-        return Srvf(np.zeros((n, 2)))
-
-
-class LateralSrvf(NamedTuple):
-    q: Srvf
-    s: float
+        return _sq_norms(self.samples)[0]
 
 
 @dataclass(frozen=True)
 class SrvfTree:
-    """SRVF of the main branch plus (SRVF, attachment position) laterals.
+    """SRVF of a whole tree as four read-only arrays.
 
-    The anchor is the main branch's start point; SRVFs are translation
-    invariant, so it is carried along purely for reconstruction.
+    ``q0`` (n, 2) holds the main branch's samples, ``q_lat`` (N, k, 2) the
+    laterals' samples and ``s`` (N,) their attachment positions in [0, 1];
+    a tree without laterals stores ``q_lat`` as (0, 2, 2).  The anchor (2,)
+    is the main branch's start point; SRVFs are translation invariant, so it
+    is carried along purely for reconstruction.  All checks happen here,
+    once, as ValueErrors.
     """
 
-    q0: Srvf
-    laterals: tuple[LateralSrvf, ...]
+    q0: np.ndarray
+    q_lat: np.ndarray
+    s: np.ndarray
     anchor: np.ndarray
 
     def __post_init__(self) -> None:
-        anchor = np.array(self.anchor, dtype=float).reshape(2)
-        anchor.flags.writeable = False
-        object.__setattr__(self, "anchor", anchor)
-        lats = tuple(LateralSrvf(q, float(s)) for q, s in self.laterals)
-        for _, s in lats:
-            if not (0.0 <= s <= 1.0):
-                raise ValueError(f"attachment position out of range: {s!r}")
-        object.__setattr__(self, "laterals", lats)
+        q0, q_lat, s, anchor = (
+            float_array(x, "SRVF-tree arrays") for x in (self.q0, self.q_lat, self.s, self.anchor)
+        )
+        if q_lat.ndim and len(q_lat) == 0:
+            q_lat = np.zeros((0, 2, 2))
+        if q0.ndim != 2 or q0.shape[1] != 2 or q0.shape[0] < 2:
+            raise ValueError("SRVF samples must be an (n >= 2, 2) array")
+        if q_lat.ndim != 3 or q_lat.shape[1] < 2 or q_lat.shape[2] != 2:
+            raise ValueError("lateral SRVF samples must be an (N, k >= 2, 2) array")
+        if s.shape != (len(q_lat),):
+            raise ValueError(
+                f"{len(q_lat)} laterals need as many attachment positions, got shape {s.shape}"
+            )
+        if anchor.shape != (2,):
+            raise ValueError(f"anchor must be one point of shape (2,), got {anchor.shape}")
+        if not (np.all(np.isfinite(q0)) and np.all(np.isfinite(q_lat))):
+            raise ValueError("SRVF samples must be finite")
+        outside = ~((s >= 0.0) & (s <= 1.0))
+        if outside.any():
+            raise ValueError(f"attachment position out of range: {float(s[outside][0])!r}")
+        for name, arr in (("q0", q0), ("q_lat", q_lat), ("s", s), ("anchor", anchor)):
+            arr.flags.writeable = False
+            object.__setattr__(self, name, arr)
 
     @property
     def n_laterals(self) -> int:
-        return len(self.laterals)
+        return len(self.s)
 
-    def s_values(self) -> np.ndarray:
-        return np.array([s for _, s in self.laterals], dtype=float)
+    def null_laterals(self, eps: float = EPS_NULL) -> np.ndarray:
+        """Which laterals have an SRVF norm below ``eps`` (zero-length branches)."""
+        return np.sqrt(_sq_norms(self.q_lat)) < eps
 
-    def to_debug_dict(self) -> dict:
+    def to_dict(self) -> dict:
+        """The atlas-file form of the tree (``from_dict`` reads it back exactly)."""
         return {
-            "anchor": [float(v) for v in self.anchor],
-            "q0": self.q0.samples.tolist(),
+            "anchor": self.anchor.tolist(),
+            "q0": self.q0.tolist(),
             "laterals": [
-                {"s": float(s), "q": q.samples.tolist()} for q, s in self.laterals
+                {"s": s, "q": q} for q, s in zip(self.q_lat.tolist(), self.s.tolist())
             ],
         }
 
-    def dump_debug_json(self, path: str | Path) -> None:
-        Path(path).write_text(
-            json.dumps(self.to_debug_dict(), indent=2, sort_keys=True) + "\n",
-            encoding="utf-8",
-        )
+    @classmethod
+    def from_dict(cls, data, what: str = "SRVF-tree") -> "SrvfTree":
+        """Inverse of ``to_dict``; a missing field or a wrong JSON type is a
+        ValueError that names ``what``."""
+        q0, laterals, anchor = json_fields(data, what, "q0", "laterals", "anchor")
+        if not isinstance(laterals, list):
+            raise ValueError(f"{what} 'laterals' must be a JSON array")
+        entries = [json_fields(lat, f"{what} lateral #{i}", "q", "s")
+                   for i, lat in enumerate(laterals)]
+        return cls(q0, [q for q, _ in entries], [s for _, s in entries], anchor)
 
 
 @dataclass(frozen=True)
@@ -146,6 +160,19 @@ DEFAULT_WEIGHTS = Weights()
 # transform and inverse
 
 
+def _srvf_samples(branch: Branch, n: int) -> np.ndarray:
+    if branch.is_virtual:
+        return np.zeros((n, 2))
+    pts = resample_branch(branch, n).points
+    h = 1.0 / (n - 1)
+    deriv = np.gradient(pts, h, axis=0, edge_order=min(2, n - 1))
+    speed = np.linalg.norm(deriv, axis=1)
+    q = np.zeros_like(deriv)
+    moving = speed > 1e-12
+    q[moving] = deriv[moving] / np.sqrt(speed[moving])[:, None]
+    return q
+
+
 def to_srvf(branch: Branch, n: int) -> Srvf:
     """SRVF of a branch sampled at n uniform parameters.
 
@@ -155,28 +182,24 @@ def to_srvf(branch: Branch, n: int) -> Srvf:
     scaled by the reciprocal square root of the speed.  Virtual branches
     yield all-zero samples.
     """
-    if branch.is_virtual:
-        return Srvf.zero(n)
-    pts = resample_branch(branch, n).points
-    h = 1.0 / (n - 1)
-    deriv = np.gradient(pts, h, axis=0, edge_order=min(2, n - 1))
-    speed = np.linalg.norm(deriv, axis=1)
-    q = np.zeros_like(deriv)
-    moving = speed > 1e-12
-    q[moving] = deriv[moving] / np.sqrt(speed[moving])[:, None]
-    return Srvf(q)
+    return Srvf(_srvf_samples(branch, n))
+
+
+def _integrate(samples: np.ndarray, start: np.ndarray) -> np.ndarray:
+    """Points of the curves with (..., m, 2) SRVF samples, integrating
+    q * |q| by the cumulative trapezoid rule from (..., 2) start points."""
+    speed = np.linalg.norm(samples, axis=-1)
+    velocity = samples * speed[..., None]
+    h = 1.0 / (samples.shape[-2] - 1)
+    increments = 0.5 * h * (velocity[..., 1:, :] + velocity[..., :-1, :])
+    steps = np.cumsum(increments, axis=-2)
+    origin = np.zeros_like(velocity[..., :1, :])
+    return np.concatenate([origin, steps], axis=-2) + np.asarray(start)[..., None, :]
 
 
 def from_srvf(q: Srvf, start: np.ndarray) -> Branch:
     """Reconstruct a branch by integrating q * |q| from the start point."""
-    samples = q.samples
-    speed = np.linalg.norm(samples, axis=1)
-    velocity = samples * speed[:, None]
-    h = 1.0 / (q.n - 1)
-    # cumulative trapezoid rule
-    increments = 0.5 * h * (velocity[1:] + velocity[:-1])
-    pts = np.vstack([[0.0, 0.0], np.cumsum(increments, axis=0)]) + np.asarray(start)
-    return Branch(pts)
+    return Branch(_integrate(q.samples, start))
 
 
 def tree_to_srvft(tree: RootTree, n_lateral: int | None = None) -> SrvfTree:
@@ -189,11 +212,13 @@ def tree_to_srvft(tree: RootTree, n_lateral: int | None = None) -> SrvfTree:
     if n_lateral is None:
         real = tree.real_laterals
         n_lateral = real[0].branch.n_points if real else DEFAULT_LATERAL_SAMPLES
-    q0 = to_srvf(tree.main, tree.main.n_points)
-    laterals = tuple(
-        LateralSrvf(to_srvf(br, n_lateral), float(t)) for t, br in tree.laterals
+    q_lat = [_srvf_samples(br, n_lateral) for _, br in tree.laterals]
+    return SrvfTree(
+        q0=_srvf_samples(tree.main, tree.main.n_points),
+        q_lat=np.reshape(q_lat, (len(q_lat), n_lateral, 2)),
+        s=tree.lateral_ts(),
+        anchor=tree.main.start,
     )
-    return SrvfTree(q0=q0, laterals=laterals, anchor=tree.main.start)
 
 
 def augment_srvfts(Qs: Sequence[SrvfTree]) -> list[SrvfTree]:
@@ -205,20 +230,21 @@ def augment_srvfts(Qs: Sequence[SrvfTree]) -> list[SrvfTree]:
     A virtual lateral's SRVF is zero and its s equals its t, so this equals
     ``tree_to_srvft`` of the trees equalized by ``augment_pair`` or
     ``augment_collection``.  Zero laterals take the lateral sample count of
-    the inputs.
+    the first tree that has laterals.
     """
     if not Qs:
         raise ValueError("empty collection")
-    n_lateral = next((q.n for Q in Qs for q, _ in Q.laterals), None)
-    if n_lateral is None:
+    k = next((Q.q_lat.shape[1] for Q in Qs if Q.n_laterals), None)
+    if k is None:
         return list(Qs)
-    zero = Srvf.zero(n_lateral)
-    all_s = [Q.s_values() for Q in Qs]
     out = []
     for i, Q in enumerate(Qs):
-        extra = tuple(LateralSrvf(zero, s) for j, ss in enumerate(all_s) if j != i for s in ss)
-        laterals = sorted(Q.laterals + extra, key=lambda lat: lat.s)
-        out.append(SrvfTree(q0=Q.q0, laterals=tuple(laterals), anchor=Q.anchor))
+        s = np.concatenate([Q.s] + [P.s for j, P in enumerate(Qs) if j != i])
+        q_lat = np.zeros((len(s), k, 2))
+        if Q.n_laterals:
+            q_lat[: Q.n_laterals] = Q.q_lat
+        order = np.argsort(s, kind="stable")
+        out.append(SrvfTree(Q.q0, q_lat[order], s[order], Q.anchor))
     return out
 
 
@@ -232,12 +258,12 @@ def srvft_to_tree(Q: SrvfTree, tree_id: str = "reconstructed", eps_null: float =
     output passes tree validation even when the main is not uniform speed
     (as happens for interior geodesic points).
     """
-    main = from_srvf(Q.q0, Q.anchor)
+    main = Branch(_integrate(Q.q0, Q.anchor))
     points = main.points
     n = len(points)
     # attachment points by linear interpolation at parameter s, and their
     # arc-length fractions along the main
-    x = Q.s_values() * (n - 1)
+    x = Q.s * (n - 1)
     i0 = np.minimum(np.floor(x).astype(int), n - 2)
     frac = x - i0
     starts = (1.0 - frac)[:, None] * points[i0] + frac[:, None] * points[i0 + 1]
@@ -247,27 +273,31 @@ def srvft_to_tree(Q: SrvfTree, tree_id: str = "reconstructed", eps_null: float =
         t_arc = np.zeros(len(x))
     else:
         t_arc = (cum[i0] + frac * (cum[i0 + 1] - cum[i0])) / total
-    laterals = []
-    for (q, _), point, t in zip(Q.laterals, starts, t_arc.tolist()):
-        if np.sqrt(q.norm_sq) < eps_null:
-            laterals.append(Lateral(t, Branch(point[None, :], is_virtual=True)))
-        else:
-            laterals.append(Lateral(t, from_srvf(q, point)))
-    return RootTree(id=tree_id, main=main, laterals=tuple(laterals))
+    curves = _integrate(Q.q_lat, starts)
+    null = Q.null_laterals(eps_null)
+    laterals = tuple(
+        Lateral(t, Branch(point[None, :], is_virtual=True) if is_null else Branch(curve))
+        for t, point, curve, is_null in zip(t_arc.tolist(), starts, curves, null)
+    )
+    return RootTree(id=tree_id, main=main, laterals=laterals)
 
 
 # ---------------------------------------------------------------------------
 # flat L2 geometry
 
 
+def _sq_norms(q: np.ndarray) -> list[float]:
+    """Trapezoid-rule |q|^2 of each (..., m, 2) sample array."""
+    m = q.shape[-2]
+    tw = trapezoid_weights(m)
+    return [float(tw @ r) for r in np.einsum("...ij,...ij->...i", q, q).reshape(-1, m)]
+
+
 def _sq_dists(qa: np.ndarray, qb: np.ndarray) -> list[float]:
     """Trapezoid-rule |qa - qb|^2 of each pair of (..., m, 2) sample arrays."""
     if qa.shape != qb.shape:
         raise ValueError(f"sample counts differ: {qa.shape[-2]} vs {qb.shape[-2]}")
-    m = qa.shape[-2]
-    d = qa - qb
-    tw = trapezoid_weights(m)
-    return [float(tw @ r) for r in np.einsum("...ij,...ij->...i", d, d).reshape(-1, m)]
+    return _sq_norms(qa - qb)
 
 
 def l2_dist_sq(q1: Srvf, q2: Srvf) -> float:

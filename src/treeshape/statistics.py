@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import json
 import warnings
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from pathlib import Path
 from typing import Sequence
 
@@ -21,15 +21,13 @@ from .metric import DEFAULT_OPTIONS, PairOptions, parallel_map, prepare_trees, r
 from .registration import Registration, apply_registration, register
 from .srvf import (
     DEFAULT_WEIGHTS,
-    LateralSrvf,
-    Srvf,
     SrvfTree,
     Weights,
     augment_srvfts,
     srvft_to_tree,
     trapezoid_weights,
 )
-from .tree_model import RootTree
+from .tree_model import RootTree, float_array, json_fields, json_int, json_text, write_text
 
 
 @dataclass(frozen=True)
@@ -46,12 +44,12 @@ class TangentLayout:
 
     @classmethod
     def of(cls, Q: SrvfTree) -> "TangentLayout":
-        n_lat = Q.laterals[0].q.n if Q.laterals else 0
-        return cls(n_main=Q.q0.n, n_lateral=n_lat, n_laterals=Q.n_laterals)
+        n_lat = Q.q_lat.shape[1] if Q.n_laterals else 0
+        return cls(n_main=len(Q.q0), n_lateral=n_lat, n_laterals=Q.n_laterals)
 
     def matches(self, Q: SrvfTree) -> bool:
         return TangentLayout.of(Q) == self or (
-            self.n_laterals == 0 and Q.n_laterals == 0 and Q.q0.n == self.n_main
+            self.n_laterals == 0 and Q.n_laterals == 0 and len(Q.q0) == self.n_main
         )
 
     def metric_scale(self, w: Weights) -> np.ndarray:
@@ -67,22 +65,14 @@ class TangentLayout:
 
 
 def flatten_srvft(Q: SrvfTree) -> np.ndarray:
-    parts = [Q.q0.samples.ravel()]
-    parts.extend(q.samples.ravel() for q, _ in Q.laterals)
-    parts.append(Q.s_values())
-    return np.concatenate(parts)
+    return np.concatenate([Q.q0.ravel(), Q.q_lat.ravel(), Q.s])
 
 
 def unflatten_srvft(vec: np.ndarray, layout: TangentLayout, anchor: np.ndarray) -> SrvfTree:
-    pos = 2 * layout.n_main
-    q0 = Srvf(vec[:pos].reshape(-1, 2))
-    laterals = []
-    block = 2 * layout.n_lateral
-    s_vals = vec[pos + layout.n_laterals * block :]
-    for k in range(layout.n_laterals):
-        q = Srvf(vec[pos + k * block : pos + (k + 1) * block].reshape(-1, 2))
-        laterals.append(LateralSrvf(q, float(s_vals[k])))
-    return SrvfTree(q0=q0, laterals=tuple(laterals), anchor=anchor)
+    main_end = 2 * layout.n_main
+    lat_end = main_end + 2 * layout.n_laterals * layout.n_lateral
+    q_lat = vec[main_end:lat_end].reshape(layout.n_laterals, layout.n_lateral, 2)
+    return SrvfTree(vec[:main_end].reshape(-1, 2), q_lat, vec[lat_end:], anchor)
 
 
 def log_map(mu: SrvfTree, x: SrvfTree, w: Weights) -> np.ndarray:
@@ -185,9 +175,8 @@ def karcher_mean(
     pair_cost = np.zeros((m, m))
     pair_cost[upper] = [reg.cost for reg in parallel_map(_register, pairs, jobs)]
     medoid = int(np.argmin((pair_cost + pair_cost.T).sum(axis=1)))
-    mu = samples[medoid]
     anchor = np.mean([Q.anchor for Q in samples], axis=0)
-    mu = SrvfTree(q0=mu.q0, laterals=mu.laterals, anchor=anchor)
+    mu = replace(samples[medoid], anchor=anchor)
 
     layout = TangentLayout.of(mu)
     scale = layout.metric_scale(w)
@@ -236,6 +225,8 @@ class Atlas:
 
     def __post_init__(self) -> None:
         ev = np.array(self.eigenvalues, dtype=float)
+        if ev.ndim != 1:
+            raise ValueError("eigenvalues must be a 1-d array")
         ev.flags.writeable = False
         object.__setattr__(self, "eigenvalues", ev)
         md = np.array(self.modes, dtype=float).reshape(len(ev), self.layout.dim)
@@ -266,7 +257,7 @@ class Atlas:
 
     def to_dict(self) -> dict:
         return {
-            "mean": self.mean.to_debug_dict(),
+            "mean": self.mean.to_dict(),
             "eigenvalues": self.eigenvalues.tolist(),
             "modes": self.modes.tolist(),
             "retained": int(self.retained),
@@ -281,33 +272,32 @@ class Atlas:
         }
 
     @classmethod
-    def from_dict(cls, data: dict) -> "Atlas":
-        mean_d = data["mean"]
-        mean = SrvfTree(
-            q0=Srvf(np.array(mean_d["q0"], dtype=float)),
-            laterals=tuple(
-                LateralSrvf(Srvf(np.array(l["q"], dtype=float)), float(l["s"]))
-                for l in mean_d["laterals"]
-            ),
-            anchor=np.array(mean_d["anchor"], dtype=float),
+    def from_dict(cls, data) -> "Atlas":
+        """Inverse of ``to_dict``; a missing field or a wrong JSON type is a ValueError."""
+        mean, evals, modes, retained, coeffs, weights, layout = json_fields(
+            data, "atlas", "mean", "eigenvalues", "modes", "retained", "training_coeffs",
+            "weights", "layout",
         )
-        lay = data["layout"]
+        weights = float_array(weights, "atlas weights")
+        if weights.shape != (3,):
+            raise ValueError(f"atlas weights must be 3 numbers, got shape {weights.shape}")
+        ids = data.get("ids", [])
+        if not (isinstance(ids, list) and all(isinstance(i, str) for i in ids)):
+            raise ValueError("atlas ids must be an array of strings")
+        sizes = json_fields(layout, "atlas layout", "n_main", "n_lateral", "n_laterals")
         return cls(
-            mean=mean,
-            eigenvalues=np.array(data["eigenvalues"], dtype=float),
-            modes=np.array(data["modes"], dtype=float),
-            retained=int(data["retained"]),
-            training_coeffs=np.array(data["training_coeffs"], dtype=float),
-            weights=Weights(*data["weights"]),
-            layout=TangentLayout(lay["n_main"], lay["n_lateral"], lay["n_laterals"]),
-            ids=tuple(data.get("ids", ())),
+            mean=SrvfTree.from_dict(mean, "atlas mean"),
+            eigenvalues=float_array(evals, "atlas eigenvalues"),
+            modes=float_array(modes, "atlas modes"),
+            retained=json_int(retained, "atlas retained"),
+            training_coeffs=float_array(coeffs, "atlas training_coeffs"),
+            weights=Weights(*weights.tolist()),
+            layout=TangentLayout(*(json_int(v, "atlas layout size") for v in sizes)),
+            ids=tuple(ids),
         )
 
     def save(self, path: str | Path) -> None:
-        Path(path).write_text(
-            json.dumps(self.to_dict(), indent=2, sort_keys=True) + "\n",
-            encoding="utf-8",
-        )
+        write_text(path, json_text(self.to_dict()))
 
     @classmethod
     def load(cls, path: str | Path) -> "Atlas":
@@ -474,18 +464,16 @@ class RegressionModel:
         }
 
     @classmethod
-    def from_dict(cls, data: dict) -> "RegressionModel":
-        return cls(
-            M=np.array(data["M"], dtype=float),
-            param_names=tuple(data["param_names"]),
-            atlas=Atlas.from_dict(data["atlas"]),
-        )
+    def from_dict(cls, data) -> "RegressionModel":
+        """Inverse of ``to_dict``; a missing field or a wrong JSON type is a ValueError."""
+        M, names, atlas = json_fields(data, "model", "M", "param_names", "atlas")
+        if not (isinstance(names, list) and all(isinstance(n, str) for n in names)):
+            raise ValueError("model param_names must be an array of strings")
+        return cls(M=float_array(M, "model M"), param_names=tuple(names),
+                   atlas=Atlas.from_dict(atlas))
 
     def save(self, path: str | Path) -> None:
-        Path(path).write_text(
-            json.dumps(self.to_dict(), indent=2, sort_keys=True) + "\n",
-            encoding="utf-8",
-        )
+        write_text(path, json_text(self.to_dict()))
 
     @classmethod
     def load(cls, path: str | Path) -> "RegressionModel":

@@ -178,6 +178,46 @@ class RootTree:
 # file format
 
 
+def json_text(payload) -> str:
+    """The layout of every JSON file written: sorted keys, two-space indent,
+    a final newline."""
+    return json.dumps(payload, indent=2, sort_keys=True) + "\n"
+
+
+def write_text(path: str | Path, text: str) -> None:
+    """Write UTF-8 text, creating the missing parent directories."""
+    path = Path(path)
+    path.parent.mkdir(parents=True, exist_ok=True)
+    path.write_text(text, encoding="utf-8")
+
+
+def json_fields(data, what: str, *keys: str) -> list:
+    """The values of ``keys`` in the parsed JSON object ``what``; a value
+    that is not an object, or a missing key, is a ValueError."""
+    if not isinstance(data, dict):
+        raise ValueError(f"{what} must be a JSON object, not {type(data).__name__}")
+    missing = [key for key in keys if key not in data]
+    if missing:
+        raise ValueError(f"{what} has no {missing[0]!r} field")
+    return [data[key] for key in keys]
+
+
+def float_array(value, what: str) -> np.ndarray:
+    """A new float array of ``value``; a value that holds anything but numbers
+    (a string or a JSON object, say) is a ValueError."""
+    try:
+        return np.array(value, dtype=float)
+    except (TypeError, ValueError) as exc:
+        raise ValueError(f"{what} must be a regular array of numbers ({exc})") from None
+
+
+def json_int(value, what: str) -> int:
+    """A parsed JSON integer; any other JSON type is a ValueError."""
+    if isinstance(value, bool) or not isinstance(value, int):
+        raise ValueError(f"{what} must be an integer, not {value!r}")
+    return value
+
+
 def tree_to_dict(tree: RootTree) -> dict:
     out: dict = {
         "id": tree.id,
@@ -227,10 +267,7 @@ def load_root(path: str | Path) -> RootTree:
 
 def save_root(tree: RootTree, path: str | Path) -> None:
     """Write a tree as JSON; ``load_root`` reproduces it exactly."""
-    Path(path).write_text(
-        json.dumps(tree_to_dict(tree), indent=2, sort_keys=True) + "\n",
-        encoding="utf-8",
-    )
+    write_text(path, json_text(tree_to_dict(tree)))
 
 
 def load_collection(path: str | Path) -> list[RootTree]:

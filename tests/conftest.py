@@ -1,7 +1,12 @@
 import numpy as np
 import pytest
+from hypothesis import settings
 
 from treeshape import Branch, Lateral, RootTree
+
+# generated inputs vary widely in size, so examples run without a deadline
+settings.register_profile("treeshape", deadline=None)
+settings.load_profile("treeshape")
 
 
 def rotation_matrix(theta: float) -> np.ndarray:

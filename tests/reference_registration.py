@@ -1,23 +1,70 @@
 """Object-based registration and reconstruction, kept as test references.
 
-These are the per-lateral ``Srvf``/``SrvfTree`` versions of ``register``,
+These are the per-lateral ``Srvf`` versions of ``register``,
 ``apply_registration`` and ``srvft_to_tree`` that the array kernels replaced.
 They rebuild and re-validate SRVF objects for every candidate cost, which is
 slow but easy to check by reading; the tests require the package to give
 bit-identical results.  The main-curve DP is shared (it has its own loop
 reference in ``test_registration.py``).
+
+The references work on ``ObjTree``, one ``Srvf`` per branch; the public
+functions at the bottom take and return the package's array ``SrvfTree``
+and convert at the boundary.
 """
 from __future__ import annotations
 
 import warnings
+from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 from scipy.optimize import linear_sum_assignment
 
 from treeshape import Branch, Lateral, RootTree
 from treeshape.registration import DP_MAX_STEP, Gamma, Registration, optimal_reparam_main
-from treeshape.srvf import LateralSrvf, Srvf, SrvfTree, Weights, from_srvf, trapezoid_weights
+from treeshape.srvf import Srvf, SrvfTree, Weights, from_srvf, trapezoid_weights
 from treeshape.tree_model import _cumulative_arclength
+
+
+class LateralSrvf(NamedTuple):
+    q: Srvf
+    s: float
+
+
+@dataclass(frozen=True)
+class ObjTree:
+    """An SRVF-tree as one ``Srvf`` per branch."""
+
+    q0: Srvf
+    laterals: tuple[LateralSrvf, ...]
+    anchor: np.ndarray
+
+    def __post_init__(self) -> None:
+        anchor = np.array(self.anchor, dtype=float).reshape(2)
+        anchor.flags.writeable = False
+        object.__setattr__(self, "anchor", anchor)
+        lats = tuple(LateralSrvf(q, float(s)) for q, s in self.laterals)
+        for _, s in lats:
+            if not (0.0 <= s <= 1.0):
+                raise ValueError(f"attachment position out of range: {s!r}")
+        object.__setattr__(self, "laterals", lats)
+
+    @property
+    def n_laterals(self) -> int:
+        return len(self.laterals)
+
+    def s_values(self) -> np.ndarray:
+        return np.array([s for _, s in self.laterals], dtype=float)
+
+
+def to_objects(Q: SrvfTree) -> ObjTree:
+    laterals = tuple(LateralSrvf(Srvf(q), s) for q, s in zip(Q.q_lat, Q.s.tolist()))
+    return ObjTree(Srvf(Q.q0), laterals, Q.anchor)
+
+
+def to_arrays(T: ObjTree) -> SrvfTree:
+    q_lat = [q.samples for q, _ in T.laterals]
+    return SrvfTree(T.q0.samples, q_lat, T.s_values(), T.anchor)
 
 
 def l2_dist_sq(q1: Srvf, q2: Srvf) -> float:
@@ -39,7 +86,7 @@ def warp_srvf(q: Srvf, gamma: Gamma) -> Srvf:
     return Srvf(warped * np.sqrt(gamma.derivative())[:, None])
 
 
-def transform_tree(Q, rotation=None, gamma=None, remap_s=True) -> SrvfTree:
+def transform_tree(Q, rotation=None, gamma=None, remap_s=True) -> ObjTree:
     q0 = Q.q0
     laterals = Q.laterals
     anchor = Q.anchor
@@ -52,16 +99,16 @@ def transform_tree(Q, rotation=None, gamma=None, remap_s=True) -> SrvfTree:
         q0 = rotate_srvf(q0, rot)
         laterals = tuple(LateralSrvf(rotate_srvf(q, rot), s) for q, s in laterals)
         anchor = rot @ anchor
-    return SrvfTree(q0=q0, laterals=laterals, anchor=anchor)
+    return ObjTree(q0=q0, laterals=laterals, anchor=anchor)
 
 
-def apply_registration(Q: SrvfTree, reg: Registration) -> SrvfTree:
+def _apply_registration(Q: ObjTree, reg: Registration) -> ObjTree:
     moved = transform_tree(Q, rotation=reg.rotation, gamma=reg.gamma, remap_s=reg.remap_s)
     laterals = tuple(moved.laterals[j] for j in reg.assignment)
-    return SrvfTree(q0=moved.q0, laterals=laterals, anchor=moved.anchor)
+    return ObjTree(q0=moved.q0, laterals=laterals, anchor=moved.anchor)
 
 
-def lateral_cost_matrix(a: SrvfTree, b: SrvfTree, w: Weights) -> np.ndarray:
+def lateral_cost_matrix(a: ObjTree, b: ObjTree, w: Weights) -> np.ndarray:
     qa = np.stack([q.samples for q, _ in a.laterals])
     qb = np.stack([q.samples for q, _ in b.laterals])
     tw = trapezoid_weights(qa.shape[1])
@@ -73,7 +120,7 @@ def lateral_cost_matrix(a: SrvfTree, b: SrvfTree, w: Weights) -> np.ndarray:
     return w.lambda_s * np.clip(shape_cost, 0.0, None) + w.lambda_p * ds * ds
 
 
-def match_laterals(a: SrvfTree, b: SrvfTree, w: Weights) -> np.ndarray:
+def match_laterals(a: ObjTree, b: ObjTree, w: Weights) -> np.ndarray:
     n = a.n_laterals
     if n == 0:
         return np.arange(0)
@@ -83,7 +130,7 @@ def match_laterals(a: SrvfTree, b: SrvfTree, w: Weights) -> np.ndarray:
     return perm
 
 
-def optimal_rotation(a: SrvfTree, b: SrvfTree, assignment, w: Weights) -> np.ndarray:
+def optimal_rotation(a: ObjTree, b: ObjTree, assignment, w: Weights) -> np.ndarray:
     blocks_a = [a.q0.samples]
     blocks_b = [b.q0.samples]
     weights = [w.lambda_m * trapezoid_weights(a.q0.n)]
@@ -105,7 +152,7 @@ def optimal_rotation(a: SrvfTree, b: SrvfTree, assignment, w: Weights) -> np.nda
     return V @ np.diag([1.0, d]) @ U.T
 
 
-def preshape_dissimilarity_sq(a: SrvfTree, b: SrvfTree, w: Weights) -> float:
+def _preshape_dissimilarity_sq(a: ObjTree, b: ObjTree, w: Weights) -> float:
     total = w.lambda_m * l2_dist_sq(a.q0, b.q0)
     for (qa, sa), (qb, sb) in zip(a.laterals, b.laterals):
         total += w.lambda_s * l2_dist_sq(qa, qb)
@@ -115,15 +162,15 @@ def preshape_dissimilarity_sq(a: SrvfTree, b: SrvfTree, w: Weights) -> float:
 
 def _aligned_cost(a, b, rotation, gamma, assignment, w, remap_s=True) -> float:
     moved = transform_tree(b, rotation=rotation, gamma=gamma, remap_s=remap_s)
-    reordered = SrvfTree(
+    reordered = ObjTree(
         q0=moved.q0,
         laterals=tuple(moved.laterals[j] for j in assignment),
         anchor=moved.anchor,
     )
-    return preshape_dissimilarity_sq(a, reordered, w)
+    return _preshape_dissimilarity_sq(a, reordered, w)
 
 
-def register(a, b, w, max_iter=10, tol=1e-8, max_step=DP_MAX_STEP, remap_s=True) -> Registration:
+def _register(a, b, w, max_iter=10, tol=1e-8, max_step=DP_MAX_STEP, remap_s=True) -> Registration:
     n = a.q0.n
     N = a.n_laterals
     gamma = Gamma.identity(n)
@@ -186,7 +233,7 @@ def _param_point(points: np.ndarray, s: float) -> tuple[np.ndarray, float]:
     return point, float(arc / total)
 
 
-def srvft_to_tree(Q: SrvfTree, tree_id: str = "reconstructed", eps_null: float = 1e-8) -> RootTree:
+def _srvft_to_tree(Q: ObjTree, tree_id: str = "reconstructed", eps_null: float = 1e-8) -> RootTree:
     main = from_srvf(Q.q0, Q.anchor)
     laterals = []
     for q, s in Q.laterals:
@@ -197,3 +244,23 @@ def srvft_to_tree(Q: SrvfTree, tree_id: str = "reconstructed", eps_null: float =
         else:
             laterals.append(Lateral(t_arc, from_srvf(q, point)))
     return RootTree(id=tree_id, main=main, laterals=tuple(laterals))
+
+
+# ---------------------------------------------------------------------------
+# the references on the package's array SRVF-trees
+
+
+def register(a: SrvfTree, b: SrvfTree, w: Weights, **kwargs) -> Registration:
+    return _register(to_objects(a), to_objects(b), w, **kwargs)
+
+
+def apply_registration(Q: SrvfTree, reg: Registration) -> SrvfTree:
+    return to_arrays(_apply_registration(to_objects(Q), reg))
+
+
+def preshape_dissimilarity_sq(a: SrvfTree, b: SrvfTree, w: Weights) -> float:
+    return _preshape_dissimilarity_sq(to_objects(a), to_objects(b), w)
+
+
+def srvft_to_tree(Q: SrvfTree, tree_id: str = "reconstructed") -> RootTree:
+    return _srvft_to_tree(to_objects(Q), tree_id)

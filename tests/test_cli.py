@@ -252,6 +252,101 @@ class TestCluster:
         ET.fromstring(out.read_text())
 
 
+@pytest.fixture(scope="module")
+def fitted(tmp_path_factory):
+    """A collection of four trees, with its atlas and regression model."""
+    root = tmp_path_factory.mktemp("fitted")
+    trees = root / "trees"
+    trees.mkdir()
+    gen = np.random.default_rng(11)
+    for i in range(4):
+        save_root(smooth_tree(gen, f"tree{i}", 1 + i % 2, bend=0.15), trees / f"tree{i}.json")
+    fit = [str(trees), *FAST_FLAGS, "--max-iter", "2"]
+    assert main(["atlas", *fit, "--out", str(root / "atlas.json")]) == 0
+    assert main(["regress-fit", *fit, "--out", str(root / "model.json")]) == 0
+    return root
+
+
+def command_line(command: str, root, out) -> list[str]:
+    trees, a, b = root / "trees", root / "trees" / "tree0.json", root / "trees" / "tree1.json"
+    fit = [str(trees), *FAST_FLAGS, "--max-iter", "2"]
+    return [str(x) for x in {
+        "distance": ["distance", a, b, *FAST_FLAGS],
+        "geodesic": ["geodesic", a, b, "--steps", "3", *FAST_FLAGS],
+        "matrix": ["matrix", trees, *FAST_FLAGS],
+        "mean": ["mean", *fit],
+        "atlas": ["atlas", *fit],
+        "modes": ["modes", root / "atlas.json"],
+        "sample": ["sample", root / "atlas.json", "--n", "2"],
+        "regress-fit": ["regress-fit", *fit],
+        "regress-predict": ["regress-predict", root / "model.json", "--params", "1.1,0.25,0.05"],
+        "cluster": ["cluster", trees, *FAST_FLAGS],
+        "render": ["render", a],
+    }[command] + ["--out", out]]
+
+
+class TestOutputDirectories:
+    """Every --out creates its missing parent directories."""
+
+    @pytest.mark.parametrize("command, suffix", [
+        ("distance", ".json"), ("geodesic", ".json"), ("matrix", ".csv"), ("matrix", ".json"),
+        ("mean", ".json"), ("mean", ".svg"), ("atlas", ".json"), ("modes", ".json"),
+        ("sample", ".json"), ("regress-fit", ".json"), ("regress-predict", ".json"),
+        ("cluster", ".json"), ("render", ".svg"),
+    ])
+    def test_writes_into_a_missing_directory(self, fitted, tmp_path, command, suffix):
+        out = tmp_path / "missing" / "dir" / f"out{suffix}"
+        assert main(command_line(command, fitted, out)) == 0
+        assert out.stat().st_size > 0
+
+
+def one_error_line(err: str) -> str:
+    lines = err.splitlines()
+    assert len(lines) == 1 and lines[0].startswith("error: "), err
+    return lines[0]
+
+
+class TestMalformedFiles:
+    """Malformed atlas and model files end in one error line and exit 1."""
+
+    @pytest.mark.parametrize("field, value, message", [
+        ("mean", [], "atlas mean must be a JSON object"),
+        ("retained", None, "atlas retained must be an integer"),
+        ("weights", "abc", "atlas weights must be a regular array of numbers"),
+        ("layout", {"n_main": 50}, "atlas layout has no 'n_lateral' field"),
+        ("eigenvalues", 5, "eigenvalues must be a 1-d array"),
+    ], ids=["mean-array", "retained-null", "weights-string", "layout-partial", "eigenvalues-number"])
+    def test_atlas_field(self, fitted, tmp_path, capsys, field, value, message):
+        data = json.loads((fitted / "atlas.json").read_text())
+        data[field] = value
+        bad = tmp_path / "bad.json"
+        bad.write_text(json.dumps(data))
+        assert main(["sample", str(bad), "--out", str(tmp_path / "s.json")]) == 1
+        assert message in one_error_line(capsys.readouterr().err)
+
+    def test_lateral_without_s(self, fitted, tmp_path, capsys):
+        data = json.loads((fitted / "atlas.json").read_text())
+        del data["mean"]["laterals"][0]["s"]
+        bad = tmp_path / "bad.json"
+        bad.write_text(json.dumps(data))
+        assert main(["sample", str(bad), "--out", str(tmp_path / "s.json")]) == 1
+        assert "atlas mean lateral #0 has no 's' field" in one_error_line(capsys.readouterr().err)
+
+    @pytest.mark.parametrize("change, message", [
+        (lambda d: d.update(param_names=None), "model param_names must be an array of strings"),
+        (lambda d: d["atlas"].update(retained=None), "atlas retained must be an integer"),
+        (lambda d: d.pop("M"), "model has no 'M' field"),
+    ], ids=["param_names-null", "atlas-retained-null", "no-M"])
+    def test_model(self, fitted, tmp_path, capsys, change, message):
+        data = json.loads((fitted / "model.json").read_text())
+        change(data)
+        bad = tmp_path / "bad.json"
+        bad.write_text(json.dumps(data))
+        assert main(["regress-predict", str(bad), "--params", "1,1,1",
+                     "--out", str(tmp_path / "p.json")]) == 1
+        assert message in one_error_line(capsys.readouterr().err)
+
+
 class TestRender:
     def test_render_svg(self, tree_files, tmp_path):
         pa, _ = tree_files

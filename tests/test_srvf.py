@@ -1,5 +1,10 @@
+import json
+import warnings
+
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from treeshape import (
     Branch,
@@ -15,6 +20,8 @@ from treeshape import (
     tree_to_srvft,
 )
 from treeshape.srvf import EPS_NULL, trapezoid_weights
+from treeshape.statistics import TangentLayout, exp_map, flatten_srvft, log_map, unflatten_srvft
+from treeshape.tree_model import json_text
 
 from conftest import rotation_matrix, smooth_branch, smooth_tree, straight_tree
 
@@ -130,9 +137,9 @@ class TestTreeConversion:
         b = straight_tree("b", 1.0, laterals=[(0.5, 0.2, 1)])
         a2, _ = augment_pair(a, b)
         Q = tree_to_srvft(resample_tree(a2), 30)
-        q, s = Q.laterals[0]
-        assert s == 0.5
-        np.testing.assert_array_equal(q.samples, 0.0)
+        assert Q.s.tolist() == [0.5]
+        assert Q.q_lat.shape == (1, 30, 2)
+        np.testing.assert_array_equal(Q.q_lat, 0.0)
 
     def test_round_trip(self, rng):
         tree = resample_tree(smooth_tree(rng, "rt", 3))
@@ -149,10 +156,8 @@ class TestTreeConversion:
         q0 = tree_to_srvft(tree).q0
         Q = SrvfTree(
             q0=q0,
-            laterals=(
-                (Srvf(np.zeros((30, 2))), 0.5),
-                (Srvf(np.full((30, 2), EPS_NULL / 100)), 0.25),
-            ),
+            q_lat=[np.zeros((30, 2)), np.full((30, 2), EPS_NULL / 100)],
+            s=[0.5, 0.25],
             anchor=tree.main.start,
         )
         back = srvft_to_tree(Q)
@@ -221,12 +226,113 @@ def test_trapezoid_weights_sum_to_one():
         assert abs(trapezoid_weights(n).sum() - 1.0) < 1e-12
 
 
-def test_debug_dump(rng, tmp_path):
-    import json
+# ---------------------------------------------------------------------------
+# the array representation
 
-    Q = tree_to_srvft(resample_tree(smooth_tree(rng, "dump", 2)))
-    path = tmp_path / "srvft.json"
-    Q.dump_debug_json(path)
-    data = json.loads(path.read_text())
-    assert len(data["laterals"]) == 2
-    assert len(data["q0"]) == Q.q0.n
+
+@st.composite
+def srvft_pairs(draw):
+    """Two SRVF-trees of one layout: 0-6 laterals, some of them zero or
+    attached at s = 0 or 1, on grids of 2-30 samples."""
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    n, k, N = draw(st.integers(2, 30)), draw(st.integers(2, 30)), draw(st.integers(0, 6))
+
+    def tree() -> SrvfTree:
+        q_lat = rng.normal(size=(N, k, 2))
+        q_lat[rng.uniform(size=N) < 0.3] = 0.0
+        s = rng.uniform(size=N)
+        ends = rng.uniform(size=N) < 0.2
+        s[ends] = rng.choice([0.0, 1.0], size=int(ends.sum()))
+        return SrvfTree(rng.normal(size=(n, 2)), q_lat, s, rng.normal(size=2))
+
+    return tree(), tree()
+
+
+def assert_same_tree(P: SrvfTree, Q: SrvfTree) -> None:
+    for name in ("q0", "q_lat", "s", "anchor"):
+        got, want = getattr(P, name), getattr(Q, name)
+        assert got.shape == want.shape, name
+        np.testing.assert_array_equal(got, want, err_msg=name)
+
+
+def corrupted(Q: SrvfTree, how: str, rng: np.random.Generator) -> dict:
+    """Q's constructor arguments, broken in one way."""
+    args = {"q0": Q.q0.copy(), "q_lat": Q.q_lat.copy(), "s": Q.s.copy(), "anchor": Q.anchor}
+    N, k = Q.q_lat.shape[:2]
+    bad = rng.choice([np.nan, np.inf, -np.inf])
+    if how == "non-finite main":
+        args["q0"][rng.integers(len(Q.q0)), rng.integers(2)] = bad
+    elif how == "non-finite lateral":
+        args["q_lat"][rng.integers(N), rng.integers(k), rng.integers(2)] = bad
+    elif how == "main of one sample":
+        args["q0"] = Q.q0[:1]
+    elif how == "main in 3-d":
+        args["q0"] = np.column_stack([Q.q0, Q.q0[:, 0]])
+    elif how == "laterals of one sample":
+        args["q_lat"] = Q.q_lat[:, :1]
+    elif how == "laterals without the point axis":
+        args["q_lat"] = Q.q_lat[..., 0]
+    elif how == "anchor in 3-d":
+        args["anchor"] = np.append(Q.anchor, 0.0)
+    elif how == "s out of range":
+        args["s"][rng.integers(N)] = rng.choice([-1e-12, 1.0 + 1e-12, -np.inf, np.inf, np.nan])
+    elif how == "ragged laterals":
+        args["q_lat"] = [*Q.q_lat[:-1], np.zeros((k + 1, 2))]
+    elif how == "one position too many":
+        args["s"] = np.append(Q.s, 0.5)
+    elif how == "one position too few":
+        args["s"] = Q.s[:-1]
+    return args
+
+
+NEEDS_LATERALS = {
+    "non-finite lateral": 1, "laterals of one sample": 1, "laterals without the point axis": 1,
+    "s out of range": 1, "ragged laterals": 2, "one position too few": 1,
+}
+
+
+class TestSrvfTreeArrays:
+    @settings(max_examples=60)
+    @given(pair=srvft_pairs())
+    def test_round_trips_are_exact(self, pair):
+        Q, _ = pair
+        assert_same_tree(unflatten_srvft(flatten_srvft(Q), TangentLayout.of(Q), Q.anchor), Q)
+        assert_same_tree(SrvfTree.from_dict(Q.to_dict()), Q)
+        assert_same_tree(SrvfTree.from_dict(json.loads(json_text(Q.to_dict()))), Q)
+
+    @settings(max_examples=60)
+    @given(pair=srvft_pairs(), w=st.sampled_from([Weights(), Weights(1.0, 1.0, 1.0),
+                                                  Weights(0.02, 0.5, 2.0)]))
+    def test_exp_inverts_log(self, pair, w):
+        mu, x = pair
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            back = exp_map(mu, log_map(mu, x, w), w)
+        assume(not caught)  # no attachment position was clamped
+        for name in ("q0", "q_lat", "s"):
+            np.testing.assert_allclose(getattr(back, name), getattr(x, name), rtol=0, atol=1e-12)
+        np.testing.assert_array_equal(back.anchor, mu.anchor)
+
+    @settings(max_examples=60)
+    @given(pair=srvft_pairs(), how=st.sampled_from([
+        "non-finite main", "non-finite lateral", "main of one sample", "main in 3-d",
+        "laterals of one sample", "laterals without the point axis", "anchor in 3-d",
+        "s out of range", "ragged laterals", "one position too many", "one position too few",
+    ]), seed=st.integers(0, 2**32 - 1))
+    def test_constructor_rejects(self, pair, how, seed):
+        Q, _ = pair
+        assume(Q.n_laterals >= NEEDS_LATERALS.get(how, 0))
+        with pytest.raises(ValueError):
+            SrvfTree(**corrupted(Q, how, np.random.default_rng(seed)))
+
+    def test_no_laterals_is_one_shape(self):
+        for q_lat in ([], np.zeros((0, 30, 2)), np.zeros(0)):
+            Q = SrvfTree(np.ones((4, 2)), q_lat, [], [0.0, 0.0])
+            assert Q.q_lat.shape == (0, 2, 2)
+            assert TangentLayout.of(Q) == TangentLayout(4, 0, 0)
+
+    def test_arrays_are_read_only(self):
+        Q = SrvfTree(np.ones((4, 2)), np.ones((1, 3, 2)), [0.5], [0.0, 0.0])
+        for arr in (Q.q0, Q.q_lat, Q.s, Q.anchor):
+            with pytest.raises(ValueError):
+                arr[0] = 1.0

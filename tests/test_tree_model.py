@@ -193,7 +193,7 @@ class TestResample:
             resample_branch(br, 1)
 
     @given(n=st.integers(min_value=2, max_value=200))
-    @settings(max_examples=25, deadline=None)
+    @settings(max_examples=25)
     def test_endpoints_exact(self, n):
         br = Branch(np.array([[0.2, 0.7], [1.5, -0.3], [2.0, 1.0]]))
         out = resample_branch(br, n)
