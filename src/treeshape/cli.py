@@ -15,7 +15,7 @@ import numpy as np
 
 from . import clustering, metric, render, statistics
 from .metric import DistanceMatrix, PairOptions
-from .srvf import Weights
+from .srvf import Weights, srvft_to_tree
 from .statistics import Atlas, RegressionModel
 from .tree_model import (
     RootTree,
@@ -69,6 +69,12 @@ def _add_pipeline_args(parser: argparse.ArgumentParser) -> None:
                         help="keep attachment positions fixed under reparameterization")
     parser.add_argument("--threads", type=int, default=None,
                         help=f"worker count (default: ${metric.THREADS_ENV_VAR} or 1)")
+
+
+def _add_descent_args(parser: argparse.ArgumentParser) -> None:
+    parser.add_argument("--max-iter", type=int, default=30, help="mean descent iterations")
+    parser.add_argument("--tol", type=float, default=1e-6, help="mean gradient tolerance")
+    parser.add_argument("--step", type=float, default=0.5, help="descent step size")
 
 
 def _weights(args: argparse.Namespace) -> Weights:
@@ -154,17 +160,13 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("mean", help="Karcher mean of a collection")
     p.add_argument("trees")
     _add_pipeline_args(p)
-    p.add_argument("--max-iter", type=int, default=30, help="mean descent iterations")
-    p.add_argument("--tol", type=float, default=1e-6, help="mean gradient tolerance")
-    p.add_argument("--step", type=float, default=0.5, help="descent step size")
+    _add_descent_args(p)
     p.add_argument("--out", type=Path, required=True, help=".json root or .svg drawing")
 
     p = sub.add_parser("atlas", help="mean + principal modes of a collection")
     p.add_argument("trees")
     _add_pipeline_args(p)
-    p.add_argument("--max-iter", type=int, default=30, help="mean descent iterations")
-    p.add_argument("--tol", type=float, default=1e-6, help="mean gradient tolerance")
-    p.add_argument("--step", type=float, default=0.5)
+    _add_descent_args(p)
     p.add_argument("--out", type=Path, required=True, help="atlas .json")
 
     p = sub.add_parser("modes", help="sweep one principal mode of an atlas")
@@ -187,9 +189,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("regress-fit", help="fit biological-parameter regression")
     p.add_argument("trees")
     _add_pipeline_args(p)
-    p.add_argument("--max-iter", type=int, default=30, help="mean descent iterations")
-    p.add_argument("--tol", type=float, default=1e-6, help="mean gradient tolerance")
-    p.add_argument("--step", type=float, default=0.5)
+    _add_descent_args(p)
     p.add_argument("--out", type=Path, required=True, help="model .json")
 
     p = sub.add_parser("regress-predict", help="synthesize a root from parameters")
@@ -268,8 +268,6 @@ def _cmd_mean(args) -> int:
         trees, _weights(args), step=args.step, max_iter=args.max_iter,
         tol=args.tol, opts=_pair_options(args), n_jobs=args.threads,
     )
-    from .srvf import srvft_to_tree
-
     mean_tree = srvft_to_tree(result.mean, tree_id="karcher-mean")
     if args.out.suffix == ".svg":
         _write_text(args.out, render.render_tree(mean_tree))

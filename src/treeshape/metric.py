@@ -30,6 +30,8 @@ from .tree_model import (
     DEFAULT_LATERAL_SAMPLES,
     DEFAULT_MAIN_SAMPLES,
     RootTree,
+    float_array,
+    json_fields,
     json_text,
     normalize_scale,
     resample_tree,
@@ -232,11 +234,16 @@ class DistanceMatrix:
             values = np.array([[float(v) for v in row] for row in rows[1:]])
             return cls(labels=labels, values=values)
         data = json.loads(text)
-        return cls(
-            labels=tuple(data["labels"]),
-            values=np.array(data["values"], dtype=float),
-            failures=tuple((int(i), int(j), str(m)) for i, j, m in data.get("failures", [])),
-        )
+        labels, values = json_fields(data, "distance matrix", "labels", "values")
+        if not isinstance(labels, list):
+            kind = type(labels).__name__
+            raise ValueError(f"distance matrix labels must be a JSON array, not {kind}")
+        try:
+            failures = tuple((int(i), int(j), str(m)) for i, j, m in data.get("failures", []))
+        except (TypeError, ValueError):
+            raise ValueError("distance matrix failures must be [i, j, message] entries") from None
+        return cls(labels=tuple(labels), values=float_array(values, "distance matrix values"),
+                   failures=failures)
 
 
 def _attempt(fn, *args):

@@ -18,7 +18,7 @@ from typing import NamedTuple
 import numpy as np
 from scipy.optimize import linear_sum_assignment
 
-from .srvf import Srvf, SrvfTree, Weights, _sq_dists, trapezoid_weights
+from .srvf import SrvfTree, Weights, _sq_dists, trapezoid_weights
 
 # Monotone-path stencil: coprime index steps up to this bound, i.e. local
 # slopes between 1/10 and 10.  Tighter strips cannot track warps with strong
@@ -101,10 +101,11 @@ class Registration:
 
 
 # ---------------------------------------------------------------------------
-# array kernels
+# building blocks
 #
-# ``register`` runs every sweep on these kernels over the arrays of the two
-# SRVF-trees; the public building blocks further down wrap the same kernels.
+# ``lateral_cost_matrix``, ``match_laterals``, ``optimal_rotation`` and
+# ``optimal_reparam_main`` (further down) take plain arrays; ``register``
+# calls them directly on the arrays of the two SRVF-trees.
 
 
 def _warp(samples: np.ndarray, gamma: Gamma) -> np.ndarray:
@@ -143,50 +144,6 @@ def _transform(
     return q0, lats, s, anchor
 
 
-def _cost_matrix(
-    qa: np.ndarray, sa: np.ndarray, qb: np.ndarray, sb: np.ndarray, w: Weights
-) -> np.ndarray:
-    """Lateral matching costs: shape term plus attachment-position term."""
-    if qa.shape[1:] != qb.shape[1:]:
-        raise ValueError("lateral sample counts differ between trees")
-    tw = trapezoid_weights(qa.shape[1])
-    na = np.einsum("imc,imc,m->i", qa, qa, tw)
-    nb = np.einsum("imc,imc,m->i", qb, qb, tw)
-    cross = np.einsum("imc,jmc,m->ij", qa, qb, tw)
-    shape_cost = na[:, None] + nb[None, :] - 2.0 * cross
-    ds = sa[:, None] - sb[None, :]
-    return w.lambda_s * np.clip(shape_cost, 0.0, None) + w.lambda_p * ds * ds
-
-
-def _assign(cost: np.ndarray) -> np.ndarray:
-    """Exact linear assignment: perm[k] is the column matched to row k."""
-    rows, cols = linear_sum_assignment(cost)
-    perm = np.empty(len(cost), dtype=int)
-    perm[rows] = cols
-    return perm
-
-
-def _procrustes(
-    a0: np.ndarray, qa: np.ndarray, b0: np.ndarray, qb: np.ndarray, w: Weights
-) -> np.ndarray:
-    """Weighted 2D Procrustes rotation of the stacked main and index-aligned
-    lateral samples of b onto those of a."""
-    A = np.concatenate([a0, qa.reshape(-1, 2)])
-    B = np.concatenate([b0, qb.reshape(-1, 2)])
-    wv = np.concatenate(
-        [w.lambda_m * trapezoid_weights(len(a0))]
-        + [w.lambda_s * trapezoid_weights(qa.shape[1])] * len(qa)
-    )
-    M = (B * wv[:, None]).T @ A  # sum_i w_i b_i a_i^T
-    U, S, Vt = np.linalg.svd(M)
-    if S[0] < 1e-12:
-        warnings.warn("degenerate cross-covariance; returning identity rotation")
-        return np.eye(2)
-    V = Vt.T
-    d = np.sign(np.linalg.det(V @ U.T))
-    return V @ np.diag([1.0, d]) @ U.T
-
-
 def _preshape_cost(
     w: Weights, main_sq: float, shapes: list[float], sa: list[float], sb: list[float]
 ) -> float:
@@ -197,10 +154,6 @@ def _preshape_cost(
         total += w.lambda_s * shape
         total += w.lambda_p * (x - y) ** 2
     return float(total)
-
-
-# ---------------------------------------------------------------------------
-# building blocks
 
 
 def transform_tree(
@@ -225,47 +178,73 @@ def apply_registration(Q: SrvfTree, reg: Registration) -> SrvfTree:
     return SrvfTree(q0, lats[reg.assignment], s[reg.assignment], anchor)
 
 
-def lateral_cost_matrix(a: SrvfTree, b: SrvfTree, w: Weights) -> np.ndarray:
-    """Pairwise matching costs: shape term plus attachment-position term."""
-    if a.n_laterals != b.n_laterals:
-        raise ValueError(f"lateral counts differ: {a.n_laterals} vs {b.n_laterals}")
-    return _cost_matrix(a.q_lat, a.s, b.q_lat, b.s, w)
+def lateral_cost_matrix(
+    qa: np.ndarray, sa: np.ndarray, qb: np.ndarray, sb: np.ndarray, w: Weights
+) -> np.ndarray:
+    """Pairwise matching costs of a's laterals (rows) against b's (columns):
+    shape term plus attachment-position term.  ``qa`` and ``qb`` are (N, k, 2)
+    lateral samples, ``sa`` and ``sb`` their (N,) attachment positions."""
+    if qa.shape != qb.shape:
+        raise ValueError(f"lateral stacks differ: {qa.shape} vs {qb.shape}")
+    tw = trapezoid_weights(qa.shape[1])
+    na = np.einsum("imc,imc,m->i", qa, qa, tw)
+    nb = np.einsum("imc,imc,m->i", qb, qb, tw)
+    cross = np.einsum("imc,jmc,m->ij", qa, qb, tw)
+    shape_cost = na[:, None] + nb[None, :] - 2.0 * cross
+    ds = sa[:, None] - sb[None, :]
+    return w.lambda_s * np.clip(shape_cost, 0.0, None) + w.lambda_p * ds * ds
 
 
-def match_laterals(a: SrvfTree, b: SrvfTree, w: Weights) -> np.ndarray:
-    """Minimum-cost lateral correspondence via exact linear assignment."""
-    return _assign(lateral_cost_matrix(a, b, w))
+def match_laterals(
+    qa: np.ndarray, sa: np.ndarray, qb: np.ndarray, sb: np.ndarray, w: Weights
+) -> np.ndarray:
+    """Minimum-cost lateral correspondence via exact linear assignment:
+    perm[k] is the lateral of b matched to a's lateral k."""
+    rows, cols = linear_sum_assignment(lateral_cost_matrix(qa, sa, qb, sb, w))
+    perm = np.empty(len(qa), dtype=int)
+    perm[rows] = cols
+    return perm
 
 
 def optimal_rotation(
-    a: SrvfTree, b: SrvfTree, assignment: np.ndarray, w: Weights
+    a0: np.ndarray, qa: np.ndarray, b0: np.ndarray, qb: np.ndarray, w: Weights
 ) -> np.ndarray:
-    """Rotation minimizing the rotation-dependent part of the dissimilarity.
+    """Rotation of b onto a minimizing the rotation-dependent part of the
+    dissimilarity; ``qb`` is b's lateral stack already index-aligned with
+    a's ``qa``.
 
-    Weighted 2D Procrustes over the stacked main and matched-lateral SRVF
-    samples (quadrature weights included so the minimized quantity is exactly
-    the discretized main + lateral shape terms).  A degenerate cross-
-    covariance (both singular values below 1e-12) yields the identity with a
-    warning.
+    Weighted 2D Procrustes over the stacked main and lateral SRVF samples
+    (quadrature weights included so the minimized quantity is exactly the
+    discretized main + lateral shape terms).  A degenerate cross-covariance
+    (both singular values below 1e-12) yields the identity with a warning.
     """
-    perm = np.asarray(assignment, dtype=int)
-    return _procrustes(a.q0, a.q_lat, b.q0, b.q_lat[perm], w)
+    A = np.concatenate([a0, qa.reshape(-1, 2)])
+    B = np.concatenate([b0, qb.reshape(-1, 2)])
+    wv = np.concatenate(
+        [w.lambda_m * trapezoid_weights(len(a0))]
+        + [w.lambda_s * trapezoid_weights(qa.shape[1])] * len(qa)
+    )
+    M = (B * wv[:, None]).T @ A  # sum_i w_i b_i a_i^T
+    U, S, Vt = np.linalg.svd(M)
+    if S[0] < 1e-12:
+        warnings.warn("degenerate cross-covariance; returning identity rotation")
+        return np.eye(2)
+    V = Vt.T
+    d = np.sign(np.linalg.det(V @ U.T))
+    return V @ np.diag([1.0, d]) @ U.T
 
 
 # ---------------------------------------------------------------------------
 # dynamic-programming reparameterization
 
 
-@lru_cache(maxsize=8)
-def _dp_stencil(max_step: int) -> tuple[tuple[int, int], ...]:
-    steps = [
-        (di, dj)
-        for di in range(1, max_step + 1)
-        for dj in range(1, max_step + 1)
-        if math.gcd(di, dj) == 1
-    ]
-    steps.sort()
-    return tuple(steps)
+# the coprime index steps (di, dj) up to DP_MAX_STEP, sorted
+_DP_STENCIL = tuple(sorted(
+    (di, dj)
+    for di in range(1, DP_MAX_STEP + 1)
+    for dj in range(1, DP_MAX_STEP + 1)
+    if math.gcd(di, dj) == 1
+))
 
 
 class _DpRowStep(NamedTuple):
@@ -312,9 +291,9 @@ def _frozen(*arrays: np.ndarray) -> tuple[np.ndarray, ...]:
 
 
 @lru_cache(maxsize=8)
-def _dp_plan(n: int, max_step: int) -> _DpPlan:
+def _dp_plan(n: int) -> _DpPlan:
     """The plan of grid size n, built by the first DP on that grid."""
-    stencil = tuple((di, dj) for di, dj in _dp_stencil(max_step) if di < n and dj < n)
+    stencil = tuple((di, dj) for di, dj in _DP_STENCIL if di < n and dj < n)
     di_t = np.array([di for di, _ in stencil], dtype=np.intp)[:, None]
     dj_t = np.array([dj for _, dj in stencil], dtype=np.intp)[:, None]
     ends = np.cumsum((n - di_t[:, 0]) * (n - 1))
@@ -355,7 +334,7 @@ def _dp_plan(n: int, max_step: int) -> _DpPlan:
     return _DpPlan(stencil, *_frozen(base), size, tuple(row_steps), *rows)
 
 
-def _dp_edge_cost(qa: np.ndarray, qb: np.ndarray, max_step: int) -> np.ndarray:
+def _dp_edge_cost(qa: np.ndarray, qb: np.ndarray) -> np.ndarray:
     """Costs of every stencil edge, in one flat buffer laid out by ``_dp_plan``.
 
     The edge from (i-di, j-dj) to (i, j) carries the trapezoid-rule energy of
@@ -367,7 +346,7 @@ def _dp_edge_cost(qa: np.ndarray, qb: np.ndarray, max_step: int) -> np.ndarray:
     [1, slope * |u|^2].  The last entry of the buffer is +inf.
     """
     n = len(qa)
-    plan = _dp_plan(n, max_step)
+    plan = _dp_plan(n)
     costs = np.empty(plan.size + 1)
     flat_a = qa.T.ravel()
     flat_b = qb.T.ravel()
@@ -390,9 +369,7 @@ def _dp_edge_cost(qa: np.ndarray, qb: np.ndarray, max_step: int) -> np.ndarray:
     return costs
 
 
-def _reparam_dp(
-    qa: np.ndarray, qb: np.ndarray, max_step: int = DP_MAX_STEP
-) -> tuple[np.ndarray, float]:
+def _reparam_dp(qa: np.ndarray, qb: np.ndarray) -> tuple[np.ndarray, float]:
     """Minimum-energy monotone grid path; returns (gamma values, energy).
 
     E[i, j], the least energy of a path from (0, 0) to (i, j), is filled one
@@ -404,8 +381,8 @@ def _reparam_dp(
     is O(sum of block sizes) plus O(T n) index arrays, never (T, n, n).
     """
     n = len(qa)
-    plan = _dp_plan(n, max_step)
-    costs = _dp_edge_cost(qa, qb, max_step)
+    plan = _dp_plan(n)
+    costs = _dp_edge_cost(qa, qb)
     c_idx = plan.c_idx.copy()
     e_idx = plan.e_idx.copy()
     cols = np.arange(n)
@@ -439,16 +416,20 @@ def _reparam_dp(
     return values, energy
 
 
-def optimal_reparam_main(q1: Srvf, q2: Srvf, max_step: int = DP_MAX_STEP) -> Gamma:
-    """Reparameterization gamma minimizing |q1 - (q2 o gamma) sqrt(gamma')|^2.
+def optimal_reparam_main(qa: np.ndarray, qb: np.ndarray) -> Gamma:
+    """Reparameterization gamma minimizing |qa - (qb o gamma) sqrt(gamma')|^2
+    for (n, 2) SRVF samples ``qa`` and ``qb``.
 
     Solved by dynamic programming over monotone grid paths; the identity path
     lies in the search space, so the optimal energy never exceeds the
-    identity energy.
+    identity energy.  Samples of different shapes, or non-finite samples,
+    are a ValueError.
     """
-    if q1.n != q2.n:
-        raise ValueError(f"sample counts differ: {q1.n} vs {q2.n}")
-    values, _ = _reparam_dp(q1.samples, q2.samples, max_step)
+    if qa.shape != qb.shape:
+        raise ValueError(f"sample shapes differ: {qa.shape} vs {qb.shape}")
+    if not (np.isfinite(qa).all() and np.isfinite(qb).all()):
+        raise ValueError("SRVF samples must be finite")
+    values, _ = _reparam_dp(qa, qb)
     return Gamma(values)
 
 
@@ -475,7 +456,6 @@ def register(
     w: Weights,
     max_iter: int = 10,
     tol: float = 1e-8,
-    max_step: int = DP_MAX_STEP,
     remap_s: bool = True,
 ) -> Registration:
     """Align b onto a over rotation, reparameterization and correspondence.
@@ -497,7 +477,6 @@ def register(
         raise ValueError("main-branch sample counts differ")
     a0, qa, sa = a.q0, a.q_lat, a.s
     b0, qb, sb = b.q0, b.q_lat, b.s
-    main_a = Srvf(a0)  # the DP's reference curve
     sa_list = sa.tolist()
 
     def aligned_cost(main: np.ndarray, shapes: list[float], s: np.ndarray, perm) -> float:
@@ -526,21 +505,19 @@ def register(
         main_only = Weights(max(w.lambda_m, 1e-12), 0.0, 0.0)
         with warnings.catch_warnings():
             warnings.simplefilter("ignore")
-            candidate = _procrustes(a0, qa, b0, qb, main_only)
+            candidate = optimal_rotation(a0, qa, b0, qb, main_only)
         best = cost
         for cand, lat in ((np.eye(2), lat_rot), (candidate, qb @ candidate.T)):
-            pi = _assign(_cost_matrix(qa, sa, lat, sb, w))
+            pi = match_laterals(qa, sa, lat, sb, w)
             c = aligned_cost(b0 @ cand.T, _sq_dists(qa, lat[pi]), sb, pi)
             if c < best:
                 best, rotation, assignment, lat_rot = c, cand, pi, lat
     for _ in range(max_iter):
-        assignment = _assign(_cost_matrix(qa, sa, lat_rot, s_moved, w))
-        rotation = _procrustes(a0, qa, b_warped, qb[assignment], w)
+        assignment = match_laterals(qa, sa, lat_rot, s_moved, w)
+        rotation = optimal_rotation(a0, qa, b_warped, qb[assignment], w)
         lat_rot = qb @ rotation.T
         shapes = _sq_dists(qa, lat_rot[assignment])
-        # through the public DP entry, so per-function timings (such as the
-        # benchmark's optimal_reparam_main metrics) still see the DP apart
-        gamma_new = optimal_reparam_main(main_a, Srvf(b0 @ rotation.T), max_step)
+        gamma_new = optimal_reparam_main(a0, b0 @ rotation.T)
         warped_new = _warp(b0, gamma_new)
         s_new = _remap(sb, gamma_new, remap_s)
         cost_new = aligned_cost(warped_new @ rotation.T, shapes, s_new, assignment)

@@ -8,7 +8,6 @@ y) grow down the page.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Sequence
 
 import numpy as np
@@ -21,24 +20,11 @@ PALETTE = (
     "#f781bf", "#17becf", "#bcbd22", "#8c564b", "#2ca02c", "#d62728",
 )
 
-
-@dataclass(frozen=True)
-class RenderStyle:
-    stroke_width: float = 2.0
-    main_color: str = "#333333"
-    lateral_palette: tuple[str, ...] = PALETTE
-    panel_width: float = 240.0
-    panel_height: float = 320.0
-    margin: float = 20.0
-
-    def __post_init__(self) -> None:
-        if self.panel_width <= 0 or self.panel_height <= 0 or self.stroke_width <= 0:
-            raise ValueError("style dimensions must be positive")
-        if self.margin < 0:
-            raise ValueError("margin must be nonnegative")
-
-
-DEFAULT_STYLE = RenderStyle()
+STROKE_WIDTH = 2.0
+MAIN_COLOR = "#333333"
+PANEL_WIDTH = 240.0
+PANEL_HEIGHT = 320.0
+MARGIN = 20.0
 
 
 def _fmt(x: float) -> str:
@@ -70,16 +56,16 @@ def _union_bbox(trees: Sequence[RootTree]) -> tuple[float, float, float, float]:
 class _PanelTransform:
     """Fit a data bbox into one panel, preserving aspect and flipping y."""
 
-    def __init__(self, bbox, style: RenderStyle, x_offset: float = 0.0):
+    def __init__(self, bbox, x_offset: float = 0.0):
         x0, x1, y0, y1 = bbox
         spanx = max(x1 - x0, 1e-12)
         spany = max(y1 - y0, 1e-12)
-        inner_w = style.panel_width - 2 * style.margin
-        inner_h = style.panel_height - 2 * style.margin
+        inner_w = PANEL_WIDTH - 2 * MARGIN
+        inner_h = PANEL_HEIGHT - 2 * MARGIN
         self.scale = min(inner_w / spanx, inner_h / spany)
         self.x0, self.y1 = x0, y1
-        self.ox = x_offset + style.margin + (inner_w - spanx * self.scale) / 2
-        self.oy = style.margin + (inner_h - spany * self.scale) / 2
+        self.ox = x_offset + MARGIN + (inner_w - spanx * self.scale) / 2
+        self.oy = MARGIN + (inner_h - spany * self.scale) / 2
 
     def __call__(self, pts: np.ndarray) -> np.ndarray:
         out = np.empty_like(pts)
@@ -88,11 +74,11 @@ class _PanelTransform:
         return out
 
 
-def _polyline(pts: np.ndarray, color: str, width: float) -> str:
+def _polyline(pts: np.ndarray, color: str) -> str:
     coords = " ".join(f"{_fmt(x)},{_fmt(y)}" for x, y in pts)
     return (
         f'<polyline points="{coords}" fill="none" stroke="{color}" '
-        f'stroke-width="{_fmt(width)}" stroke-linecap="round" '
+        f'stroke-width="{_fmt(STROKE_WIDTH)}" stroke-linecap="round" '
         f'stroke-linejoin="round"/>'
     )
 
@@ -106,61 +92,43 @@ def _svg_document(width: float, height: float, body: list[str]) -> str:
     return "\n".join([head, *body, "</svg>"]) + "\n"
 
 
-def _panel_elements(
-    tree: RootTree,
-    transform: _PanelTransform,
-    style: RenderStyle,
-    labels: Sequence[int] | None,
-) -> list[str]:
-    elements = [_polyline(transform(tree.main.points), style.main_color, style.stroke_width)]
-    palette = style.lateral_palette
+def _panel_elements(tree: RootTree, transform: _PanelTransform) -> list[str]:
+    """The main and the real laterals; the k-th lateral takes palette color k."""
+    elements = [_polyline(transform(tree.main.points), MAIN_COLOR)]
     for k, (t, br) in enumerate(tree.laterals):
-        if br.is_virtual:
-            continue
-        idx = labels[k] if labels is not None else k
-        color = palette[idx % len(palette)]
-        elements.append(_polyline(transform(br.points), color, style.stroke_width))
+        if not br.is_virtual:
+            elements.append(_polyline(transform(br.points), PALETTE[k % len(PALETTE)]))
     return elements
 
 
-def render_tree(
-    tree: RootTree,
-    style: RenderStyle = DEFAULT_STYLE,
-    labels: Sequence[int] | None = None,
-) -> str:
-    """One tree in one panel; ``labels`` override correspondence colors."""
-    transform = _PanelTransform(_tree_bbox(tree), style)
-    body = _panel_elements(tree, transform, style, labels)
-    return _svg_document(style.panel_width, style.panel_height, body)
+def render_tree(tree: RootTree) -> str:
+    """One tree in one panel."""
+    body = _panel_elements(tree, _PanelTransform(_tree_bbox(tree)))
+    return _svg_document(PANEL_WIDTH, PANEL_HEIGHT, body)
 
 
-def render_tree_row(
-    trees: Sequence[RootTree],
-    style: RenderStyle = DEFAULT_STYLE,
-    shared_scale: bool = True,
-    titles: Sequence[str] | None = None,
-) -> str:
-    """Side-by-side panels with consistent lateral colors across panels.
+def render_tree_row(trees: Sequence[RootTree], titles: Sequence[str] | None = None) -> str:
+    """Side-by-side panels on one shared scale, with consistent lateral
+    colors across panels.
 
     Used for geodesic strips and mode sweeps, where the k-th lateral of each
     tree corresponds to the k-th lateral of every other.
     """
     if not trees:
         raise ValueError("nothing to render")
-    bbox = _union_bbox(trees) if shared_scale else None
+    bbox = _union_bbox(trees)
     body = []
     for i, tree in enumerate(trees):
-        x_off = i * style.panel_width
-        tf = _PanelTransform(bbox or _tree_bbox(tree), style, x_offset=x_off)
-        body.extend(_panel_elements(tree, tf, style, labels=None))
+        x_off = i * PANEL_WIDTH
+        body.extend(_panel_elements(tree, _PanelTransform(bbox, x_offset=x_off)))
         if titles is not None:
             body.append(
-                f'<text x="{_fmt(x_off + style.panel_width / 2)}" '
-                f'y="{_fmt(style.panel_height - 4)}" text-anchor="middle" '
+                f'<text x="{_fmt(x_off + PANEL_WIDTH / 2)}" '
+                f'y="{_fmt(PANEL_HEIGHT - 4)}" text-anchor="middle" '
                 f'font-size="10" font-family="sans-serif" fill="#666666">'
                 f"{titles[i]}</text>"
             )
-    return _svg_document(style.panel_width * len(trees), style.panel_height, body)
+    return _svg_document(PANEL_WIDTH * len(trees), PANEL_HEIGHT, body)
 
 
 def _leaf_order(dend: Dendrogram) -> list[int]:
@@ -182,20 +150,20 @@ def _leaf_order(dend: Dendrogram) -> list[int]:
     return order
 
 
-def render_dendrogram(dend: Dendrogram, style: RenderStyle = DEFAULT_STYLE) -> str:
+def render_dendrogram(dend: Dendrogram) -> str:
     """Classic dendrogram: leaves along x, merge heights up the y axis."""
     m = dend.n_leaves
-    width = max(style.panel_width, 40.0 * m + 2 * style.margin)
-    height = style.panel_height
-    inner_h = height - 2 * style.margin - 14.0  # leave room for labels
+    width = max(PANEL_WIDTH, 40.0 * m + 2 * MARGIN)
+    height = PANEL_HEIGHT
+    inner_h = height - 2 * MARGIN - 14.0  # leave room for labels
     max_h = max(float(dend.heights().max()), 1e-12)
 
     def y_of(h: float) -> float:
-        return style.margin + inner_h * (1.0 - h / max_h)
+        return MARGIN + inner_h * (1.0 - h / max_h)
 
     # x position and current height per cluster id
     xs = {
-        leaf: style.margin + (width - 2 * style.margin) * (slot + 0.5) / m
+        leaf: MARGIN + (width - 2 * MARGIN) * (slot + 0.5) / m
         for slot, leaf in enumerate(_leaf_order(dend))
     }
     hs = {i: 0.0 for i in range(m)}
@@ -212,7 +180,7 @@ def render_dendrogram(dend: Dendrogram, style: RenderStyle = DEFAULT_STYLE) -> s
         hs[m + idx] = float(h)
     for i, label in enumerate(dend.leaf_labels):
         body.append(
-            f'<text x="{_fmt(xs[i])}" y="{_fmt(height - style.margin + 10)}" '
+            f'<text x="{_fmt(xs[i])}" y="{_fmt(height - MARGIN + 10)}" '
             f'text-anchor="middle" font-size="9" font-family="sans-serif" '
             f'fill="#333333">{label}</text>'
         )

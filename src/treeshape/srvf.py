@@ -38,31 +38,6 @@ def trapezoid_weights(n: int) -> np.ndarray:
 
 
 @dataclass(frozen=True)
-class Srvf:
-    """SRVF samples of one branch at n uniform parameters on [0, 1]; shape (n, 2)."""
-
-    samples: np.ndarray
-
-    def __post_init__(self) -> None:
-        arr = np.array(self.samples, dtype=float)
-        if arr.ndim != 2 or arr.shape[1] != 2 or arr.shape[0] < 2:
-            raise ValueError("SRVF samples must be an (n >= 2, 2) array")
-        if not np.all(np.isfinite(arr)):
-            raise ValueError("SRVF samples must be finite")
-        arr.flags.writeable = False
-        object.__setattr__(self, "samples", arr)
-
-    @property
-    def n(self) -> int:
-        return len(self.samples)
-
-    @property
-    def norm_sq(self) -> float:
-        """Integral of the squared sample norm; equals the curve arc length."""
-        return _sq_norms(self.samples)[0]
-
-
-@dataclass(frozen=True)
 class SrvfTree:
     """SRVF of a whole tree as four read-only arrays.
 
@@ -108,9 +83,9 @@ class SrvfTree:
     def n_laterals(self) -> int:
         return len(self.s)
 
-    def null_laterals(self, eps: float = EPS_NULL) -> np.ndarray:
-        """Which laterals have an SRVF norm below ``eps`` (zero-length branches)."""
-        return np.sqrt(_sq_norms(self.q_lat)) < eps
+    def null_laterals(self) -> np.ndarray:
+        """Which laterals have an SRVF norm below ``EPS_NULL`` (zero-length branches)."""
+        return np.sqrt(_sq_norms(self.q_lat)) < EPS_NULL
 
     def to_dict(self) -> dict:
         """The atlas-file form of the tree (``from_dict`` reads it back exactly)."""
@@ -160,7 +135,15 @@ DEFAULT_WEIGHTS = Weights()
 # transform and inverse
 
 
-def _srvf_samples(branch: Branch, n: int) -> np.ndarray:
+def to_srvf(branch: Branch, n: int) -> np.ndarray:
+    """SRVF of a branch as (n, 2) samples at n uniform parameters.
+
+    The branch is resampled to uniform arc length, the derivative estimated
+    by central finite differences (second-order one-sided at the endpoints;
+    first-order at n = 2, where both are the one segment's slope), and
+    scaled by the reciprocal square root of the speed.  Virtual branches
+    yield all-zero samples.
+    """
     if branch.is_virtual:
         return np.zeros((n, 2))
     pts = resample_branch(branch, n).points
@@ -171,18 +154,6 @@ def _srvf_samples(branch: Branch, n: int) -> np.ndarray:
     moving = speed > 1e-12
     q[moving] = deriv[moving] / np.sqrt(speed[moving])[:, None]
     return q
-
-
-def to_srvf(branch: Branch, n: int) -> Srvf:
-    """SRVF of a branch sampled at n uniform parameters.
-
-    The branch is resampled to uniform arc length, the derivative estimated
-    by central finite differences (second-order one-sided at the endpoints;
-    first-order at n = 2, where both are the one segment's slope), and
-    scaled by the reciprocal square root of the speed.  Virtual branches
-    yield all-zero samples.
-    """
-    return Srvf(_srvf_samples(branch, n))
 
 
 def _integrate(samples: np.ndarray, start: np.ndarray) -> np.ndarray:
@@ -197,9 +168,10 @@ def _integrate(samples: np.ndarray, start: np.ndarray) -> np.ndarray:
     return np.concatenate([origin, steps], axis=-2) + np.asarray(start)[..., None, :]
 
 
-def from_srvf(q: Srvf, start: np.ndarray) -> Branch:
-    """Reconstruct a branch by integrating q * |q| from the start point."""
-    return Branch(_integrate(q.samples, start))
+def from_srvf(q: np.ndarray, start: np.ndarray) -> Branch:
+    """Reconstruct a branch from (n, 2) SRVF samples by integrating q * |q|
+    from the start point."""
+    return Branch(_integrate(np.asarray(q, dtype=float), start))
 
 
 def tree_to_srvft(tree: RootTree, n_lateral: int | None = None) -> SrvfTree:
@@ -212,9 +184,9 @@ def tree_to_srvft(tree: RootTree, n_lateral: int | None = None) -> SrvfTree:
     if n_lateral is None:
         real = tree.real_laterals
         n_lateral = real[0].branch.n_points if real else DEFAULT_LATERAL_SAMPLES
-    q_lat = [_srvf_samples(br, n_lateral) for _, br in tree.laterals]
+    q_lat = [to_srvf(br, n_lateral) for _, br in tree.laterals]
     return SrvfTree(
-        q0=_srvf_samples(tree.main, tree.main.n_points),
+        q0=to_srvf(tree.main, tree.main.n_points),
         q_lat=np.reshape(q_lat, (len(q_lat), n_lateral, 2)),
         s=tree.lateral_ts(),
         anchor=tree.main.start,
@@ -248,12 +220,12 @@ def augment_srvfts(Qs: Sequence[SrvfTree]) -> list[SrvfTree]:
     return out
 
 
-def srvft_to_tree(Q: SrvfTree, tree_id: str = "reconstructed", eps_null: float = EPS_NULL) -> RootTree:
+def srvft_to_tree(Q: SrvfTree, tree_id: str = "reconstructed") -> RootTree:
     """Map an SRVF-tree back to a root tree.
 
     The main branch is integrated from the anchor; each lateral starts where
     the reconstructed main sits at its attachment parameter.  Laterals whose
-    SRVF norm falls below ``eps_null`` come out virtual.  Attachment t values
+    SRVF norm falls below ``EPS_NULL`` come out virtual.  Attachment t values
     are stored as arc-length fractions of the reconstructed main, so the
     output passes tree validation even when the main is not uniform speed
     (as happens for interior geodesic points).
@@ -274,7 +246,7 @@ def srvft_to_tree(Q: SrvfTree, tree_id: str = "reconstructed", eps_null: float =
     else:
         t_arc = (cum[i0] + frac * (cum[i0 + 1] - cum[i0])) / total
     curves = _integrate(Q.q_lat, starts)
-    null = Q.null_laterals(eps_null)
+    null = Q.null_laterals()
     laterals = tuple(
         Lateral(t, Branch(point[None, :], is_virtual=True) if is_null else Branch(curve))
         for t, point, curve, is_null in zip(t_arc.tolist(), starts, curves, null)
@@ -298,8 +270,3 @@ def _sq_dists(qa: np.ndarray, qb: np.ndarray) -> list[float]:
     if qa.shape != qb.shape:
         raise ValueError(f"sample counts differ: {qa.shape[-2]} vs {qb.shape[-2]}")
     return _sq_norms(qa - qb)
-
-
-def l2_dist_sq(q1: Srvf, q2: Srvf) -> float:
-    """Integral of |q1 - q2|^2 over [0, 1] by the trapezoid rule."""
-    return _sq_dists(q1.samples, q2.samples)[0]

@@ -351,14 +351,13 @@ def fit_atlas(
     tol: float = 1e-6,
     opts: PairOptions = DEFAULT_OPTIONS,
     n_jobs: int | None = None,
-    variance_target: float = VARIANCE_TARGET,
 ) -> Atlas:
     """Karcher mean plus tangent covariance eigenmodes of a collection.
 
     Modes are computed with the Gram-matrix trick (the covariance has rank
     below the sample count, so the small Gram eigenproblem is exact), the
     retained count is the smallest one whose cumulative variance ratio
-    exceeds ``variance_target``, and per-sample coefficients are stored for
+    exceeds ``VARIANCE_TARGET``, and per-sample coefficients are stored for
     regression.
     """
     if len(trees) < 2:
@@ -373,7 +372,7 @@ def fit_atlas(
         retained = 0
     else:
         ratio = np.cumsum(evals) / total
-        retained = int(np.searchsorted(ratio, variance_target) + 1)
+        retained = int(np.searchsorted(ratio, VARIANCE_TARGET) + 1)
         retained = min(retained, len(evals))
     coeffs = np.zeros((len(V), retained))
     for j in range(retained):

@@ -242,8 +242,12 @@ def tree_from_dict(data: dict, fallback_id: str = "root") -> RootTree:
         main_pts = np.asarray(data["main"], dtype=float)
     except (KeyError, TypeError, ValueError) as exc:
         raise RootFormatError(f"invalid or missing 'main' array: {exc}") from exc
+    entries = data.get("laterals", [])
+    if not isinstance(entries, list):
+        kind = type(entries).__name__
+        raise RootFormatError(f"root 'laterals' must be a JSON array, not {kind}")
     laterals = []
-    for i, entry in enumerate(data.get("laterals", [])):
+    for i, entry in enumerate(entries):
         try:
             t = float(entry["t"])
             pts = np.asarray(entry["points"], dtype=float)

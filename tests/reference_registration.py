@@ -1,15 +1,15 @@
 """Object-based registration and reconstruction, kept as test references.
 
-These are the per-lateral ``Srvf`` versions of ``register``,
-``apply_registration`` and ``srvft_to_tree`` that the array kernels replaced.
-They rebuild and re-validate SRVF objects for every candidate cost, which is
-slow but easy to check by reading; the tests require the package to give
-bit-identical results.  The main-curve DP is shared (it has its own loop
-reference in ``test_registration.py``).
+These are the per-branch object versions of ``register``,
+``apply_registration`` and ``srvft_to_tree`` that the array building blocks
+replaced.  They rebuild and re-validate one SRVF object per branch for every
+candidate cost, which is slow but easy to check by reading; the tests
+require the package to give bit-identical results.  The main-curve DP is
+shared (it has its own loop reference in ``test_registration.py``).
 
-The references work on ``ObjTree``, one ``Srvf`` per branch; the public
-functions at the bottom take and return the package's array ``SrvfTree``
-and convert at the boundary.
+The references work on ``ObjTree``, one ``BranchSrvf`` per branch; the
+public functions at the bottom take and return the package's array
+``SrvfTree`` and convert at the boundary.
 """
 from __future__ import annotations
 
@@ -21,21 +21,45 @@ import numpy as np
 from scipy.optimize import linear_sum_assignment
 
 from treeshape import Branch, Lateral, RootTree
-from treeshape.registration import DP_MAX_STEP, Gamma, Registration, optimal_reparam_main
-from treeshape.srvf import Srvf, SrvfTree, Weights, from_srvf, trapezoid_weights
+from treeshape.registration import Gamma, Registration, optimal_reparam_main
+from treeshape.srvf import SrvfTree, Weights, from_srvf, trapezoid_weights
 from treeshape.tree_model import _cumulative_arclength
 
 
+@dataclass(frozen=True)
+class BranchSrvf:
+    """SRVF samples of one branch, (n, 2), copied and checked on every build."""
+
+    samples: np.ndarray
+
+    def __post_init__(self) -> None:
+        arr = np.array(self.samples, dtype=float)
+        if arr.ndim != 2 or arr.shape[1] != 2 or arr.shape[0] < 2:
+            raise ValueError("SRVF samples must be an (n >= 2, 2) array")
+        if not np.all(np.isfinite(arr)):
+            raise ValueError("SRVF samples must be finite")
+        arr.flags.writeable = False
+        object.__setattr__(self, "samples", arr)
+
+    @property
+    def n(self) -> int:
+        return len(self.samples)
+
+    @property
+    def norm_sq(self) -> float:
+        return float(trapezoid_weights(self.n) @ np.einsum("ij,ij->i", self.samples, self.samples))
+
+
 class LateralSrvf(NamedTuple):
-    q: Srvf
+    q: BranchSrvf
     s: float
 
 
 @dataclass(frozen=True)
 class ObjTree:
-    """An SRVF-tree as one ``Srvf`` per branch."""
+    """An SRVF-tree as one ``BranchSrvf`` per branch."""
 
-    q0: Srvf
+    q0: BranchSrvf
     laterals: tuple[LateralSrvf, ...]
     anchor: np.ndarray
 
@@ -58,8 +82,8 @@ class ObjTree:
 
 
 def to_objects(Q: SrvfTree) -> ObjTree:
-    laterals = tuple(LateralSrvf(Srvf(q), s) for q, s in zip(Q.q_lat, Q.s.tolist()))
-    return ObjTree(Srvf(Q.q0), laterals, Q.anchor)
+    laterals = tuple(LateralSrvf(BranchSrvf(q), s) for q, s in zip(Q.q_lat, Q.s.tolist()))
+    return ObjTree(BranchSrvf(Q.q0), laterals, Q.anchor)
 
 
 def to_arrays(T: ObjTree) -> SrvfTree:
@@ -67,23 +91,23 @@ def to_arrays(T: ObjTree) -> SrvfTree:
     return SrvfTree(T.q0.samples, q_lat, T.s_values(), T.anchor)
 
 
-def l2_dist_sq(q1: Srvf, q2: Srvf) -> float:
+def l2_dist_sq(q1: BranchSrvf, q2: BranchSrvf) -> float:
     d = q1.samples - q2.samples
     w = trapezoid_weights(q1.n)
     return float(w @ np.einsum("ij,ij->i", d, d))
 
 
-def rotate_srvf(q: Srvf, rotation: np.ndarray) -> Srvf:
-    return Srvf(q.samples @ np.asarray(rotation).T)
+def rotate_srvf(q: BranchSrvf, rotation: np.ndarray) -> BranchSrvf:
+    return BranchSrvf(q.samples @ np.asarray(rotation).T)
 
 
-def warp_srvf(q: Srvf, gamma: Gamma) -> Srvf:
+def warp_srvf(q: BranchSrvf, gamma: Gamma) -> BranchSrvf:
     if gamma.is_identity():
         return q
     pos = gamma.values * (q.n - 1)
     idx = np.arange(q.n)
     warped = np.column_stack([np.interp(pos, idx, q.samples[:, c]) for c in range(2)])
-    return Srvf(warped * np.sqrt(gamma.derivative())[:, None])
+    return BranchSrvf(warped * np.sqrt(gamma.derivative())[:, None])
 
 
 def transform_tree(Q, rotation=None, gamma=None, remap_s=True) -> ObjTree:
@@ -170,7 +194,7 @@ def _aligned_cost(a, b, rotation, gamma, assignment, w, remap_s=True) -> float:
     return _preshape_dissimilarity_sq(a, reordered, w)
 
 
-def _register(a, b, w, max_iter=10, tol=1e-8, max_step=DP_MAX_STEP, remap_s=True) -> Registration:
+def _register(a, b, w, max_iter=10, tol=1e-8, remap_s=True) -> Registration:
     n = a.q0.n
     N = a.n_laterals
     gamma = Gamma.identity(n)
@@ -197,7 +221,7 @@ def _register(a, b, w, max_iter=10, tol=1e-8, max_step=DP_MAX_STEP, remap_s=True
         b_warped = transform_tree(b, gamma=gamma, remap_s=remap_s)
         rotation = optimal_rotation(a, b_warped, assignment, w)
         q2_rot = rotate_srvf(b.q0, rotation)
-        gamma_new = optimal_reparam_main(a.q0, q2_rot, max_step)
+        gamma_new = optimal_reparam_main(a.q0.samples, q2_rot.samples)
         cost_new = _aligned_cost(a, b, rotation, gamma_new, assignment, w, remap_s)
         cost_keep = _aligned_cost(a, b, rotation, gamma, assignment, w, remap_s)
         if cost_new <= cost_keep:
@@ -234,7 +258,7 @@ def _param_point(points: np.ndarray, s: float) -> tuple[np.ndarray, float]:
 
 
 def _srvft_to_tree(Q: ObjTree, tree_id: str = "reconstructed", eps_null: float = 1e-8) -> RootTree:
-    main = from_srvf(Q.q0, Q.anchor)
+    main = from_srvf(Q.q0.samples, Q.anchor)
     laterals = []
     for q, s in Q.laterals:
         s = min(max(float(s), 0.0), 1.0)
@@ -242,7 +266,7 @@ def _srvft_to_tree(Q: ObjTree, tree_id: str = "reconstructed", eps_null: float =
         if np.sqrt(q.norm_sq) < eps_null:
             laterals.append(Lateral(t_arc, Branch(point[None, :], is_virtual=True)))
         else:
-            laterals.append(Lateral(t_arc, from_srvf(q, point)))
+            laterals.append(Lateral(t_arc, from_srvf(q.samples, point)))
     return RootTree(id=tree_id, main=main, laterals=tuple(laterals))
 
 

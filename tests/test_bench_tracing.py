@@ -2,12 +2,17 @@
 
 A traced benchmark run lists the functions it could not wrap only in its
 result file; this test fails as soon as a wrapped function is renamed or
-removed.
+removed.  The registration building blocks must also be what ``register``
+runs, or their spans read 0 calls.
 """
 import sys
 from pathlib import Path
 
 import treeshape.cli  # noqa: F401  (the tracer wraps functions of every module)
+from treeshape import Weights, registration
+from treeshape.metric import PairOptions, prepare_pair
+
+from conftest import smooth_tree
 
 sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "bench"))
 
@@ -21,3 +26,20 @@ def test_tracer_wraps_every_listed_function():
         assert tracer.missing == []
     finally:
         tracer.uninstall()
+
+
+def test_building_block_spans_count_every_sweep(rng):
+    opts = PairOptions(n_main=30, n_lateral=10)
+    Qa, Qb = prepare_pair(smooth_tree(rng, "a", 2), smooth_tree(rng, "b", 1), opts)
+    tracer = tracing.Tracer()
+    tracer.install()
+    try:
+        reg = registration.register(Qa, Qb, Weights())
+    finally:
+        tracer.uninstall()
+    summary = tracer.summary()
+    sweeps = len(reg.cost_history) - 1
+    assert summary["registration.register.calls"] == 1
+    assert summary["registration.sweeps"] == sweeps >= 1
+    for span in ("match_laterals", "optimal_rotation", "optimal_reparam_main"):
+        assert summary[f"registration.{span}.calls"] >= sweeps, span

@@ -307,7 +307,8 @@ def one_error_line(err: str) -> str:
 
 
 class TestMalformedFiles:
-    """Malformed atlas and model files end in one error line and exit 1."""
+    """Malformed atlas, model, root and matrix files end in one error line
+    and exit 1."""
 
     @pytest.mark.parametrize("field, value, message", [
         ("mean", [], "atlas mean must be a JSON object"),
@@ -344,6 +345,19 @@ class TestMalformedFiles:
         bad.write_text(json.dumps(data))
         assert main(["regress-predict", str(bad), "--params", "1,1,1",
                      "--out", str(tmp_path / "p.json")]) == 1
+        assert message in one_error_line(capsys.readouterr().err)
+
+    @pytest.mark.parametrize("command, payload, message", [
+        ("render", {"main": [[0, 0], [0, -1]], "laterals": None},
+         "root 'laterals' must be a JSON array, not NoneType"),
+        ("cluster", {"labels": None, "values": []},
+         "distance matrix labels must be a JSON array, not NoneType"),
+        ("cluster", [1, 2], "distance matrix must be a JSON object, not list"),
+    ], ids=["root-laterals-null", "matrix-labels-null", "matrix-top-level-array"])
+    def test_root_and_matrix(self, tmp_path, capsys, command, payload, message):
+        bad = tmp_path / "bad.json"
+        bad.write_text(json.dumps(payload))
+        assert main([command, str(bad), "--out", str(tmp_path / "out.svg")]) == 1
         assert message in one_error_line(capsys.readouterr().err)
 
 

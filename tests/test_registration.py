@@ -10,7 +10,6 @@ from hypothesis.extra.numpy import arrays
 from treeshape import (
     Gamma,
     Registration,
-    Srvf,
     Weights,
     apply_registration,
     match_laterals,
@@ -23,16 +22,15 @@ from treeshape import (
 )
 from treeshape.metric import interpolate_srvft, prepare_pair
 from treeshape.registration import (
-    DP_MAX_STEP,
+    _DP_STENCIL,
     _dp_edge_cost,
     _dp_plan,
-    _dp_stencil,
     _reparam_dp,
     _warp,
     lateral_cost_matrix,
 )
 
-from treeshape.srvf import SrvfTree, srvft_to_tree
+from treeshape.srvf import SrvfTree, _sq_dists, _sq_norms, srvft_to_tree
 from treeshape.tree_model import tree_to_dict
 
 import reference_registration as ref
@@ -79,18 +77,18 @@ class TestGamma:
 class TestWarp:
     def test_identity_warp_is_noop(self, rng):
         tree = smooth_tree(rng, "w", 2)
-        q = Srvf(srvft_of(tree).q0)
-        out = _warp(q.samples, Gamma.identity(q.n))
-        np.testing.assert_array_equal(out, q.samples)
+        q = srvft_of(tree).q0
+        out = _warp(q, Gamma.identity(len(q)))
+        np.testing.assert_array_equal(out, q)
 
     def test_warp_preserves_norm_approximately(self, rng):
         # reparameterization is a norm isometry in the continuum
         tree = smooth_tree(rng, "w", 0)
-        q = Srvf(srvft_of(tree, n_main=200).q0)
-        grid = np.linspace(0, 1, q.n)
+        q = srvft_of(tree, n_main=200).q0
+        grid = np.linspace(0, 1, len(q))
         g = Gamma(grid + 0.08 * np.sin(np.pi * grid))
-        warped = Srvf(_warp(q.samples, g))
-        assert abs(warped.norm_sq - q.norm_sq) / q.norm_sq < 5e-3
+        norm_sq, warped_sq = _sq_norms(np.stack([q, _warp(q, g)]))
+        assert abs(warped_sq - norm_sq) / norm_sq < 5e-3
 
 
 class TestOptimalRotation:
@@ -98,14 +96,14 @@ class TestOptimalRotation:
         tree = smooth_tree(rng, "r", 3)
         theta = np.deg2rad(30.0)
         Qa, Qb = prepare_pair(tree, move_tree(tree, theta=theta))
-        perm = match_laterals(Qa, Qb, Weights())
-        R = optimal_rotation(Qa, Qb, perm, Weights())
+        perm = match_laterals(Qa.q_lat, Qa.s, Qb.q_lat, Qb.s, Weights())
+        R = optimal_rotation(Qa.q0, Qa.q_lat, Qb.q0, Qb.q_lat[perm], Weights())
         angle = np.arctan2(R[1, 0], R[0, 0])
         assert abs(angle - (-theta)) < 1e-6
 
     def test_identity_for_equal(self, rng):
         Q = srvft_of(smooth_tree(rng, "r", 2))
-        R = optimal_rotation(Q, Q, np.arange(Q.n_laterals), Weights())
+        R = optimal_rotation(Q.q0, Q.q_lat, Q.q0, Q.q_lat, Weights())
         np.testing.assert_allclose(R, np.eye(2), atol=1e-9)
 
     def test_straight_line_closed_form(self):
@@ -113,7 +111,7 @@ class TestOptimalRotation:
         a = straight_tree("a", 1.0)
         theta = 0.7
         Qa, Qb = prepare_pair(a, move_tree(a, theta=theta))
-        R = optimal_rotation(Qa, Qb, np.arange(Qa.n_laterals), Weights())
+        R = optimal_rotation(Qa.q0, Qa.q_lat, Qb.q0, Qb.q_lat, Weights())
         angle = np.arctan2(R[1, 0], R[0, 0])
         assert abs(angle - (-theta)) < 1e-12
 
@@ -121,7 +119,7 @@ class TestOptimalRotation:
         n = 30
         Q = SrvfTree(np.zeros((n, 2)), np.zeros((0, 2, 2)), np.zeros(0), np.zeros(2))
         with pytest.warns(UserWarning, match="degenerate"):
-            R = optimal_rotation(Q, Q, np.arange(0), Weights())
+            R = optimal_rotation(Q.q0, Q.q_lat, Q.q0, Q.q_lat, Weights())
         np.testing.assert_array_equal(R, np.eye(2))
 
     def test_det_plus_one(self, rng):
@@ -139,15 +137,15 @@ class TestOptimalRotation:
             ),
         )
         Qa, Qb = prepare_pair(tree, mirror)
-        R = optimal_rotation(Qa, Qb, np.arange(Qa.n_laterals), Weights())
+        R = optimal_rotation(Qa.q0, Qa.q_lat, Qb.q0, Qb.q_lat, Weights())
         assert np.linalg.det(R) > 0.999999
 
 
 class TestReparamDP:
     def test_identity_for_equal(self, rng):
-        q = Srvf(srvft_of(smooth_tree(rng, "g", 0), n_main=100).q0)
+        q = srvft_of(smooth_tree(rng, "g", 0), n_main=100).q0
         g = optimal_reparam_main(q, q)
-        assert np.max(np.abs(g.values - g.grid)) < 2.0 / q.n
+        assert np.max(np.abs(g.values - g.grid)) < 2.0 / len(q)
 
     def test_speed_profile_fixture(self):
         # unit-speed line vs the same line traversed with speed 2t.
@@ -156,8 +154,8 @@ class TestReparamDP:
         # boundary layer at t = 0 where the true slope exceeds the stencil.
         n = 100
         grid = np.linspace(0, 1, n)
-        q_unit = Srvf(np.column_stack([np.ones(n), np.zeros(n)]))
-        q_2t = Srvf(np.column_stack([np.sqrt(2 * grid), np.zeros(n)]))
+        q_unit = np.column_stack([np.ones(n), np.zeros(n)])
+        q_2t = np.column_stack([np.sqrt(2 * grid), np.zeros(n)])
         g = optimal_reparam_main(q_unit, q_2t)
         err = np.abs(g.values - np.sqrt(grid))
         assert err.max() < 3.0 / n
@@ -169,34 +167,41 @@ class TestReparamDP:
         # grid tolerance holds everywhere)
         n = 100
         grid = np.linspace(0, 1, n)
-        q_unit = Srvf(np.column_stack([np.ones(n), np.zeros(n)]))
-        q_2t = Srvf(np.column_stack([np.sqrt(2 * grid), np.zeros(n)]))
+        q_unit = np.column_stack([np.ones(n), np.zeros(n)])
+        q_2t = np.column_stack([np.sqrt(2 * grid), np.zeros(n)])
         g = optimal_reparam_main(q_2t, q_unit)
         assert np.max(np.abs(g.values - grid**2)) < 2.0 / n
 
     def test_dp_energy_never_exceeds_identity(self, rng):
         # the identity path is inside the search space
-        from treeshape import l2_dist_sq
-
         for _ in range(100):
             qa = rng.normal(size=(40, 2))
             qb = rng.normal(size=(40, 2))
             _, energy = _reparam_dp(qa, qb)
-            identity_energy = l2_dist_sq(Srvf(qa), Srvf(qb))
+            identity_energy = _sq_dists(qa, qb)[0]
             assert energy <= identity_energy + 1e-12
 
     def test_realized_energy_improves_on_smooth_pairs(self, rng):
-        from treeshape import l2_dist_sq
-
         for k in range(10):
-            a = Srvf(srvft_of(smooth_tree(rng, "a", 0), n_main=80).q0)
-            b = Srvf(srvft_of(smooth_tree(rng, "b", 0), n_main=80).q0)
+            a = srvft_of(smooth_tree(rng, "a", 0), n_main=80).q0
+            b = srvft_of(smooth_tree(rng, "b", 0), n_main=80).q0
             g = optimal_reparam_main(a, b)
-            assert l2_dist_sq(a, Srvf(_warp(b.samples, g))) <= l2_dist_sq(a, b) + 1e-9
+            assert _sq_dists(a, _warp(b, g))[0] <= _sq_dists(a, b)[0] + 1e-9
 
     def test_mismatched_counts(self):
         with pytest.raises(ValueError):
-            optimal_reparam_main(Srvf(np.ones((10, 2))), Srvf(np.ones((11, 2))))
+            optimal_reparam_main(np.ones((10, 2)), np.ones((11, 2)))
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_non_finite_samples(self, bad):
+        # without the check the DP energy is not finite and the identity
+        # warp would come back as if it were optimal
+        q = np.ones((10, 2))
+        q_bad = q.copy()
+        q_bad[3, 1] = bad
+        for qa, qb in ((q, q_bad), (q_bad, q)):
+            with pytest.raises(ValueError, match="finite"):
+                optimal_reparam_main(qa, qb)
 
 
 def reference_edge_cost(qa, qb, di, dj):
@@ -223,10 +228,10 @@ def reference_edge_cost(qa, qb, di, dj):
     return block
 
 
-def reference_reparam_dp(qa, qb, edge_cost=reference_edge_cost, max_step=DP_MAX_STEP):
+def reference_reparam_dp(qa, qb, edge_cost=reference_edge_cost):
     """Loop form of the DP: strict-< updates, stencil step by stencil step."""
     n = len(qa)
-    stencil = [(di, dj) for di, dj in _dp_stencil(max_step) if di < n and dj < n]
+    stencil = [(di, dj) for di, dj in _DP_STENCIL if di < n and dj < n]
     blocks = [edge_cost(qa, qb, di, dj) for di, dj in stencil]
     E = np.full((n, n), np.inf)
     E[0, 0] = 0.0
@@ -259,8 +264,8 @@ def planned_blocks(qa, qb):
     through the plan's base offsets (rows of stride n - 1, unread columns
     c >= n - dj dropped)."""
     n = len(qa)
-    plan = _dp_plan(n, DP_MAX_STEP)
-    costs = _dp_edge_cost(qa, qb, DP_MAX_STEP)
+    plan = _dp_plan(n)
+    costs = _dp_edge_cost(qa, qb)
     assert costs.shape == (plan.size + 1,) and costs[-1] == np.inf
 
     def block(_qa, _qb, di, dj):
@@ -341,7 +346,7 @@ class TestReparamDPMatchesLoop:
         for seed in range(4):
             qa, qb = random_pair(seed, n)
             block_of = planned_blocks(qa, qb)
-            for di, dj in _dp_stencil(DP_MAX_STEP):
+            for di, dj in _DP_STENCIL:
                 if di < n and dj < n:
                     block = block_of(qa, qb, di, dj)
                     ref = reference_edge_cost(qa, qb, di, dj)
@@ -360,16 +365,16 @@ class TestMatchLaterals:
             a = smooth_tree(rng, "a", n_a)
             b = smooth_tree(rng, "b", n_b)
             Qa, Qb = prepare_pair(a, b)
-            cost = lateral_cost_matrix(Qa, Qb, w)
-            perm = match_laterals(Qa, Qb, w)
+            cost = lateral_cost_matrix(Qa.q_lat, Qa.s, Qb.q_lat, Qb.s, w)
+            perm = match_laterals(Qa.q_lat, Qa.s, Qb.q_lat, Qb.s, w)
             hungarian = sum(cost[k, perm[k]] for k in range(len(perm)))
             assert abs(hungarian - brute_force_assignment_cost(cost)) < 1e-12
 
     def test_identical_trees_zero_cost(self, rng):
         Q = srvft_of(smooth_tree(rng, "m", 3))
         w = Weights()
-        perm = match_laterals(Q, Q, w)
-        cost = lateral_cost_matrix(Q, Q, w)
+        perm = match_laterals(Q.q_lat, Q.s, Q.q_lat, Q.s, w)
+        cost = lateral_cost_matrix(Q.q_lat, Q.s, Q.q_lat, Q.s, w)
         assert sum(cost[k, perm[k]] for k in range(len(perm))) < 1e-12
 
     def test_order_preserving_for_close_positions(self):
@@ -379,8 +384,14 @@ class TestMatchLaterals:
         b = straight_tree("b", 1.0, laterals=[(0.25, 0.3, 1), (0.75, 0.3, 1)])
         Qa = srvft_of(a)
         Qb = srvft_of(b)
-        perm = match_laterals(Qa, Qb, Weights(0.02, 1.0, 1.0))
+        perm = match_laterals(Qa.q_lat, Qa.s, Qb.q_lat, Qb.s, Weights(0.02, 1.0, 1.0))
         np.testing.assert_array_equal(perm, [0, 1])
+
+    def test_mismatched_stacks(self, rng):
+        Qa = srvft_of(smooth_tree(rng, "a", 2))
+        Qb = srvft_of(smooth_tree(rng, "b", 3))
+        with pytest.raises(ValueError, match="lateral stacks differ"):
+            match_laterals(Qa.q_lat, Qa.s, Qb.q_lat, Qb.s, Weights())
 
 
 class TestApplyRegistration:
@@ -409,9 +420,9 @@ class TestApplyRegistration:
         reg = Registration(rotation_matrix(1.3), Gamma.identity(len(Q.q0)),
                            np.arange(Q.n_laterals), 0.0)
         out = apply_registration(Q, reg)
-        assert abs(Srvf(out.q0).norm_sq - Srvf(Q.q0).norm_sq) < 1e-12
-        for q1, q2 in zip(out.q_lat, Q.q_lat):
-            assert abs(Srvf(q1).norm_sq - Srvf(q2).norm_sq) < 1e-12
+        assert abs(_sq_norms(out.q0)[0] - _sq_norms(Q.q0)[0]) < 1e-12
+        for n1, n2 in zip(_sq_norms(out.q_lat), _sq_norms(Q.q_lat)):
+            assert abs(n1 - n2) < 1e-12
 
     def test_gamma_remaps_attachment(self):
         # gamma(t) = t^2 moves the lateral attached at s=0.25 to

@@ -4,7 +4,6 @@ import numpy as np
 import pytest
 
 from treeshape import (
-    RenderStyle,
     augment_pair,
     geodesic,
     linkage,
@@ -13,6 +12,7 @@ from treeshape import (
     render_tree_row,
 )
 from treeshape.metric import PairOptions
+from treeshape.render import PANEL_WIDTH
 
 from conftest import smooth_tree, straight_tree
 
@@ -40,15 +40,6 @@ class TestRenderTree:
         assert a2.n_laterals == 2
         assert polyline_count(render_tree(a2)) == 2  # main + one real lateral
 
-    def test_well_formed_with_custom_style(self, rng):
-        style = RenderStyle(stroke_width=1.0, panel_width=100, panel_height=150, margin=5)
-        svg = render_tree(smooth_tree(rng, "s", 3), style)
-        ET.fromstring(svg)
-
-    def test_invalid_style(self):
-        with pytest.raises(ValueError):
-            RenderStyle(panel_width=-10)
-
 
 class TestRenderRow:
     def test_geodesic_strip_panels(self, rng):
@@ -58,7 +49,7 @@ class TestRenderRow:
         svg = render_tree_row(trees)
         root = ET.fromstring(svg)
         width = float(root.get("width"))
-        assert width == pytest.approx(5 * RenderStyle().panel_width)
+        assert width == pytest.approx(5 * PANEL_WIDTH)
         # consistent lateral coloring across panels: the k-th lateral uses
         # the same palette entry in every panel
         polys = root.findall(f".//{SVG_NS}polyline")

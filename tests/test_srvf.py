@@ -8,18 +8,16 @@ from hypothesis import strategies as st
 
 from treeshape import (
     Branch,
-    Srvf,
     SrvfTree,
     Weights,
     augment_pair,
     from_srvf,
-    l2_dist_sq,
     resample_tree,
     srvft_to_tree,
     to_srvf,
     tree_to_srvft,
 )
-from treeshape.srvf import EPS_NULL, trapezoid_weights
+from treeshape.srvf import EPS_NULL, _sq_dists, _sq_norms, trapezoid_weights
 from treeshape.statistics import TangentLayout, exp_map, flatten_srvft, log_map, unflatten_srvft
 from treeshape.tree_model import json_text
 
@@ -34,27 +32,27 @@ def unit_line(n=100):
 class TestToSrvf:
     def test_unit_speed_line(self):
         q = to_srvf(unit_line(), 100)
-        np.testing.assert_allclose(q.samples[:, 0], 1.0, atol=1e-9)
-        np.testing.assert_allclose(q.samples[:, 1], 0.0, atol=1e-12)
+        np.testing.assert_allclose(q[:, 0], 1.0, atol=1e-9)
+        np.testing.assert_allclose(q[:, 1], 0.0, atol=1e-12)
 
     def test_double_speed_line(self):
         t = np.linspace(0.0, 1.0, 100)
         br = Branch(np.column_stack([2 * t, np.zeros(100)]))
         q = to_srvf(br, 100)
-        np.testing.assert_allclose(q.samples[:, 0], np.sqrt(2.0), atol=1e-9)
+        np.testing.assert_allclose(q[:, 0], np.sqrt(2.0), atol=1e-9)
 
     def test_two_samples(self):
         # at n = 2 both one-sided differences are the segment's slope, the
         # same as the endpoint samples at n = 3
         line = Branch(np.array([[0.0, 0.0], [1.2, -1.6]]))
         np.testing.assert_allclose(
-            to_srvf(line, 2).samples, to_srvf(line, 3).samples[[0, -1]], rtol=1e-15)
+            to_srvf(line, 2), to_srvf(line, 3)[[0, -1]], rtol=1e-15)
 
     def test_virtual_is_zero(self):
         br = Branch(np.array([[0.3, -0.7]]), is_virtual=True)
         q = to_srvf(br, 50)
-        assert q.n == 50
-        np.testing.assert_array_equal(q.samples, 0.0)
+        assert q.shape == (50, 2)
+        np.testing.assert_array_equal(q, 0.0)
 
     def test_translation_invariance_exact(self):
         # equal-length dyadic zigzag + dyadic offset: all float sums are
@@ -64,37 +62,37 @@ class TestToSrvf:
         br = Branch(pts)
         q1 = to_srvf(br, len(pts))
         q2 = to_srvf(Branch(pts + np.array([5.25, -3.5])), len(pts))
-        np.testing.assert_array_equal(q1.samples, q2.samples)
+        np.testing.assert_array_equal(q1, q2)
 
     def test_translation_invariance_general(self, rng):
         br = smooth_branch(rng)
         q1 = to_srvf(br, 80)
         q2 = to_srvf(Branch(br.points + np.array([3.7, -1.2])), 80)
-        np.testing.assert_allclose(q1.samples, q2.samples, atol=1e-11)
+        np.testing.assert_allclose(q1, q2, atol=1e-11)
 
     def test_rotation_equivariance(self, rng):
         br = smooth_branch(rng)
         R = rotation_matrix(0.83)
         q1 = to_srvf(Branch(br.points @ R.T), 80)
         q2 = to_srvf(br, 80)
-        np.testing.assert_allclose(q1.samples, q2.samples @ R.T, atol=1e-9)
+        np.testing.assert_allclose(q1, q2 @ R.T, atol=1e-9)
 
     def test_length_identity(self, rng):
         # integral of |q|^2 equals the arc length
         for _ in range(5):
             br = smooth_branch(rng)
             q = to_srvf(br, 100)
-            assert abs(q.norm_sq - br.length) / br.length < 1e-3
+            assert abs(_sq_norms(q)[0] - br.length) / br.length < 1e-3
 
 
 class TestFromSrvf:
     def test_constant_unit(self):
-        q = Srvf(np.column_stack([np.ones(50), np.zeros(50)]))
+        q = np.column_stack([np.ones(50), np.zeros(50)])
         br = from_srvf(q, np.zeros(2))
         np.testing.assert_allclose(br.points[-1], [1.0, 0.0], atol=1e-12)
 
     def test_constant_sqrt2(self):
-        q = Srvf(np.column_stack([np.full(50, np.sqrt(2.0)), np.zeros(50)]))
+        q = np.column_stack([np.full(50, np.sqrt(2.0)), np.zeros(50)])
         br = from_srvf(q, np.zeros(2))
         np.testing.assert_allclose(br.points[-1], [2.0, 0.0], atol=1e-12)
 
@@ -175,36 +173,43 @@ class TestTreeConversion:
 
 
 class TestL2:
+    """``_sq_dists``, the trapezoid-rule L2 distance ``register`` uses."""
+
     def test_zero_for_equal(self, rng):
         q = to_srvf(smooth_branch(rng), 60)
-        assert l2_dist_sq(q, q) == 0.0
+        assert _sq_dists(q, q) == [0.0]
 
     def test_constants_closed_form(self):
         n = 100
-        q1 = Srvf(np.column_stack([np.ones(n), np.zeros(n)]))
-        q2 = Srvf(np.column_stack([np.full(n, np.sqrt(2.0)), np.zeros(n)]))
+        q1 = np.column_stack([np.ones(n), np.zeros(n)])
+        q2 = np.column_stack([np.full(n, np.sqrt(2.0)), np.zeros(n)])
         expected = (np.sqrt(2.0) - 1.0) ** 2  # constant integrand
-        assert abs(l2_dist_sq(q1, q2) - expected) < 1e-12
+        assert abs(_sq_dists(q1, q2)[0] - expected) < 1e-12
         assert abs(expected - 0.171573) < 1e-6
 
     def test_quadratic_scaling(self, rng):
         q1 = to_srvf(smooth_branch(rng), 60)
         q2 = to_srvf(smooth_branch(rng), 60)
-        base = l2_dist_sq(q1, q2)
+        (base,) = _sq_dists(q1, q2)
         c = 3.7
-        scaled = l2_dist_sq(Srvf(c * q1.samples), Srvf(c * q2.samples))
+        (scaled,) = _sq_dists(c * q1, c * q2)
         assert abs(scaled - c * c * base) < 1e-9 * max(scaled, 1.0)
 
     def test_mismatched_counts(self, rng):
         q1 = to_srvf(smooth_branch(rng), 60)
         q2 = to_srvf(smooth_branch(rng), 61)
         with pytest.raises(ValueError):
-            l2_dist_sq(q1, q2)
+            _sq_dists(q1, q2)
 
     def test_symmetry(self, rng):
         q1 = to_srvf(smooth_branch(rng), 60)
         q2 = to_srvf(smooth_branch(rng), 60)
-        assert l2_dist_sq(q1, q2) == l2_dist_sq(q2, q1)
+        assert _sq_dists(q1, q2) == _sq_dists(q2, q1)
+
+    def test_one_distance_per_stacked_pair(self, rng):
+        qa = np.stack([to_srvf(smooth_branch(rng), 30) for _ in range(3)])
+        qb = np.stack([to_srvf(smooth_branch(rng), 30) for _ in range(3)])
+        assert _sq_dists(qa, qb) == [_sq_dists(x, y)[0] for x, y in zip(qa, qb)]
 
 
 class TestWeights:
