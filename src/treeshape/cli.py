@@ -218,7 +218,7 @@ def build_parser() -> argparse.ArgumentParser:
 def _cmd_distance(args) -> int:
     a, b = load_root(args.a), load_root(args.b)
     Qa, Qb, reg = metric.register_pair(a, b, _weights(args), _pair_options(args))
-    d = float(np.sqrt(max(reg.cost, 0.0)))
+    d = reg.distance
     if d < 1e-12:
         d = 0.0  # numerically zero at shape scale
     print(f"distance({a.id}, {b.id}) = {d:.9g}")
@@ -247,7 +247,7 @@ def _cmd_geodesic(args) -> int:
         _write_text(args.out, _json_text([tree_to_dict(t) for t in trees]))
     print(
         f"geodesic {a.id} -> {b.id}: {args.steps} steps, "
-        f"distance {np.sqrt(max(path.length_sq, 0.0)):.9g}"
+        f"distance {path.registration.distance:.9g}"
     )
     return 0
 

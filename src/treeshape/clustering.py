@@ -7,14 +7,13 @@ usual convention: leaves are 0..m-1 and merge k creates cluster m+k.
 """
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
 
 from .metric import DistanceMatrix
-from .tree_model import json_text, write_text
+from .tree_model import float_array, json_fields, json_text, read_json, write_text
 
 LINKAGE_METHODS = ("single", "complete", "average")
 
@@ -59,16 +58,21 @@ class Dendrogram:
         write_text(path, json_text(self.to_dict()))
 
     @classmethod
-    def from_dict(cls, data: dict) -> "Dendrogram":
-        merges = np.array(
-            [[m["left"], m["right"], m["height"], m["size"]] for m in data["merges"]],
-            dtype=float,
-        ).reshape(-1, 4)
-        return cls(merges=merges, leaf_labels=tuple(data["leaf_labels"]))
+    def from_dict(cls, data) -> "Dendrogram":
+        """Inverse of ``to_dict``; a missing field or a wrong JSON type is a ValueError."""
+        merges, labels = json_fields(data, "dendrogram", "merges", "leaf_labels")
+        if not isinstance(merges, list):
+            raise ValueError(f"dendrogram merges must be a JSON array, not {type(merges).__name__}")
+        if not (isinstance(labels, list) and all(isinstance(x, str) for x in labels)):
+            raise ValueError("dendrogram leaf_labels must be an array of strings")
+        rows = [json_fields(m, f"dendrogram merge #{k}", "left", "right", "height", "size")
+                for k, m in enumerate(merges)]
+        return cls(merges=float_array(rows, "dendrogram merges").reshape(-1, 4),
+                   leaf_labels=tuple(labels))
 
     @classmethod
     def load(cls, path: str | Path) -> "Dendrogram":
-        return cls.from_dict(json.loads(Path(path).read_text(encoding="utf-8")))
+        return cls.from_dict(read_json(path))
 
 
 def _validate_matrix(values: np.ndarray) -> np.ndarray:

@@ -8,7 +8,6 @@ from __future__ import annotations
 
 import csv
 import io
-import json
 import os
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
@@ -34,6 +33,7 @@ from .tree_model import (
     json_fields,
     json_text,
     normalize_scale,
+    read_json,
     resample_tree,
     write_text,
 )
@@ -58,24 +58,23 @@ class PairOptions:
 DEFAULT_OPTIONS = PairOptions()
 
 
-def _resampled(tree: RootTree, opts: PairOptions) -> RootTree:
+def _prepare(tree: RootTree, opts: PairOptions) -> SrvfTree:
+    """Normalize (if asked), resample and convert one tree to SRVF."""
     if opts.normalize:
         tree = normalize_scale(tree)
-    return resample_tree(tree, opts.n_main, opts.n_lateral)
+    return tree_to_srvft(resample_tree(tree, opts.n_main, opts.n_lateral), opts.n_lateral)
 
 
 def prepare_trees(
     trees: Sequence[RootTree], opts: PairOptions = DEFAULT_OPTIONS
 ) -> list[SrvfTree]:
-    """Normalize (if asked) and resample each tree, then convert each to SRVF.
+    """Prepare each tree in order; the first tree that fails raises.
 
     This is the one preparation path: every pipeline prepares each tree once
     and equalizes lateral counts afterwards, at the SRVF level, with
-    ``augment_srvfts``.  All trees are resampled before any is converted, so
-    when several steps would fail, the first resampling error is raised.
+    ``augment_srvfts``.
     """
-    resampled = [_resampled(t, opts) for t in trees]
-    return [tree_to_srvft(t, opts.n_lateral) for t in resampled]
+    return [_prepare(t, opts) for t in trees]
 
 
 def prepare_pair(
@@ -86,7 +85,8 @@ def prepare_pair(
     return Qa, Qb
 
 
-def _register(Qa: SrvfTree, Qb: SrvfTree, w: Weights, opts: PairOptions) -> Registration:
+def register_prepared(Qa: SrvfTree, Qb: SrvfTree, w: Weights, opts: PairOptions) -> Registration:
+    """``register`` with the sweep settings of ``opts`` (picklable, for process pools)."""
     return register(Qa, Qb, w, max_iter=opts.max_iter, tol=opts.tol, remap_s=opts.remap_s)
 
 
@@ -98,17 +98,7 @@ def register_pair(
 ) -> tuple[SrvfTree, SrvfTree, Registration]:
     """Full pipeline from raw trees to a registration of b onto a."""
     Qa, Qb = prepare_pair(a, b, opts)
-    return Qa, Qb, _register(Qa, Qb, w, opts)
-
-
-def distance_sq(
-    a: RootTree,
-    b: RootTree,
-    w: Weights = DEFAULT_WEIGHTS,
-    opts: PairOptions = DEFAULT_OPTIONS,
-) -> float:
-    """Registered squared dissimilarity between two trees."""
-    return register_pair(a, b, w, opts)[2].cost
+    return Qa, Qb, register_prepared(Qa, Qb, w, opts)
 
 
 def distance(
@@ -118,7 +108,7 @@ def distance(
     opts: PairOptions = DEFAULT_OPTIONS,
 ) -> float:
     """Registered tree-shape distance (square root of the optimal cost)."""
-    return float(np.sqrt(max(distance_sq(a, b, w, opts), 0.0)))
+    return register_pair(a, b, w, opts)[2].distance
 
 
 # ---------------------------------------------------------------------------
@@ -227,13 +217,16 @@ class DistanceMatrix:
     @classmethod
     def load(cls, path: str | Path) -> "DistanceMatrix":
         path = Path(path)
-        text = path.read_text(encoding="utf-8")
         if path.suffix == ".csv":
-            rows = list(csv.reader(io.StringIO(text)))
-            labels = tuple(rows[0])
-            values = np.array([[float(v) for v in row] for row in rows[1:]])
-            return cls(labels=labels, values=values)
-        data = json.loads(text)
+            rows = list(csv.reader(io.StringIO(path.read_text(encoding="utf-8"))))
+            if not rows:
+                raise ValueError(f"{path}: empty distance-matrix file, no label row")
+            labels = rows[0]
+            for k, row in enumerate(rows[1:], 1):
+                if len(row) != len(labels):
+                    raise ValueError(f"{path}: row {k} has {len(row)} values, not {len(labels)}")
+            return cls(labels=tuple(labels), values=float_array(rows[1:], f"{path} values"))
+        data = read_json(path)
         labels, values = json_fields(data, "distance matrix", "labels", "values")
         if not isinstance(labels, list):
             kind = type(labels).__name__
@@ -256,12 +249,14 @@ def _attempt(fn, *args):
 
 def _prepared_distance(Qa: SrvfTree, Qb: SrvfTree, w: Weights, opts: PairOptions) -> float:
     Qa, Qb = augment_srvfts([Qa, Qb])
-    return float(np.sqrt(max(_register(Qa, Qb, w, opts).cost, 0.0)))
+    return register_prepared(Qa, Qb, w, opts).distance
 
 
-def _pair_distance(args: tuple) -> tuple[int, int, float, str]:
-    i, j, Qa, Qb, failure, w, opts = args
-    result = failure or _attempt(_prepared_distance, Qa, Qb, w, opts)
+def _pair_distance(i, j, Qa, Qb, w, opts) -> tuple[int, int, float, str]:
+    """(i, j, distance, ""), or NaN and the message of a's, else b's, failed
+    preparation (a str in place of its SRVF-tree), else of the registration."""
+    result = next((Q for Q in (Qa, Qb) if isinstance(Q, str)), None)
+    result = result or _attempt(_prepared_distance, Qa, Qb, w, opts)
     if isinstance(result, str):
         return (i, j, float("nan"), result)
     return (i, j, result, "")
@@ -273,16 +268,16 @@ def resolve_workers(n_jobs: int | None = None) -> int:
     return max(1, n_jobs)
 
 
-def parallel_map(fn, items: list, n_jobs: int) -> list:
-    """Order-preserving map, optionally over a process pool.
+def parallel_map(fn, items: list[tuple], n_jobs: int) -> list:
+    """Order-preserving ``fn(*item)`` per item, optionally over a process pool.
 
     Each item is computed independently and deterministically, so results do
     not depend on the worker count.
     """
     if n_jobs <= 1 or len(items) <= 1:
-        return [fn(it) for it in items]
+        return [fn(*it) for it in items]
     with ProcessPoolExecutor(max_workers=n_jobs) as pool:
-        return list(pool.map(fn, items))
+        return list(pool.map(fn, *zip(*items)))
 
 
 def pairwise_matrix(
@@ -301,19 +296,10 @@ def pairwise_matrix(
     if len(trees) < 2:
         raise ValueError("need at least 2 trees")
     m = len(trees)
-    # each tree resampled and converted, or the message of the step that
-    # failed; a pair fails with the error prepare_trees raises on it
-    resampled = [_attempt(_resampled, t, opts) for t in trees]
-    prepared = [
-        r if isinstance(r, str) else _attempt(tree_to_srvft, r, opts.n_lateral)
-        for r in resampled
-    ]
-    jobs = []
-    for i in range(m):
-        for j in range(i + 1, m):
-            steps = (resampled[i], resampled[j], prepared[i], prepared[j])
-            failure = next((x for x in steps if isinstance(x, str)), "")
-            jobs.append((i, j, prepared[i], prepared[j], failure, w, opts))
+    # each tree prepared, or the message of its failure; a pair fails with
+    # the error prepare_trees raises on it
+    prepared = [_attempt(_prepare, t, opts) for t in trees]
+    jobs = [(i, j, prepared[i], prepared[j], w, opts) for i in range(m) for j in range(i + 1, m)]
     results = parallel_map(_pair_distance, jobs, resolve_workers(n_jobs))
     values = np.zeros((m, m))
     failures = []

@@ -99,6 +99,11 @@ class Registration:
     def angle(self) -> float:
         return float(np.arctan2(self.rotation[1, 0], self.rotation[0, 0]))
 
+    @property
+    def distance(self) -> float:
+        """The registered tree-shape distance, sqrt(max(cost, 0))."""
+        return float(np.sqrt(max(self.cost, 0.0)))
+
 
 # ---------------------------------------------------------------------------
 # building blocks

@@ -8,7 +8,6 @@ PCA is consistent with the metric.
 """
 from __future__ import annotations
 
-import json
 import warnings
 from dataclasses import dataclass, replace
 from pathlib import Path
@@ -17,8 +16,9 @@ from typing import Sequence
 import numpy as np
 from scipy.special import ndtr
 
-from .metric import DEFAULT_OPTIONS, PairOptions, parallel_map, prepare_trees, resolve_workers
-from .registration import Registration, apply_registration, register
+from .metric import (DEFAULT_OPTIONS, PairOptions, parallel_map, prepare_trees,
+                     register_prepared, resolve_workers)
+from .registration import apply_registration
 from .srvf import (
     DEFAULT_WEIGHTS,
     SrvfTree,
@@ -27,52 +27,41 @@ from .srvf import (
     srvft_to_tree,
     trapezoid_weights,
 )
-from .tree_model import RootTree, float_array, json_fields, json_int, json_text, write_text
+from .tree_model import (RootTree, float_array, json_fields, json_int, json_text, read_json,
+                         write_text)
 
 
-@dataclass(frozen=True)
-class TangentLayout:
-    """Block structure of flattened SRVF-trees: main, lateral SRVFs, then s."""
+def _dim(Q: SrvfTree) -> int:
+    """The tangent-space dimension at Q: the block sizes are Q's array shapes."""
+    return Q.q0.size + Q.q_lat.size + Q.s.size
 
-    n_main: int
-    n_lateral: int
-    n_laterals: int
 
-    @property
-    def dim(self) -> int:
-        return 2 * self.n_main + self.n_laterals * (2 * self.n_lateral + 1)
+def _layout(Q: SrvfTree) -> dict:
+    """The block sizes at Q as an atlas file records them."""
+    n_lateral = Q.q_lat.shape[1] if Q.n_laterals else 0
+    return {"n_main": len(Q.q0), "n_lateral": n_lateral, "n_laterals": Q.n_laterals}
 
-    @classmethod
-    def of(cls, Q: SrvfTree) -> "TangentLayout":
-        n_lat = Q.q_lat.shape[1] if Q.n_laterals else 0
-        return cls(n_main=len(Q.q0), n_lateral=n_lat, n_laterals=Q.n_laterals)
 
-    def matches(self, Q: SrvfTree) -> bool:
-        return TangentLayout.of(Q) == self or (
-            self.n_laterals == 0 and Q.n_laterals == 0 and len(Q.q0) == self.n_main
-        )
-
-    def metric_scale(self, w: Weights) -> np.ndarray:
-        """Per-coordinate scale making the Euclidean norm match the metric."""
-        if not (w.lambda_m > 0 and (self.n_laterals == 0 or (w.lambda_s > 0 and w.lambda_p > 0))):
-            raise ValueError("tangent-space operations need strictly positive weights")
-        parts = [np.repeat(np.sqrt(w.lambda_m * trapezoid_weights(self.n_main)), 2)]
-        if self.n_laterals:
-            lat = np.repeat(np.sqrt(w.lambda_s * trapezoid_weights(self.n_lateral)), 2)
-            parts.extend([lat] * self.n_laterals)
-            parts.append(np.full(self.n_laterals, np.sqrt(w.lambda_p)))
-        return np.concatenate(parts)
+def _metric_scale(Q: SrvfTree, w: Weights) -> np.ndarray:
+    """Per-coordinate scale making the Euclidean norm match the metric."""
+    n = Q.n_laterals
+    if not (w.lambda_m > 0 and (n == 0 or (w.lambda_s > 0 and w.lambda_p > 0))):
+        raise ValueError("tangent-space operations need strictly positive weights")
+    main = np.repeat(np.sqrt(w.lambda_m * trapezoid_weights(len(Q.q0))), 2)
+    lat = np.repeat(np.sqrt(w.lambda_s * trapezoid_weights(Q.q_lat.shape[1])), 2)
+    return np.concatenate([main, np.tile(lat, n), np.full(n, np.sqrt(w.lambda_p))])
 
 
 def flatten_srvft(Q: SrvfTree) -> np.ndarray:
     return np.concatenate([Q.q0.ravel(), Q.q_lat.ravel(), Q.s])
 
 
-def unflatten_srvft(vec: np.ndarray, layout: TangentLayout, anchor: np.ndarray) -> SrvfTree:
-    main_end = 2 * layout.n_main
-    lat_end = main_end + 2 * layout.n_laterals * layout.n_lateral
-    q_lat = vec[main_end:lat_end].reshape(layout.n_laterals, layout.n_lateral, 2)
-    return SrvfTree(vec[:main_end].reshape(-1, 2), q_lat, vec[lat_end:], anchor)
+def unflatten_srvft(vec: np.ndarray, like: SrvfTree) -> SrvfTree:
+    """Inverse of ``flatten_srvft``, with the array shapes and the anchor of ``like``."""
+    main_end = like.q0.size
+    lat_end = main_end + like.q_lat.size
+    return SrvfTree(vec[:main_end].reshape(like.q0.shape),
+                    vec[main_end:lat_end].reshape(like.q_lat.shape), vec[lat_end:], like.anchor)
 
 
 def log_map(mu: SrvfTree, x: SrvfTree, w: Weights) -> np.ndarray:
@@ -81,27 +70,26 @@ def log_map(mu: SrvfTree, x: SrvfTree, w: Weights) -> np.ndarray:
     Coordinates are metric-scaled, so the squared Euclidean norm equals the
     dissimilarity between mu and x.
     """
-    layout = TangentLayout.of(mu)
-    if not layout.matches(x):
+    if (x.q0.shape, x.q_lat.shape) != (mu.q0.shape, mu.q_lat.shape):
         raise ValueError("layout mismatch between mean and sample")
-    return (flatten_srvft(x) - flatten_srvft(mu)) * layout.metric_scale(w)
+    return (flatten_srvft(x) - flatten_srvft(mu)) * _metric_scale(mu, w)
 
 
 def exp_map(mu: SrvfTree, v: np.ndarray, w: Weights) -> SrvfTree:
     """Inverse of ``log_map``; attachment positions are clamped to [0, 1]."""
-    layout = TangentLayout.of(mu)
-    if len(v) != layout.dim:
-        raise ValueError(f"tangent dimension {len(v)} != layout dimension {layout.dim}")
-    vec = flatten_srvft(mu) + np.asarray(v, dtype=float) / layout.metric_scale(w)
-    if layout.n_laterals:
-        s_start = layout.dim - layout.n_laterals
+    dim = _dim(mu)
+    if len(v) != dim:
+        raise ValueError(f"tangent dimension {len(v)} != layout dimension {dim}")
+    vec = flatten_srvft(mu) + np.asarray(v, dtype=float) / _metric_scale(mu, w)
+    if mu.n_laterals:
+        s_start = dim - mu.n_laterals
         s = vec[s_start:]
         clamped = np.clip(s, 0.0, 1.0)
         if np.any(clamped != s):
             warnings.warn("attachment positions clamped to [0, 1]")
             vec = vec.copy()
             vec[s_start:] = clamped
-    return unflatten_srvft(vec, layout, mu.anchor)
+    return unflatten_srvft(vec, mu)
 
 
 # ---------------------------------------------------------------------------
@@ -118,13 +106,11 @@ class KarcherResult:
     mean: SrvfTree
     registered: tuple[SrvfTree, ...]
     objective: tuple[float, ...]
-    converged: bool
     stop_reason: str
 
-
-def _register(args: tuple) -> Registration:
-    mu, Q, w, max_iter, tol, remap_s = args
-    return register(mu, Q, w, max_iter=max_iter, tol=tol, remap_s=remap_s)
+    @property
+    def converged(self) -> bool:
+        return self.stop_reason != "iteration-limit"
 
 
 def prepare_collection(
@@ -157,29 +143,26 @@ def karcher_mean(
     samples = prepare_collection(trees, opts)
     m = len(samples)
     if m == 1:
-        return KarcherResult(samples[0], (samples[0],), (0.0,), True, "gradient")
+        return KarcherResult(samples[0], (samples[0],), (0.0,), "gradient")
     jobs = resolve_workers(n_jobs)
 
     def registered_to(mu: SrvfTree) -> tuple[list[SrvfTree], float]:
         """The samples registered to mu, and the objective: the sum of their
         registration costs, in sample order."""
-        args = [(mu, Q, w, opts.max_iter, opts.tol, opts.remap_s) for Q in samples]
-        regs = parallel_map(_register, args, jobs)
+        regs = parallel_map(register_prepared, [(mu, Q, w, opts) for Q in samples], jobs)
         registered = [apply_registration(Q, reg) for Q, reg in zip(samples, regs)]
         return registered, float(sum(reg.cost for reg in regs))
 
     # medoid initialization
     upper = np.triu_indices(m, 1)
-    pairs = [(samples[i], samples[j], w, opts.max_iter, opts.tol, opts.remap_s)
-             for i, j in zip(*upper)]
+    pairs = [(samples[i], samples[j], w, opts) for i, j in zip(*upper)]
     pair_cost = np.zeros((m, m))
-    pair_cost[upper] = [reg.cost for reg in parallel_map(_register, pairs, jobs)]
+    pair_cost[upper] = [reg.cost for reg in parallel_map(register_prepared, pairs, jobs)]
     medoid = int(np.argmin((pair_cost + pair_cost.T).sum(axis=1)))
     anchor = np.mean([Q.anchor for Q in samples], axis=0)
     mu = replace(samples[medoid], anchor=anchor)
 
-    layout = TangentLayout.of(mu)
-    scale = layout.metric_scale(w)
+    scale = _metric_scale(mu, w)
     registered, obj = registered_to(mu)
     objective = [obj]
     stop_reason = "iteration-limit"
@@ -191,7 +174,7 @@ def karcher_mean(
             break
         step_k = step
         for _ in range(8):
-            candidate = unflatten_srvft(flat_mu + step_k * vbar, layout, mu.anchor)
+            candidate = unflatten_srvft(flat_mu + step_k * vbar, mu)
             cand_registered, cand_obj = registered_to(candidate)
             if cand_obj <= objective[-1] + 1e-15:
                 mu = candidate
@@ -202,8 +185,7 @@ def karcher_mean(
         else:
             stop_reason = "halving-exhausted"
             break
-    converged = stop_reason != "iteration-limit"
-    return KarcherResult(mu, tuple(registered), tuple(objective), converged, stop_reason)
+    return KarcherResult(mu, tuple(registered), tuple(objective), stop_reason)
 
 
 # ---------------------------------------------------------------------------
@@ -220,7 +202,6 @@ class Atlas:
     retained: int
     training_coeffs: np.ndarray  # (n_samples, retained)
     weights: Weights
-    layout: TangentLayout
     ids: tuple[str, ...] = ()
 
     def __post_init__(self) -> None:
@@ -229,7 +210,7 @@ class Atlas:
             raise ValueError("eigenvalues must be a 1-d array")
         ev.flags.writeable = False
         object.__setattr__(self, "eigenvalues", ev)
-        md = np.array(self.modes, dtype=float).reshape(len(ev), self.layout.dim)
+        md = np.array(self.modes, dtype=float).reshape(len(ev), _dim(self.mean))
         md.flags.writeable = False
         object.__setattr__(self, "modes", md)
         tc = np.array(self.training_coeffs, dtype=float)
@@ -263,17 +244,14 @@ class Atlas:
             "retained": int(self.retained),
             "training_coeffs": self.training_coeffs.tolist(),
             "weights": list(self.weights.as_tuple()),
-            "layout": {
-                "n_main": self.layout.n_main,
-                "n_lateral": self.layout.n_lateral,
-                "n_laterals": self.layout.n_laterals,
-            },
+            "layout": _layout(self.mean),
             "ids": list(self.ids),
         }
 
     @classmethod
     def from_dict(cls, data) -> "Atlas":
-        """Inverse of ``to_dict``; a missing field or a wrong JSON type is a ValueError."""
+        """Inverse of ``to_dict``; a missing field, a wrong JSON type or a
+        layout that disagrees with the mean is a ValueError."""
         mean, evals, modes, retained, coeffs, weights, layout = json_fields(
             data, "atlas", "mean", "eigenvalues", "modes", "retained", "training_coeffs",
             "weights", "layout",
@@ -284,15 +262,18 @@ class Atlas:
         ids = data.get("ids", [])
         if not (isinstance(ids, list) and all(isinstance(i, str) for i in ids)):
             raise ValueError("atlas ids must be an array of strings")
-        sizes = json_fields(layout, "atlas layout", "n_main", "n_lateral", "n_laterals")
+        mean = SrvfTree.from_dict(mean, "atlas mean")
+        expected = _layout(mean)
+        sizes = json_fields(layout, "atlas layout", *expected)
+        if [json_int(v, "atlas layout size") for v in sizes] != list(expected.values()):
+            raise ValueError(f"atlas layout {layout} disagrees with its mean ({expected})")
         return cls(
-            mean=SrvfTree.from_dict(mean, "atlas mean"),
+            mean=mean,
             eigenvalues=float_array(evals, "atlas eigenvalues"),
             modes=float_array(modes, "atlas modes"),
             retained=json_int(retained, "atlas retained"),
             training_coeffs=float_array(coeffs, "atlas training_coeffs"),
             weights=Weights(*weights.tolist()),
-            layout=TangentLayout(*(json_int(v, "atlas layout size") for v in sizes)),
             ids=tuple(ids),
         )
 
@@ -301,7 +282,7 @@ class Atlas:
 
     @classmethod
     def load(cls, path: str | Path) -> "Atlas":
-        return cls.from_dict(json.loads(Path(path).read_text(encoding="utf-8")))
+        return cls.from_dict(read_json(path))
 
 
 VARIANCE_TARGET = 0.99
@@ -364,7 +345,6 @@ def fit_atlas(
         raise ValueError("need at least 2 trees to fit an atlas")
     result = karcher_mean(trees, w, step=step, max_iter=max_iter, tol=tol, opts=opts, n_jobs=n_jobs)
     mu = result.mean
-    layout = TangentLayout.of(mu)
     V = np.array([log_map(mu, Q, w) for Q in result.registered])
     evals, modes = _gram_modes(V)
     total = evals.sum()
@@ -384,7 +364,6 @@ def fit_atlas(
         retained=retained,
         training_coeffs=coeffs,
         weights=w,
-        layout=layout,
         ids=tuple(t.id for t in trees),
     )
 
@@ -476,7 +455,7 @@ class RegressionModel:
 
     @classmethod
     def load(cls, path: str | Path) -> "RegressionModel":
-        return cls.from_dict(json.loads(Path(path).read_text(encoding="utf-8")))
+        return cls.from_dict(read_json(path))
 
 
 def fit_regression(

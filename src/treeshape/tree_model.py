@@ -191,6 +191,22 @@ def write_text(path: str | Path, text: str) -> None:
     path.write_text(text, encoding="utf-8")
 
 
+def read_json(path: str | Path):
+    """The parsed content of a UTF-8 JSON file; bytes that are not UTF-8
+    JSON are a ValueError naming the file."""
+    try:
+        return json.loads(Path(path).read_text(encoding="utf-8"))
+    except (json.JSONDecodeError, UnicodeDecodeError) as exc:
+        raise ValueError(f"{path}: not valid JSON: {exc}") from None
+
+
+def _read_root_json(path: Path):
+    try:
+        return read_json(path)
+    except ValueError as exc:
+        raise RootFormatError(str(exc)) from None
+
+
 def json_fields(data, what: str, *keys: str) -> list:
     """The values of ``keys`` in the parsed JSON object ``what``; a value
     that is not an object, or a missing key, is a ValueError."""
@@ -262,11 +278,7 @@ def tree_from_dict(data: dict, fallback_id: str = "root") -> RootTree:
 def load_root(path: str | Path) -> RootTree:
     """Load and validate a single root tree from a JSON file."""
     path = Path(path)
-    try:
-        data = json.loads(path.read_text(encoding="utf-8"))
-    except json.JSONDecodeError as exc:
-        raise RootFormatError(f"{path}: not valid JSON: {exc}") from exc
-    return tree_from_dict(data, fallback_id=path.stem)
+    return tree_from_dict(_read_root_json(path), fallback_id=path.stem)
 
 
 def save_root(tree: RootTree, path: str | Path) -> None:
@@ -286,7 +298,7 @@ def load_collection(path: str | Path) -> list[RootTree]:
         if not files:
             raise RootFormatError(f"{path}: no .json root files found")
         return [load_root(p) for p in files]
-    data = json.loads(path.read_text(encoding="utf-8"))
+    data = _read_root_json(path)
     if not isinstance(data, list):
         raise RootFormatError(f"{path}: expected a JSON array of root objects")
     return [tree_from_dict(d, fallback_id=f"{path.stem}-{i}") for i, d in enumerate(data)]

@@ -251,6 +251,15 @@ class TestCluster:
         assert main(["cluster", str(m), "--linkage", "average", "--out", str(out)]) == 0
         ET.fromstring(out.read_text())
 
+    def test_svg_escapes_labels(self, tmp_path):
+        m = tmp_path / "m.csv"
+        DistanceMatrix(labels=("a&b", "c<d", "e"),
+                       values=[[0, 1, 2], [1, 0, 1.5], [2, 1.5, 0]]).save(m)
+        out = tmp_path / "dend.svg"
+        assert main(["cluster", str(m), "--out", str(out)]) == 0
+        texts = [el.text for el in ET.fromstring(out.read_text()).iter(f"{SVG_NS}text")]
+        assert sorted(texts) == ["a&b", "c<d", "e"]
+
 
 @pytest.fixture(scope="module")
 def fitted(tmp_path_factory):
@@ -325,6 +334,18 @@ class TestMalformedFiles:
         assert main(["sample", str(bad), "--out", str(tmp_path / "s.json")]) == 1
         assert message in one_error_line(capsys.readouterr().err)
 
+    def test_atlas_layout_that_disagrees_with_the_mean(self, fitted, tmp_path, capsys):
+        # the same tangent dimension in other blocks: the modes still fit, so
+        # only a check against the mean finds the disagreement
+        data = json.loads((fitted / "atlas.json").read_text())
+        sizes = data["layout"]
+        n_lat = sizes["n_laterals"] * (2 * sizes["n_lateral"] + 1)
+        data["layout"] = {"n_main": sizes["n_main"], "n_lateral": 0, "n_laterals": n_lat}
+        bad = tmp_path / "bad.json"
+        bad.write_text(json.dumps(data))
+        assert main(["sample", str(bad), "--out", str(tmp_path / "s.json")]) == 1
+        assert "disagrees with its mean" in one_error_line(capsys.readouterr().err)
+
     def test_lateral_without_s(self, fitted, tmp_path, capsys):
         data = json.loads((fitted / "atlas.json").read_text())
         del data["mean"]["laterals"][0]["s"]
@@ -359,6 +380,25 @@ class TestMalformedFiles:
         bad.write_text(json.dumps(payload))
         assert main([command, str(bad), "--out", str(tmp_path / "out.svg")]) == 1
         assert message in one_error_line(capsys.readouterr().err)
+
+    @pytest.mark.parametrize("content", [b"{not json", b"\xff\xfe{}"], ids=["syntax", "not-utf8"])
+    @pytest.mark.parametrize("command", ["mean", "sample", "cluster", "regress-predict", "render"])
+    def test_not_json(self, tmp_path, capsys, command, content):
+        bad = tmp_path / "bad.json"
+        bad.write_bytes(content)
+        extra = ["--params", "1,1,1"] if command == "regress-predict" else []
+        assert main([command, str(bad), *extra, "--out", str(tmp_path / "out.json")]) == 1
+        assert f"error: {bad}: not valid JSON: " in one_error_line(capsys.readouterr().err)
+
+    @pytest.mark.parametrize("text, message", [
+        ("", "empty distance-matrix file"),
+        ("a,b\n0,1\n1\n", "row 2 has 1 values, not 2"),
+    ], ids=["empty", "ragged"])
+    def test_matrix_csv(self, tmp_path, capsys, text, message):
+        bad = tmp_path / "bad.csv"
+        bad.write_text(text)
+        assert main(["cluster", str(bad), "--out", str(tmp_path / "out.json")]) == 1
+        assert f"error: {bad}: {message}" in one_error_line(capsys.readouterr().err)
 
 
 class TestRender:

@@ -156,3 +156,15 @@ class TestDendrogram:
         np.testing.assert_array_equal(loaded.merges, dend.merges)
         assert loaded.leaf_labels == dend.leaf_labels
         np.testing.assert_array_equal(cut(loaded, 3), cut(dend, 3))
+
+    @pytest.mark.parametrize("data, message", [
+        ({"leaf_labels": ["a", "b"], "merges": [{"left": 0, "height": 1.0, "size": 2}]},
+         "dendrogram merge #0 has no 'right' field"),
+        ({"leaf_labels": ["a", "b"], "merges": None}, "dendrogram merges must be a JSON array"),
+        ([1, 2], "dendrogram must be a JSON object, not list"),
+        ({"leaf_labels": ["a", "b"], "merges": [{"left": 0, "right": "x", "height": 1.0,
+                                                 "size": 2}]}, "dendrogram merges must be"),
+    ], ids=["merge-without-right", "merges-null", "top-level-array", "merge-not-a-number"])
+    def test_from_dict_rejects(self, data, message):
+        with pytest.raises(ValueError, match=message):
+            Dendrogram.from_dict(data)

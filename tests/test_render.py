@@ -66,6 +66,12 @@ class TestRenderRow:
         with pytest.raises(ValueError):
             render_tree_row([])
 
+    def test_titles_escaped(self, rng):
+        trees = [smooth_tree(rng, f"t{i}", 1) for i in range(2)]
+        svg = render_tree_row(trees, titles=["a&b", "c<d"])
+        texts = [el.text for el in ET.fromstring(svg).findall(f".//{SVG_NS}text")]
+        assert texts == ["a&b", "c<d"]
+
 
 class TestRenderDendrogram:
     def test_well_formed_and_labeled(self, rng):

@@ -18,7 +18,7 @@ from treeshape import (
     tree_to_srvft,
 )
 from treeshape.srvf import EPS_NULL, _sq_dists, _sq_norms, trapezoid_weights
-from treeshape.statistics import TangentLayout, exp_map, flatten_srvft, log_map, unflatten_srvft
+from treeshape.statistics import exp_map, flatten_srvft, log_map, unflatten_srvft
 from treeshape.tree_model import json_text
 
 from conftest import rotation_matrix, smooth_branch, smooth_tree, straight_tree
@@ -301,7 +301,7 @@ class TestSrvfTreeArrays:
     @given(pair=srvft_pairs())
     def test_round_trips_are_exact(self, pair):
         Q, _ = pair
-        assert_same_tree(unflatten_srvft(flatten_srvft(Q), TangentLayout.of(Q), Q.anchor), Q)
+        assert_same_tree(unflatten_srvft(flatten_srvft(Q), Q), Q)
         assert_same_tree(SrvfTree.from_dict(Q.to_dict()), Q)
         assert_same_tree(SrvfTree.from_dict(json.loads(json_text(Q.to_dict()))), Q)
 
@@ -334,7 +334,7 @@ class TestSrvfTreeArrays:
         for q_lat in ([], np.zeros((0, 30, 2)), np.zeros(0)):
             Q = SrvfTree(np.ones((4, 2)), q_lat, [], [0.0, 0.0])
             assert Q.q_lat.shape == (0, 2, 2)
-            assert TangentLayout.of(Q) == TangentLayout(4, 0, 0)
+            assert flatten_srvft(Q).shape == (8,)
 
     def test_arrays_are_read_only(self):
         Q = SrvfTree(np.ones((4, 2)), np.ones((1, 3, 2)), [0.5], [0.0, 0.0])

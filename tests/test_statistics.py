@@ -22,7 +22,6 @@ from treeshape import (
 )
 from treeshape.metric import PairOptions, distance
 from treeshape.statistics import (
-    TangentLayout,
     _gram_modes,
     flatten_srvft,
     prepare_collection,
@@ -80,14 +79,12 @@ class TestTangentMaps:
 
     def test_exp_of_zero_is_mean(self, rng):
         Q = prepare_collection([smooth_tree(rng, "x", 1)], FAST)[0]
-        layout = TangentLayout.of(Q)
-        out = exp_map(Q, np.zeros(layout.dim), W)
+        out = exp_map(Q, np.zeros(flatten_srvft(Q).size), W)
         np.testing.assert_array_equal(flatten_srvft(out), flatten_srvft(Q))
 
     def test_s_clamping_reported(self, rng):
         Q = prepare_collection([smooth_tree(rng, "x", 1)], FAST)[0]
-        layout = TangentLayout.of(Q)
-        v = np.zeros(layout.dim)
+        v = np.zeros(flatten_srvft(Q).size)
         v[-1] = 10.0  # push the attachment position far past 1
         with pytest.warns(UserWarning, match="clamped"):
             out = exp_map(Q, v, W)
@@ -100,8 +97,7 @@ class TestTangentMaps:
 
     def test_flatten_round_trip(self, rng):
         Q = prepare_collection([smooth_tree(rng, "x", 2)], FAST)[0]
-        layout = TangentLayout.of(Q)
-        back = unflatten_srvft(flatten_srvft(Q), layout, Q.anchor)
+        back = unflatten_srvft(flatten_srvft(Q), Q)
         np.testing.assert_array_equal(back.q0, Q.q0)
         np.testing.assert_array_equal(back.q_lat, Q.q_lat)
         assert back.s.tolist() == Q.s.tolist()
@@ -250,7 +246,7 @@ class TestAtlas:
         loaded = Atlas.load(path)
         loaded.save(again)
         assert again.read_bytes() == path.read_bytes()
-        assert loaded.layout == TangentLayout(40, 0, 0)
+        assert loaded.mean.q_lat.shape == (0, 2, 2)
         assert sample_random(loaded, 3).n_laterals == 0
 
     def test_needs_two_trees(self, rng):
@@ -384,11 +380,10 @@ def synthetic_atlas_with_coeffs(rng, coeffs: np.ndarray) -> Atlas:
     return Atlas(
         mean=atlas.mean,
         eigenvalues=atlas.eigenvalues[:k] if k else np.zeros(0),
-        modes=atlas.modes[:k] if k else np.zeros((0, atlas.layout.dim)),
+        modes=atlas.modes[:k] if k else np.zeros((0, atlas.modes.shape[1])),
         retained=k,
         training_coeffs=coeffs[:, :k],
         weights=atlas.weights,
-        layout=atlas.layout,
         ids=atlas.ids,
     )
 
