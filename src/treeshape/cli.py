@@ -39,11 +39,11 @@ def _write_text(path: Path, text: str) -> None:
     write_text(path, text)
 
 
-def _write_trees(path: Path, trees: list[RootTree]) -> None:
+def _write_trees(path: Path, trees: list[RootTree], titles: list[str]) -> None:
+    """An .svg row of titled panels, else a JSON array of root objects (also
+    for one tree, so ``load_collection`` reads every such file)."""
     if path.suffix == ".svg":
-        _write_text(path, render.render_tree_row(trees, titles=[t.id for t in trees]))
-    elif len(trees) == 1:
-        _write_text(path, _json_text(tree_to_dict(trees[0])))
+        _write_text(path, render.render_tree_row(trees, titles=titles))
     else:
         _write_text(path, _json_text([tree_to_dict(t) for t in trees]))
 
@@ -64,11 +64,7 @@ def _add_pipeline_args(parser: argparse.ArgumentParser) -> None:
                         help="lateral-branch sample count (>= 2)")
     parser.add_argument("--reg-iter", type=_positive_int, default=10,
                         help="registration sweeps (>= 1)")
-    parser.add_argument("--reg-tol", type=float, default=1e-8, help="registration stop tolerance")
-    parser.add_argument("--fixed-s", action="store_true",
-                        help="keep attachment positions fixed under reparameterization")
-    parser.add_argument("--threads", type=int, default=None,
-                        help=f"worker count (default: ${metric.THREADS_ENV_VAR} or 1)")
+    parser.add_argument("--threads", type=int, default=1, help="worker count")
 
 
 def _add_descent_args(parser: argparse.ArgumentParser) -> None:
@@ -87,8 +83,6 @@ def _pair_options(args: argparse.Namespace) -> PairOptions:
         n_lateral=args.n_lat,
         normalize=args.normalize,
         max_iter=args.reg_iter,
-        tol=args.reg_tol,
-        remap_s=not args.fixed_s,
     )
 
 
@@ -240,11 +234,7 @@ def _cmd_geodesic(args) -> int:
     a, b = load_root(args.a), load_root(args.b)
     path = metric.geodesic(a, b, _weights(args), steps=args.steps, opts=_pair_options(args))
     trees = path.trees(id_prefix=f"{a.id}-to-{b.id}")
-    if args.out.suffix == ".svg":
-        titles = [f"r={r:.2f}" for r in path.r_values]
-        _write_text(args.out, render.render_tree_row(trees, titles=titles))
-    else:
-        _write_text(args.out, _json_text([tree_to_dict(t) for t in trees]))
+    _write_trees(args.out, trees, [f"r={r:.2f}" for r in path.r_values])
     print(
         f"geodesic {a.id} -> {b.id}: {args.steps} steps, "
         f"distance {path.registration.distance:.9g}"
@@ -308,11 +298,7 @@ def _cmd_modes(args) -> int:
     lo, hi, count = args.alpha_range
     alphas = np.linspace(lo, hi, count)
     trees = [statistics.mode_path(atlas, args.mode, float(a)) for a in alphas]
-    if args.out.suffix == ".svg":
-        _write_text(args.out, render.render_tree_row(
-            trees, titles=[f"alpha={a:+.2f}" for a in alphas]))
-    else:
-        _write_text(args.out, _json_text([tree_to_dict(t) for t in trees]))
+    _write_trees(args.out, trees, [f"alpha={a:+.2f}" for a in alphas])
     print(f"mode {args.mode}: {len(alphas)} steps over [{lo}, {hi}] -> {args.out}")
     return 0
 
@@ -324,7 +310,7 @@ def _cmd_sample(args) -> int:
         statistics.sample_random(atlas, rng, args.range, tree_id=f"sample-{i:03d}")
         for i in range(args.n)
     ]
-    _write_trees(args.out, trees)
+    _write_trees(args.out, trees, [t.id for t in trees])
     print(f"{args.n} samples (seed {args.seed}) -> {args.out}")
     return 0
 

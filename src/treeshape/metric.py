@@ -8,7 +8,6 @@ from __future__ import annotations
 
 import csv
 import io
-import os
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from pathlib import Path
@@ -38,8 +37,6 @@ from .tree_model import (
     write_text,
 )
 
-THREADS_ENV_VAR = "TREESHAPE_THREADS"
-
 
 @dataclass(frozen=True)
 class PairOptions:
@@ -49,10 +46,6 @@ class PairOptions:
     n_lateral: int = DEFAULT_LATERAL_SAMPLES
     normalize: bool = False
     max_iter: int = 10
-    tol: float = 1e-8
-    # remap attachment positions by gamma^-1 during registration; switch off
-    # to keep positions fixed under main-curve reparameterization
-    remap_s: bool = True
 
 
 DEFAULT_OPTIONS = PairOptions()
@@ -87,7 +80,7 @@ def prepare_pair(
 
 def register_prepared(Qa: SrvfTree, Qb: SrvfTree, w: Weights, opts: PairOptions) -> Registration:
     """``register`` with the sweep settings of ``opts`` (picklable, for process pools)."""
-    return register(Qa, Qb, w, max_iter=opts.max_iter, tol=opts.tol, remap_s=opts.remap_s)
+    return register(Qa, Qb, w, max_iter=opts.max_iter)
 
 
 def register_pair(
@@ -131,10 +124,6 @@ class Geodesic:
             raise ValueError("r values must be strictly increasing")
         r.flags.writeable = False
         object.__setattr__(self, "r_values", r)
-
-    @property
-    def length_sq(self) -> float:
-        return self.registration.cost
 
     def trees(self, id_prefix: str = "step") -> list[RootTree]:
         return [
@@ -222,6 +211,8 @@ class DistanceMatrix:
             if not rows:
                 raise ValueError(f"{path}: empty distance-matrix file, no label row")
             labels = rows[0]
+            if len(rows) - 1 != len(labels):
+                raise ValueError(f"{path}: {len(labels)} labels but {len(rows) - 1} rows")
             for k, row in enumerate(rows[1:], 1):
                 if len(row) != len(labels):
                     raise ValueError(f"{path}: row {k} has {len(row)} values, not {len(labels)}")
@@ -262,12 +253,6 @@ def _pair_distance(i, j, Qa, Qb, w, opts) -> tuple[int, int, float, str]:
     return (i, j, result, "")
 
 
-def resolve_workers(n_jobs: int | None = None) -> int:
-    if n_jobs is None:
-        n_jobs = int(os.environ.get(THREADS_ENV_VAR, "1"))
-    return max(1, n_jobs)
-
-
 def parallel_map(fn, items: list[tuple], n_jobs: int) -> list:
     """Order-preserving ``fn(*item)`` per item, optionally over a process pool.
 
@@ -284,7 +269,7 @@ def pairwise_matrix(
     trees: Sequence[RootTree],
     w: Weights = DEFAULT_WEIGHTS,
     opts: PairOptions = DEFAULT_OPTIONS,
-    n_jobs: int | None = None,
+    n_jobs: int = 1,
 ) -> DistanceMatrix:
     """Registered distances between all unordered pairs.
 
@@ -300,7 +285,7 @@ def pairwise_matrix(
     # the error prepare_trees raises on it
     prepared = [_attempt(_prepare, t, opts) for t in trees]
     jobs = [(i, j, prepared[i], prepared[j], w, opts) for i in range(m) for j in range(i + 1, m)]
-    results = parallel_map(_pair_distance, jobs, resolve_workers(n_jobs))
+    results = parallel_map(_pair_distance, jobs, n_jobs)
     values = np.zeros((m, m))
     failures = []
     for i, j, d, err in results:

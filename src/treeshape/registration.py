@@ -26,6 +26,9 @@ from .srvf import SrvfTree, Weights, _sq_dists, trapezoid_weights
 # linearly growing speed needs unbounded slope near the ends).
 DP_MAX_STEP = 10
 
+# ``register`` stops once a sweep lowers the cost by less than this fraction.
+SWEEP_TOL = 1e-8
+
 
 @dataclass(frozen=True)
 class Gamma:
@@ -79,9 +82,6 @@ class Registration:
     assignment: np.ndarray  # assignment[k] = index in b matched to a's lateral k
     cost: float
     cost_history: tuple[float, ...] = ()
-    # remap attachment positions by gamma^-1 when applying; the alternative
-    # (positions fixed under reparameterization) is selectable per run
-    remap_s: bool = True
 
     def __post_init__(self) -> None:
         rot = np.array(self.rotation, dtype=float).reshape(2, 2)
@@ -127,22 +127,20 @@ def _warp(samples: np.ndarray, gamma: Gamma) -> np.ndarray:
     return warped * np.sqrt(gamma.derivative())[:, None]
 
 
-def _remap(s: np.ndarray, gamma: Gamma, remap_s: bool) -> np.ndarray:
+def _remap(s: np.ndarray, gamma: Gamma) -> np.ndarray:
     """Attachment positions after reparameterization: gamma^-1(s), where the
-    old attachment point now occurs, or s unchanged."""
-    if not remap_s or gamma.is_identity():
-        return s
-    return gamma.inverse_at(s)
+    old attachment point now occurs."""
+    return s if gamma.is_identity() else gamma.inverse_at(s)
 
 
 def _transform(
-    Q: SrvfTree, rotation: np.ndarray | None, gamma: Gamma | None, remap_s: bool
+    Q: SrvfTree, rotation: np.ndarray | None, gamma: Gamma | None
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
     """Main samples, lateral samples, positions and anchor of a moved tree."""
     q0, lats, s, anchor = Q.q0, Q.q_lat, Q.s, Q.anchor
     if gamma is not None:
         q0 = _warp(q0, gamma)
-        s = _remap(s, gamma, remap_s)
+        s = _remap(s, gamma)
     if rotation is not None:
         rot = np.asarray(rotation)
         q0, lats, anchor = q0 @ rot.T, lats @ rot.T, rot @ anchor
@@ -162,13 +160,10 @@ def _preshape_cost(
 
 
 def transform_tree(
-    Q: SrvfTree,
-    rotation: np.ndarray | None = None,
-    gamma: Gamma | None = None,
-    remap_s: bool = True,
+    Q: SrvfTree, rotation: np.ndarray | None = None, gamma: Gamma | None = None
 ) -> SrvfTree:
     """Rotate all SRVFs and reparameterize the main branch (no reordering)."""
-    return SrvfTree(*_transform(Q, rotation, gamma, remap_s))
+    return SrvfTree(*_transform(Q, rotation, gamma))
 
 
 def apply_registration(Q: SrvfTree, reg: Registration) -> SrvfTree:
@@ -179,7 +174,7 @@ def apply_registration(Q: SrvfTree, reg: Registration) -> SrvfTree:
     sample and the anchor, and reorders laterals so index k corresponds to
     the reference's lateral k.
     """
-    q0, lats, s, anchor = _transform(Q, reg.rotation, reg.gamma, reg.remap_s)
+    q0, lats, s, anchor = _transform(Q, reg.rotation, reg.gamma)
     return SrvfTree(q0, lats[reg.assignment], s[reg.assignment], anchor)
 
 
@@ -455,21 +450,14 @@ def preshape_dissimilarity_sq(a: SrvfTree, b: SrvfTree, w: Weights) -> float:
     return _preshape_cost(w, main_sq, _sq_dists(a.q_lat, b.q_lat), a.s.tolist(), b.s.tolist())
 
 
-def register(
-    a: SrvfTree,
-    b: SrvfTree,
-    w: Weights,
-    max_iter: int = 10,
-    tol: float = 1e-8,
-    remap_s: bool = True,
-) -> Registration:
+def register(a: SrvfTree, b: SrvfTree, w: Weights, max_iter: int = 10) -> Registration:
     """Align b onto a over rotation, reparameterization and correspondence.
 
     Coordinate descent, assignment first (attachment positions dominate the
     topology and are rotation invariant), then rotation, then the main-curve
     warp.  Stops when the relative cost decrease over a sweep drops below
-    ``tol`` or after ``max_iter`` (at least 1) sweeps.  A non-finite cost is
-    a ValueError.
+    ``SWEEP_TOL`` or after ``max_iter`` (at least 1) sweeps.  A non-finite
+    cost is a ValueError.
     """
     if max_iter < 1:
         raise ValueError(f"registration needs at least one sweep, got max_iter={max_iter}")
@@ -524,7 +512,7 @@ def register(
         shapes = _sq_dists(qa, lat_rot[assignment])
         gamma_new = optimal_reparam_main(a0, b0 @ rotation.T)
         warped_new = _warp(b0, gamma_new)
-        s_new = _remap(sb, gamma_new, remap_s)
+        s_new = _remap(sb, gamma_new)
         cost_new = aligned_cost(warped_new @ rotation.T, shapes, s_new, assignment)
         cost_keep = aligned_cost(b_warped @ rotation.T, shapes, s_moved, assignment)
         if cost_new <= cost_keep:
@@ -534,7 +522,7 @@ def register(
             sweep_cost = cost_keep
         history.append(sweep_cost)
         decrease = history[-2] - sweep_cost
-        if decrease < tol * max(history[-2], 1e-30):
+        if decrease < SWEEP_TOL * max(history[-2], 1e-30):
             break
     return Registration(
         rotation=rotation,
@@ -542,5 +530,4 @@ def register(
         assignment=assignment,
         cost=history[-1],
         cost_history=tuple(history),
-        remap_s=remap_s,
     )

@@ -31,26 +31,12 @@ def _fmt(x: float) -> str:
     return f"{x:.3f}"
 
 
-def _tree_bbox(tree: RootTree) -> tuple[float, float, float, float]:
-    pts = [tree.main.points]
-    pts.extend(br.points for _, br in tree.real_laterals)
-    allpts = np.vstack(pts)
-    return (
-        float(allpts[:, 0].min()),
-        float(allpts[:, 0].max()),
-        float(allpts[:, 1].min()),
-        float(allpts[:, 1].max()),
-    )
-
-
 def _union_bbox(trees: Sequence[RootTree]) -> tuple[float, float, float, float]:
-    boxes = [_tree_bbox(t) for t in trees]
-    return (
-        min(b[0] for b in boxes),
-        max(b[1] for b in boxes),
-        min(b[2] for b in boxes),
-        max(b[3] for b in boxes),
-    )
+    """(x min, x max, y min, y max) over the mains and real laterals."""
+    pts = np.vstack([tree.main.points for tree in trees]
+                    + [br.points for tree in trees for _, br in tree.real_laterals])
+    (x0, y0), (x1, y1) = pts.min(axis=0), pts.max(axis=0)
+    return float(x0), float(x1), float(y0), float(y1)
 
 
 class _PanelTransform:

@@ -16,8 +16,7 @@ from typing import Sequence
 import numpy as np
 from scipy.special import ndtr
 
-from .metric import (DEFAULT_OPTIONS, PairOptions, parallel_map, prepare_trees,
-                     register_prepared, resolve_workers)
+from .metric import DEFAULT_OPTIONS, PairOptions, parallel_map, prepare_trees, register_prepared
 from .registration import apply_registration
 from .srvf import (
     DEFAULT_WEIGHTS,
@@ -127,7 +126,7 @@ def karcher_mean(
     max_iter: int = 30,
     tol: float = 1e-6,
     opts: PairOptions = DEFAULT_OPTIONS,
-    n_jobs: int | None = None,
+    n_jobs: int = 1,
 ) -> KarcherResult:
     """Gradient-descent mean of a collection under the registered metric.
 
@@ -144,12 +143,11 @@ def karcher_mean(
     m = len(samples)
     if m == 1:
         return KarcherResult(samples[0], (samples[0],), (0.0,), "gradient")
-    jobs = resolve_workers(n_jobs)
 
     def registered_to(mu: SrvfTree) -> tuple[list[SrvfTree], float]:
         """The samples registered to mu, and the objective: the sum of their
         registration costs, in sample order."""
-        regs = parallel_map(register_prepared, [(mu, Q, w, opts) for Q in samples], jobs)
+        regs = parallel_map(register_prepared, [(mu, Q, w, opts) for Q in samples], n_jobs)
         registered = [apply_registration(Q, reg) for Q, reg in zip(samples, regs)]
         return registered, float(sum(reg.cost for reg in regs))
 
@@ -157,7 +155,7 @@ def karcher_mean(
     upper = np.triu_indices(m, 1)
     pairs = [(samples[i], samples[j], w, opts) for i, j in zip(*upper)]
     pair_cost = np.zeros((m, m))
-    pair_cost[upper] = [reg.cost for reg in parallel_map(register_prepared, pairs, jobs)]
+    pair_cost[upper] = [reg.cost for reg in parallel_map(register_prepared, pairs, n_jobs)]
     medoid = int(np.argmin((pair_cost + pair_cost.T).sum(axis=1)))
     anchor = np.mean([Q.anchor for Q in samples], axis=0)
     mu = replace(samples[medoid], anchor=anchor)
@@ -331,7 +329,7 @@ def fit_atlas(
     max_iter: int = 30,
     tol: float = 1e-6,
     opts: PairOptions = DEFAULT_OPTIONS,
-    n_jobs: int | None = None,
+    n_jobs: int = 1,
 ) -> Atlas:
     """Karcher mean plus tangent covariance eigenmodes of a collection.
 

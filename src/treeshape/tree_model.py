@@ -12,7 +12,7 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Iterable, NamedTuple, Sequence
+from typing import NamedTuple, Sequence
 
 import numpy as np
 
@@ -237,13 +237,13 @@ def json_int(value, what: str) -> int:
 def tree_to_dict(tree: RootTree) -> dict:
     out: dict = {
         "id": tree.id,
-        "main": [[float(x), float(y)] for x, y in tree.main.points],
+        "main": tree.main.points.tolist(),
         "laterals": [],
     }
     for t, br in tree.laterals:
         entry = {
             "t": float(t),
-            "points": [[float(x), float(y)] for x, y in br.points],
+            "points": br.points.tolist(),
         }
         if br.is_virtual:
             entry["virtual"] = True
@@ -378,41 +378,31 @@ def normalize_scale(tree: RootTree) -> RootTree:
     return RootTree(id=tree.id, main=main, laterals=laterals)
 
 
-def virtual_lateral(tree: RootTree, t: float) -> Lateral:
-    point = tree.main.point_at(t)
-    return Lateral(float(t), Branch(point[None, :], is_virtual=True))
-
-
-def _with_extra_virtuals(tree: RootTree, ts: Iterable[float]) -> RootTree:
-    extra = tuple(virtual_lateral(tree, t) for t in ts)
-    return RootTree(id=tree.id, main=tree.main, laterals=tree.laterals + extra)
-
-
 def augment_pair(a: RootTree, b: RootTree) -> tuple[RootTree, RootTree]:
-    """Give both trees the same lateral count by adding virtual laterals.
-
-    Each tree gains one virtual lateral at every attachment position of the
-    other tree, so both end up with n_a + n_b laterals.  Existing laterals
-    are untouched.
-    """
-    ts_a = [t for t, _ in a.laterals]
-    ts_b = [t for t, _ in b.laterals]
-    return _with_extra_virtuals(a, ts_b), _with_extra_virtuals(b, ts_a)
+    """``augment_collection([a, b])``: each tree gains one virtual lateral at
+    every attachment position of the other, so both end up with n_a + n_b
+    laterals."""
+    a2, b2 = augment_collection([a, b])
+    return a2, b2
 
 
 def augment_collection(trees: Sequence[RootTree]) -> list[RootTree]:
     """Equalize lateral counts across a collection.
 
-    Every tree gains virtual laterals at the attachment positions of all
-    *other* trees (with multiplicity), so each output has sum(n_i) laterals.
+    Every tree gains virtual laterals, placed on its own main curve, at the
+    attachment positions of all *other* trees (with multiplicity), so each
+    output has sum(n_i) laterals.  Existing laterals are untouched.
     """
     if not trees:
         raise ValueError("empty collection")
     all_ts = [[t for t, _ in tree.laterals] for tree in trees]
     out = []
     for i, tree in enumerate(trees):
-        other = [t for j, ts in enumerate(all_ts) if j != i for t in ts]
-        out.append(_with_extra_virtuals(tree, other))
+        extra = tuple(
+            Lateral(t, Branch(tree.main.point_at(t)[None, :], is_virtual=True))
+            for j, ts in enumerate(all_ts) if j != i for t in ts
+        )
+        out.append(RootTree(id=tree.id, main=tree.main, laterals=tree.laterals + extra))
     return out
 
 

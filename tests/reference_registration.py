@@ -110,14 +110,13 @@ def warp_srvf(q: BranchSrvf, gamma: Gamma) -> BranchSrvf:
     return BranchSrvf(warped * np.sqrt(gamma.derivative())[:, None])
 
 
-def transform_tree(Q, rotation=None, gamma=None, remap_s=True) -> ObjTree:
+def transform_tree(Q, rotation=None, gamma=None) -> ObjTree:
     q0 = Q.q0
     laterals = Q.laterals
     anchor = Q.anchor
     if gamma is not None and not gamma.is_identity():
         q0 = warp_srvf(q0, gamma)
-        if remap_s:
-            laterals = tuple(LateralSrvf(q, float(gamma.inverse_at(s))) for q, s in laterals)
+        laterals = tuple(LateralSrvf(q, float(gamma.inverse_at(s))) for q, s in laterals)
     if rotation is not None:
         rot = np.asarray(rotation)
         q0 = rotate_srvf(q0, rot)
@@ -127,7 +126,7 @@ def transform_tree(Q, rotation=None, gamma=None, remap_s=True) -> ObjTree:
 
 
 def _apply_registration(Q: ObjTree, reg: Registration) -> ObjTree:
-    moved = transform_tree(Q, rotation=reg.rotation, gamma=reg.gamma, remap_s=reg.remap_s)
+    moved = transform_tree(Q, rotation=reg.rotation, gamma=reg.gamma)
     laterals = tuple(moved.laterals[j] for j in reg.assignment)
     return ObjTree(q0=moved.q0, laterals=laterals, anchor=moved.anchor)
 
@@ -184,8 +183,8 @@ def _preshape_dissimilarity_sq(a: ObjTree, b: ObjTree, w: Weights) -> float:
     return float(total)
 
 
-def _aligned_cost(a, b, rotation, gamma, assignment, w, remap_s=True) -> float:
-    moved = transform_tree(b, rotation=rotation, gamma=gamma, remap_s=remap_s)
+def _aligned_cost(a, b, rotation, gamma, assignment, w) -> float:
+    moved = transform_tree(b, rotation=rotation, gamma=gamma)
     reordered = ObjTree(
         q0=moved.q0,
         laterals=tuple(moved.laterals[j] for j in assignment),
@@ -194,12 +193,12 @@ def _aligned_cost(a, b, rotation, gamma, assignment, w, remap_s=True) -> float:
     return _preshape_dissimilarity_sq(a, reordered, w)
 
 
-def _register(a, b, w, max_iter=10, tol=1e-8, remap_s=True) -> Registration:
+def _register(a, b, w, max_iter=10, tol=1e-8) -> Registration:
     n = a.q0.n
     N = a.n_laterals
     gamma = Gamma.identity(n)
     assignment = np.arange(N)
-    cost = _aligned_cost(a, b, np.eye(2), gamma, assignment, w, remap_s)
+    cost = _aligned_cost(a, b, np.eye(2), gamma, assignment, w)
     history = [cost]
     rotation = np.eye(2)
     if N:
@@ -210,20 +209,20 @@ def _register(a, b, w, max_iter=10, tol=1e-8, remap_s=True) -> Registration:
         best = cost
         for cand in (np.eye(2), candidate):
             pi = match_laterals(a, transform_tree(b, rotation=cand), w)
-            c = _aligned_cost(a, b, cand, gamma, pi, w, remap_s)
+            c = _aligned_cost(a, b, cand, gamma, pi, w)
             if c < best:
                 best = c
                 rotation = cand
                 assignment = pi
     for _ in range(max_iter):
-        moved = transform_tree(b, rotation=rotation, gamma=gamma, remap_s=remap_s)
+        moved = transform_tree(b, rotation=rotation, gamma=gamma)
         assignment = match_laterals(a, moved, w)
-        b_warped = transform_tree(b, gamma=gamma, remap_s=remap_s)
+        b_warped = transform_tree(b, gamma=gamma)
         rotation = optimal_rotation(a, b_warped, assignment, w)
         q2_rot = rotate_srvf(b.q0, rotation)
         gamma_new = optimal_reparam_main(a.q0.samples, q2_rot.samples)
-        cost_new = _aligned_cost(a, b, rotation, gamma_new, assignment, w, remap_s)
-        cost_keep = _aligned_cost(a, b, rotation, gamma, assignment, w, remap_s)
+        cost_new = _aligned_cost(a, b, rotation, gamma_new, assignment, w)
+        cost_keep = _aligned_cost(a, b, rotation, gamma, assignment, w)
         if cost_new <= cost_keep:
             gamma = gamma_new
             sweep_cost = cost_new
@@ -239,7 +238,6 @@ def _register(a, b, w, max_iter=10, tol=1e-8, remap_s=True) -> Registration:
         assignment=assignment,
         cost=history[-1],
         cost_history=tuple(history),
-        remap_s=remap_s,
     )
 
 

@@ -4,7 +4,7 @@ import xml.etree.ElementTree as ET
 import numpy as np
 import pytest
 
-from treeshape import load_root, save_root
+from treeshape import load_collection, load_root, save_root
 from treeshape.cli import build_parser, main
 from treeshape.metric import DistanceMatrix
 
@@ -112,12 +112,6 @@ class TestMatrixCommand:
             outs.append(out.read_bytes())
         assert outs[0] == outs[1]
 
-    def test_env_var_worker_count(self, collection_dir, tmp_path, monkeypatch):
-        monkeypatch.setenv("TREESHAPE_THREADS", "2")
-        out = tmp_path / "m.json"
-        assert main(["matrix", str(collection_dir), *FAST_FLAGS, "--out", str(out)]) == 0
-        assert json.loads(out.read_text())["labels"] == [f"tree{i}" for i in range(4)]
-
 
 class TestMeanAndAtlas:
     def test_mean_outputs_valid_root(self, collection_dir, tmp_path, capsys):
@@ -148,6 +142,11 @@ class TestMeanAndAtlas:
 
         samples = [tree_from_dict(d) for d in json.loads(trees_out.read_text())]
         assert [t.id for t in samples] == ["sample-000", "sample-001", "sample-002"]
+
+    def test_one_sample_is_a_collection(self, fitted, tmp_path):
+        out = tmp_path / "s.json"
+        assert main(["sample", str(fitted / "atlas.json"), "--n", "1", "--out", str(out)]) == 0
+        assert [t.id for t in load_collection(out)] == ["sample-000"]
 
     def test_sample_byte_deterministic(self, collection_dir, tmp_path):
         atlas_path = tmp_path / "atlas.json"
@@ -194,6 +193,15 @@ class TestUsageErrors:
         assert main([*argv, "--out", str(tmp_path / "out.json")]) == 2
         assert f"argument {option}" in capsys.readouterr().err
         assert not (tmp_path / "out.json").exists()
+
+    @pytest.mark.parametrize("argv", [
+        ["distance", "a.json", "b.json", "--fixed-s"],
+        ["matrix", "roots", "--reg-tol", "1e-6"],
+    ], ids=["fixed-s", "reg-tol"])
+    def test_removed_switches_exit_2(self, argv, tmp_path, capsys):
+        switch = next(a for a in argv if a.startswith("--"))
+        assert main([*argv, "--out", str(tmp_path / "out.json")]) == 2
+        assert f"unrecognized arguments: {switch}" in capsys.readouterr().err
 
     def test_smallest_valid_values_parse(self):
         args = build_parser().parse_args([
@@ -393,7 +401,9 @@ class TestMalformedFiles:
     @pytest.mark.parametrize("text, message", [
         ("", "empty distance-matrix file"),
         ("a,b\n0,1\n1\n", "row 2 has 1 values, not 2"),
-    ], ids=["empty", "ragged"])
+        ("a,b\n", "2 labels but 0 rows"),
+        ("a,b\n0,1\n1,0\n1,0\n", "2 labels but 3 rows"),
+    ], ids=["empty", "ragged", "labels-only", "extra-row"])
     def test_matrix_csv(self, tmp_path, capsys, text, message):
         bad = tmp_path / "bad.csv"
         bad.write_text(text)

@@ -161,7 +161,7 @@ class TestGeodesic:
             np.sqrt(preshape_dissimilarity_sq(p, q, w))
             for p, q in zip(path.steps[:-1], path.steps[1:])
         )
-        endpoint = np.sqrt(path.length_sq)
+        endpoint = np.sqrt(path.registration.cost)
         assert abs(total - endpoint) / endpoint < 0.01
 
     def test_interior_steps_are_valid_trees(self, rng):
