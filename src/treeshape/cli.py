@@ -8,6 +8,7 @@ independent of the worker count.
 from __future__ import annotations
 
 import argparse
+import functools
 import sys
 from pathlib import Path
 
@@ -54,17 +55,19 @@ def _add_weight_args(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--lambda-p", type=float, default=1.0, help="attachment-position weight")
 
 
-def _add_pipeline_args(parser: argparse.ArgumentParser) -> None:
+def _add_pipeline_args(parser: argparse.ArgumentParser, threads: bool = False) -> None:
     _add_weight_args(parser)
     parser.add_argument("--normalize", action="store_true",
                         help="rescale every tree by its main-root length before analysis")
-    parser.add_argument("--n-main", type=_sample_count, default=100,
+    parser.add_argument("--n-main", type=_at_least(2), default=100,
                         help="main-branch sample count (>= 2)")
-    parser.add_argument("--n-lat", type=_sample_count, default=50,
+    parser.add_argument("--n-lat", type=_at_least(2), default=50,
                         help="lateral-branch sample count (>= 2)")
-    parser.add_argument("--reg-iter", type=_positive_int, default=10,
+    parser.add_argument("--reg-iter", type=_at_least(1), default=10,
                         help="registration sweeps (>= 1)")
-    parser.add_argument("--threads", type=int, default=1, help="worker count")
+    if threads:
+        parser.add_argument("--threads", type=_at_least(1), default=1,
+                            help="worker processes (>= 1)")
 
 
 def _add_descent_args(parser: argparse.ArgumentParser) -> None:
@@ -86,18 +89,15 @@ def _pair_options(args: argparse.Namespace) -> PairOptions:
     )
 
 
-def _sample_count(text: str) -> int:
-    value = int(text)
-    if value < 2:
-        raise argparse.ArgumentTypeError(f"sample count must be at least 2, got {value}")
-    return value
-
-
-def _positive_int(text: str) -> int:
-    value = int(text)
-    if value < 1:
-        raise argparse.ArgumentTypeError(f"must be at least 1, got {value}")
-    return value
+def _at_least(lo: int):
+    """argparse type: an integer of at least ``lo``; anything else exits 2."""
+    def parse(text: str) -> int:
+        value = int(text)
+        if value < lo:
+            raise argparse.ArgumentTypeError(f"must be at least {lo}, got {value}")
+        return value
+    parse.__name__ = "int"  # argparse reports "invalid int value" for non-integers
+    return parse
 
 
 def _split_range(text: str, n_parts: int) -> list[str]:
@@ -128,7 +128,9 @@ def _alpha_range(text: str) -> tuple[float, float, int]:
     return float(lo), float(hi), steps
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The parser of every command, built once per process (parsing leaves it unchanged)."""
     parser = argparse.ArgumentParser(
         prog="treeshape",
         description="Elastic shape analysis of two-layer root trees.",
@@ -142,24 +144,24 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("geodesic", help="optimal deformation between two roots")
     p.add_argument("a"), p.add_argument("b")
-    p.add_argument("--steps", type=int, default=5, help="number of path steps incl. endpoints")
+    p.add_argument("--steps", type=_at_least(2), default=5, help="path steps incl. endpoints (>= 2)")
     _add_pipeline_args(p)
     p.add_argument("--out", type=Path, required=True, help=".svg strip or .json tree array")
 
     p = sub.add_parser("matrix", help="pairwise distance matrix of a collection")
     p.add_argument("trees", help="directory of root files or a JSON array")
-    _add_pipeline_args(p)
+    _add_pipeline_args(p, threads=True)
     p.add_argument("--out", type=Path, required=True, help=".csv or .json matrix")
 
     p = sub.add_parser("mean", help="Karcher mean of a collection")
     p.add_argument("trees")
-    _add_pipeline_args(p)
+    _add_pipeline_args(p, threads=True)
     _add_descent_args(p)
     p.add_argument("--out", type=Path, required=True, help=".json root or .svg drawing")
 
     p = sub.add_parser("atlas", help="mean + principal modes of a collection")
     p.add_argument("trees")
-    _add_pipeline_args(p)
+    _add_pipeline_args(p, threads=True)
     _add_descent_args(p)
     p.add_argument("--out", type=Path, required=True, help="atlas .json")
 
@@ -173,7 +175,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("sample", help="randomly synthesize roots from an atlas")
     p.add_argument("atlas")
-    p.add_argument("--n", type=_positive_int, default=1, help="number of samples (>= 1)")
+    p.add_argument("--n", type=_at_least(1), default=1, help="number of samples (>= 1)")
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--range", type=_coeff_range, default="-1:1",
                    help="LO:HI bound on mode coefficients (--range=-1:1 form "
@@ -182,7 +184,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("regress-fit", help="fit biological-parameter regression")
     p.add_argument("trees")
-    _add_pipeline_args(p)
+    _add_pipeline_args(p, threads=True)
     _add_descent_args(p)
     p.add_argument("--out", type=Path, required=True, help="model .json")
 
@@ -191,11 +193,10 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--params", required=True, help="comma-separated parameter values")
     p.add_argument("--out", type=Path, required=True, help=".json root or .svg drawing")
 
-    p = sub.add_parser("cluster", help="hierarchical clustering of a collection")
-    p.add_argument("input", help="distance matrix (.csv/.json) or tree collection")
+    p = sub.add_parser("cluster", help="hierarchical clustering of a distance matrix")
+    p.add_argument("matrix", help=".csv or .json distance matrix, as matrix writes it")
     p.add_argument("--linkage", choices=clustering.LINKAGE_METHODS, default="single")
-    p.add_argument("--k", type=int, default=None, help="also cut into k clusters")
-    _add_pipeline_args(p)
+    p.add_argument("--k", type=_at_least(1), default=None, help="also cut into k clusters (>= 1)")
     p.add_argument("--out", type=Path, required=True, help=".json dendrogram or .svg drawing")
 
     p = sub.add_parser("render", help="draw one root file as SVG")
@@ -345,14 +346,7 @@ def _cmd_regress_predict(args) -> int:
 
 
 def _cmd_cluster(args) -> int:
-    path = Path(args.input)
-    if path.is_file() and path.suffix in (".csv", ".json"):
-        dm = DistanceMatrix.load(path)
-    else:
-        trees = load_collection(path)
-        dm = metric.pairwise_matrix(trees, _weights(args), _pair_options(args),
-                                    n_jobs=args.threads)
-    dend = clustering.linkage(dm, method=args.linkage)
+    dend = clustering.linkage(DistanceMatrix.load(args.matrix), method=args.linkage)
     labels = clustering.cut(dend, args.k) if args.k is not None else None
     if args.out.suffix == ".svg":
         _write_text(args.out, render.render_dendrogram(dend))

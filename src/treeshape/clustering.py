@@ -13,7 +13,7 @@ from pathlib import Path
 import numpy as np
 
 from .metric import DistanceMatrix
-from .tree_model import float_array, json_fields, json_text, read_json, write_text
+from .tree_model import float_array, json_fields, read_json
 
 LINKAGE_METHODS = ("single", "complete", "average")
 
@@ -53,9 +53,6 @@ class Dendrogram:
                 for l, r, h, s in self.merges
             ],
         }
-
-    def save(self, path: str | Path) -> None:
-        write_text(path, json_text(self.to_dict()))
 
     @classmethod
     def from_dict(cls, data) -> "Dendrogram":

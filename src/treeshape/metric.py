@@ -78,11 +78,6 @@ def prepare_pair(
     return Qa, Qb
 
 
-def register_prepared(Qa: SrvfTree, Qb: SrvfTree, w: Weights, opts: PairOptions) -> Registration:
-    """``register`` with the sweep settings of ``opts`` (picklable, for process pools)."""
-    return register(Qa, Qb, w, max_iter=opts.max_iter)
-
-
 def register_pair(
     a: RootTree,
     b: RootTree,
@@ -91,7 +86,7 @@ def register_pair(
 ) -> tuple[SrvfTree, SrvfTree, Registration]:
     """Full pipeline from raw trees to a registration of b onto a."""
     Qa, Qb = prepare_pair(a, b, opts)
-    return Qa, Qb, register_prepared(Qa, Qb, w, opts)
+    return Qa, Qb, register(Qa, Qb, w, max_iter=opts.max_iter)
 
 
 def distance(
@@ -238,19 +233,16 @@ def _attempt(fn, *args):
         return f"{type(exc).__name__}: {exc}"
 
 
-def _prepared_distance(Qa: SrvfTree, Qb: SrvfTree, w: Weights, opts: PairOptions) -> float:
-    Qa, Qb = augment_srvfts([Qa, Qb])
-    return register_prepared(Qa, Qb, w, opts).distance
-
-
-def _pair_distance(i, j, Qa, Qb, w, opts) -> tuple[int, int, float, str]:
-    """(i, j, distance, ""), or NaN and the message of a's, else b's, failed
+def _pair_distance(Qa, Qb, w: Weights, max_iter: int) -> float | str:
+    """The registered distance, or the message of a's, else b's, failed
     preparation (a str in place of its SRVF-tree), else of the registration."""
-    result = next((Q for Q in (Qa, Qb) if isinstance(Q, str)), None)
-    result = result or _attempt(_prepared_distance, Qa, Qb, w, opts)
-    if isinstance(result, str):
-        return (i, j, float("nan"), result)
-    return (i, j, result, "")
+    failed = next((Q for Q in (Qa, Qb) if isinstance(Q, str)), None)
+    if failed is not None:
+        return failed
+    try:
+        return register(*augment_srvfts([Qa, Qb]), w, max_iter=max_iter).distance
+    except Exception as exc:  # recorded per pair, matrix entry flagged invalid
+        return f"{type(exc).__name__}: {exc}"
 
 
 def parallel_map(fn, items: list[tuple], n_jobs: int) -> list:
@@ -284,14 +276,15 @@ def pairwise_matrix(
     # each tree prepared, or the message of its failure; a pair fails with
     # the error prepare_trees raises on it
     prepared = [_attempt(_prepare, t, opts) for t in trees]
-    jobs = [(i, j, prepared[i], prepared[j], w, opts) for i in range(m) for j in range(i + 1, m)]
-    results = parallel_map(_pair_distance, jobs, n_jobs)
+    pairs = [(i, j) for i in range(m) for j in range(i + 1, m)]
+    jobs = [(prepared[i], prepared[j], w, opts.max_iter) for i, j in pairs]
     values = np.zeros((m, m))
     failures = []
-    for i, j, d, err in results:
+    for (i, j), d in zip(pairs, parallel_map(_pair_distance, jobs, n_jobs)):
+        if isinstance(d, str):
+            failures.append((i, j, d))
+            d = float("nan")
         values[i, j] = values[j, i] = d
-        if err:
-            failures.append((i, j, err))
     return DistanceMatrix(
         labels=tuple(t.id for t in trees),
         values=values,

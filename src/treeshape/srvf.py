@@ -14,7 +14,6 @@ import numpy as np
 
 from .tree_model import (
     Branch,
-    DEFAULT_LATERAL_SAMPLES,
     Lateral,
     RootTree,
     _cumulative_arclength,
@@ -174,16 +173,9 @@ def from_srvf(q: np.ndarray, start: np.ndarray) -> Branch:
     return Branch(_integrate(np.asarray(q, dtype=float), start))
 
 
-def tree_to_srvft(tree: RootTree, n_lateral: int | None = None) -> SrvfTree:
-    """SRVF-tree of a (resampled) root tree; attachment s equals t.
-
-    ``n_lateral`` fixes the lateral sample count (needed so virtual laterals
-    are comparable with real ones); it defaults to the first real lateral's
-    point count, or ``DEFAULT_LATERAL_SAMPLES`` if the tree has none.
-    """
-    if n_lateral is None:
-        real = tree.real_laterals
-        n_lateral = real[0].branch.n_points if real else DEFAULT_LATERAL_SAMPLES
+def tree_to_srvft(tree: RootTree, n_lateral: int) -> SrvfTree:
+    """SRVF-tree of a (resampled) root tree, with ``n_lateral`` samples on
+    every lateral, virtual ones too; attachment s equals t."""
     q_lat = [to_srvf(br, n_lateral) for _, br in tree.laterals]
     return SrvfTree(
         q0=to_srvf(tree.main, tree.main.n_points),

@@ -16,8 +16,8 @@ from typing import Sequence
 import numpy as np
 from scipy.special import ndtr
 
-from .metric import DEFAULT_OPTIONS, PairOptions, parallel_map, prepare_trees, register_prepared
-from .registration import apply_registration
+from .metric import DEFAULT_OPTIONS, PairOptions, parallel_map, prepare_trees
+from .registration import apply_registration, register
 from .srvf import (
     DEFAULT_WEIGHTS,
     SrvfTree,
@@ -147,15 +147,15 @@ def karcher_mean(
     def registered_to(mu: SrvfTree) -> tuple[list[SrvfTree], float]:
         """The samples registered to mu, and the objective: the sum of their
         registration costs, in sample order."""
-        regs = parallel_map(register_prepared, [(mu, Q, w, opts) for Q in samples], n_jobs)
+        regs = parallel_map(register, [(mu, Q, w, opts.max_iter) for Q in samples], n_jobs)
         registered = [apply_registration(Q, reg) for Q, reg in zip(samples, regs)]
         return registered, float(sum(reg.cost for reg in regs))
 
     # medoid initialization
     upper = np.triu_indices(m, 1)
-    pairs = [(samples[i], samples[j], w, opts) for i, j in zip(*upper)]
+    pairs = [(samples[i], samples[j], w, opts.max_iter) for i, j in zip(*upper)]
     pair_cost = np.zeros((m, m))
-    pair_cost[upper] = [reg.cost for reg in parallel_map(register_prepared, pairs, n_jobs)]
+    pair_cost[upper] = [reg.cost for reg in parallel_map(register, pairs, n_jobs)]
     medoid = int(np.argmin((pair_cost + pair_cost.T).sum(axis=1)))
     anchor = np.mean([Q.anchor for Q in samples], axis=0)
     mu = replace(samples[medoid], anchor=anchor)

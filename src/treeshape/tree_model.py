@@ -43,20 +43,8 @@ def _cumulative_arclength(points: np.ndarray) -> np.ndarray:
     return np.concatenate([[0.0], np.cumsum(seg)])
 
 
-def point_on_polyline(points: np.ndarray, t: float) -> np.ndarray:
-    """Point at normalized arc-length position t in [0, 1] along a polyline."""
-    cum = _cumulative_arclength(points)
-    total = cum[-1]
-    if total <= 0.0:
-        return points[0].copy()
-    target = float(t) * total
-    x = np.interp(target, cum, points[:, 0])
-    y = np.interp(target, cum, points[:, 1])
-    return np.array([x, y])
-
-
-def project_to_polyline(points: np.ndarray, x: np.ndarray) -> tuple[float, float]:
-    """Nearest point of a polyline to x: (arc-length fraction, distance)."""
+def project_to_polyline(points: np.ndarray, x: np.ndarray) -> float:
+    """Arc-length fraction of the polyline point nearest to x."""
     starts = points[:-1]
     vecs = points[1:] - starts
     lens_sq = np.einsum("ij,ij->i", vecs, vecs)
@@ -65,14 +53,13 @@ def project_to_polyline(points: np.ndarray, x: np.ndarray) -> tuple[float, float
     u[moving] = np.einsum("ij,ij->i", (x - starts)[moving], vecs[moving]) / lens_sq[moving]
     u = np.clip(u, 0.0, 1.0)
     candidates = starts + u[:, None] * vecs
-    dists = np.linalg.norm(candidates - x, axis=1)
-    k = int(np.argmin(dists))
+    k = int(np.argmin(np.linalg.norm(candidates - x, axis=1)))
     cum = _cumulative_arclength(points)
     total = cum[-1]
     if total <= 0.0:
-        return 0.0, float(dists[k])
+        return 0.0
     arc = cum[k] + u[k] * (cum[k + 1] - cum[k])
-    return float(arc / total), float(dists[k])
+    return float(arc / total)
 
 
 def _freeze(arr: np.ndarray) -> np.ndarray:
@@ -121,7 +108,13 @@ class Branch:
         return self.points[0]
 
     def point_at(self, t: float) -> np.ndarray:
-        return point_on_polyline(self.points, t)
+        """Point at normalized arc-length position t in [0, 1]."""
+        cum = _cumulative_arclength(self.points)
+        if cum[-1] <= 0.0:
+            return self.points[0].copy()
+        target = float(t) * cum[-1]
+        return np.array([np.interp(target, cum, self.points[:, 0]),
+                         np.interp(target, cum, self.points[:, 1])])
 
 
 class Lateral(NamedTuple):
@@ -359,7 +352,7 @@ def resample_tree(
         if br.is_virtual:
             laterals.append(Lateral(t, br))
         else:
-            t_new, _ = project_to_polyline(main.points, br.points[0])
+            t_new = project_to_polyline(main.points, br.points[0])
             laterals.append(Lateral(t_new, resample_branch(br, n_lateral)))
     return RootTree(id=tree.id, main=main, laterals=tuple(laterals))
 

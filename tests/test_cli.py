@@ -187,6 +187,10 @@ class TestUsageErrors:
         ["modes", "atlas.json", "--alpha-range=-2:2:0"],
         ["modes", "atlas.json", "--alpha-range=-2:2"],
         ["modes", "atlas.json", "--alpha-range=x:2:5"],
+        ["geodesic", "a.json", "b.json", "--steps", "1"],
+        ["cluster", "m.csv", "--k", "0"],
+        ["matrix", "roots", "--threads", "0"],
+        ["atlas", "roots", "--threads", "-3"],
     ])
     def test_exit_2(self, argv, tmp_path, capsys):
         option = next(a for a in argv if a.startswith("--")).split("=")[0]
@@ -197,11 +201,19 @@ class TestUsageErrors:
     @pytest.mark.parametrize("argv", [
         ["distance", "a.json", "b.json", "--fixed-s"],
         ["matrix", "roots", "--reg-tol", "1e-6"],
-    ], ids=["fixed-s", "reg-tol"])
+        ["distance", "a.json", "b.json", "--threads", "2"],
+        ["geodesic", "a.json", "b.json", "--threads", "2"],
+        ["cluster", "m.csv", "--n-main", "50"],
+        ["cluster", "m.csv", "--threads", "2"],
+    ], ids=["fixed-s", "reg-tol", "distance-threads", "geodesic-threads",
+            "cluster-n-main", "cluster-threads"])
     def test_removed_switches_exit_2(self, argv, tmp_path, capsys):
         switch = next(a for a in argv if a.startswith("--"))
         assert main([*argv, "--out", str(tmp_path / "out.json")]) == 2
         assert f"unrecognized arguments: {switch}" in capsys.readouterr().err
+
+    def test_parser_built_once(self):
+        assert build_parser() is build_parser()
 
     def test_smallest_valid_values_parse(self):
         args = build_parser().parse_args([
@@ -213,6 +225,13 @@ class TestUsageErrors:
         assert args.n == 1
         args = build_parser().parse_args(["sample", "a.json", "--range=-0.5:2", "--out", "s.json"])
         assert args.range == (-0.5, 2.0)
+        args = build_parser().parse_args(["matrix", "roots", "--threads", "1", "--out", "m.csv"])
+        assert args.threads == 1
+        args = build_parser().parse_args(["geodesic", "a.json", "b.json", "--steps", "2",
+                                          "--out", "g.json"])
+        assert args.steps == 2
+        args = build_parser().parse_args(["cluster", "m.csv", "--k", "1", "--out", "d.json"])
+        assert args.k == 1
 
     def test_alpha_range_count_one_and_descending(self, collection_dir, tmp_path):
         atlas_path = tmp_path / "atlas.json"
@@ -243,9 +262,9 @@ class TestRegression:
 
 class TestCluster:
     def test_from_directory_json(self, collection_dir, tmp_path, capsys):
-        out = tmp_path / "dend.json"
-        assert main(["cluster", str(collection_dir), *FAST_FLAGS, "--k", "2",
-                     "--out", str(out)]) == 0
+        m, out = tmp_path / "m.json", tmp_path / "dend.json"
+        assert main(["matrix", str(collection_dir), *FAST_FLAGS, "--out", str(m)]) == 0
+        assert main(["cluster", str(m), "--k", "2", "--out", str(out)]) == 0
         data = json.loads(out.read_text())
         assert len(data["merges"]) == 3
         assert data["clusters"]["k"] == 2
@@ -258,6 +277,12 @@ class TestCluster:
         out = tmp_path / "dend.svg"
         assert main(["cluster", str(m), "--linkage", "average", "--out", str(out)]) == 0
         ET.fromstring(out.read_text())
+
+    def test_directory_is_an_error(self, collection_dir, tmp_path, capsys):
+        # cluster reads the file matrix writes; it does not compute one
+        assert main(["cluster", str(collection_dir), "--out", str(tmp_path / "d.json")]) == 1
+        assert str(collection_dir) in one_error_line(capsys.readouterr().err)
+        assert not (tmp_path / "d.json").exists()
 
     def test_svg_escapes_labels(self, tmp_path):
         m = tmp_path / "m.csv"
@@ -281,6 +306,7 @@ def fitted(tmp_path_factory):
     fit = [str(trees), *FAST_FLAGS, "--max-iter", "2"]
     assert main(["atlas", *fit, "--out", str(root / "atlas.json")]) == 0
     assert main(["regress-fit", *fit, "--out", str(root / "model.json")]) == 0
+    assert main(["matrix", str(trees), *FAST_FLAGS, "--out", str(root / "m.csv")]) == 0
     return root
 
 
@@ -297,7 +323,7 @@ def command_line(command: str, root, out) -> list[str]:
         "sample": ["sample", root / "atlas.json", "--n", "2"],
         "regress-fit": ["regress-fit", *fit],
         "regress-predict": ["regress-predict", root / "model.json", "--params", "1.1,0.25,0.05"],
-        "cluster": ["cluster", trees, *FAST_FLAGS],
+        "cluster": ["cluster", root / "m.csv", "--k", "2"],
         "render": ["render", a],
     }[command] + ["--out", out]]
 

@@ -6,6 +6,7 @@ from scipy.spatial.distance import squareform
 
 from treeshape import Dendrogram, cut, linkage
 from treeshape.metric import DistanceMatrix
+from treeshape.tree_model import json_text, write_text
 
 
 def random_distance_matrix(rng, m):
@@ -148,7 +149,7 @@ class TestDendrogram:
 
         dend = linkage(random_distance_matrix(rng, 5), "average")
         path = tmp_path / "dend.json"
-        dend.save(path)
+        write_text(path, json_text(dend.to_dict()))
         data = json.loads(path.read_text())
         assert len(data["merges"]) == 4
         assert data["leaf_labels"] == ["0", "1", "2", "3", "4"]

@@ -19,7 +19,7 @@ from treeshape import (
 )
 from treeshape.srvf import EPS_NULL, _sq_dists, _sq_norms, trapezoid_weights
 from treeshape.statistics import exp_map, flatten_srvft, log_map, unflatten_srvft
-from treeshape.tree_model import json_text
+from treeshape.tree_model import DEFAULT_LATERAL_SAMPLES, json_text
 
 from conftest import rotation_matrix, smooth_branch, smooth_tree, straight_tree
 
@@ -127,7 +127,7 @@ class TestFromSrvf:
 
 class TestTreeConversion:
     def test_no_laterals(self):
-        Q = tree_to_srvft(resample_tree(straight_tree("a", 1.0)))
+        Q = tree_to_srvft(resample_tree(straight_tree("a", 1.0)), DEFAULT_LATERAL_SAMPLES)
         assert Q.n_laterals == 0
 
     def test_virtual_lateral_zero_srvf(self):
@@ -141,7 +141,7 @@ class TestTreeConversion:
 
     def test_round_trip(self, rng):
         tree = resample_tree(smooth_tree(rng, "rt", 3))
-        Q = tree_to_srvft(tree)
+        Q = tree_to_srvft(tree, DEFAULT_LATERAL_SAMPLES)
         back = srvft_to_tree(Q, tree_id="rt")
         np.testing.assert_allclose(back.main.points, tree.main.points, atol=2e-3)
         assert back.n_laterals == tree.n_laterals
@@ -151,7 +151,7 @@ class TestTreeConversion:
 
     def test_zero_srvf_becomes_virtual(self):
         tree = resample_tree(straight_tree("a", 1.0))
-        q0 = tree_to_srvft(tree).q0
+        q0 = tree_to_srvft(tree, DEFAULT_LATERAL_SAMPLES).q0
         Q = SrvfTree(
             q0=q0,
             q_lat=[np.zeros((30, 2)), np.full((30, 2), EPS_NULL / 100)],
@@ -166,7 +166,7 @@ class TestTreeConversion:
 
     def test_anchor_respected(self, rng):
         tree = resample_tree(smooth_tree(rng, "anch", 1))
-        Q = tree_to_srvft(tree)
+        Q = tree_to_srvft(tree, DEFAULT_LATERAL_SAMPLES)
         np.testing.assert_array_equal(Q.anchor, tree.main.points[0])
         back = srvft_to_tree(Q)
         np.testing.assert_allclose(back.main.points[0], tree.main.points[0], atol=1e-12)
