@@ -505,14 +505,20 @@ def register(a: SrvfTree, b: SrvfTree, w: Weights, max_iter: int = 10) -> Regist
             c = aligned_cost(b0 @ cand.T, _sq_dists(qa, lat[pi]), sb, pi)
             if c < best:
                 best, rotation, assignment, lat_rot = c, cand, pi, lat
+    # The DP sees only a0 and b0 under the rotation, so a sweep whose rotation
+    # equals the one of the last DP (typically the final sweep) reuses its
+    # gamma, warp and positions.
+    dp_rotation = None
     for _ in range(max_iter):
         assignment = match_laterals(qa, sa, lat_rot, s_moved, w)
         rotation = optimal_rotation(a0, qa, b_warped, qb[assignment], w)
         lat_rot = qb @ rotation.T
         shapes = _sq_dists(qa, lat_rot[assignment])
-        gamma_new = optimal_reparam_main(a0, b0 @ rotation.T)
-        warped_new = _warp(b0, gamma_new)
-        s_new = _remap(sb, gamma_new)
+        if dp_rotation is None or not np.array_equal(rotation, dp_rotation):
+            dp_rotation = rotation
+            gamma_new = optimal_reparam_main(a0, b0 @ rotation.T)
+            warped_new = _warp(b0, gamma_new)
+            s_new = _remap(sb, gamma_new)
         cost_new = aligned_cost(warped_new @ rotation.T, shapes, s_new, assignment)
         cost_keep = aligned_cost(b_warped @ rotation.T, shapes, s_moved, assignment)
         if cost_new <= cost_keep:

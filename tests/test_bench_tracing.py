@@ -3,7 +3,9 @@
 A traced benchmark run lists the functions it could not wrap only in its
 result file; this test fails as soon as a wrapped function is renamed or
 removed.  The registration building blocks must also be what ``register``
-runs, or their spans read 0 calls.
+runs, or their spans read 0 calls.  The main-curve DP runs only in sweeps
+whose rotation differs from the one of the last DP, so its span counts the
+DPs that ran, not the sweeps.
 """
 import sys
 from pathlib import Path
@@ -41,5 +43,6 @@ def test_building_block_spans_count_every_sweep(rng):
     sweeps = len(reg.cost_history) - 1
     assert summary["registration.register.calls"] == 1
     assert summary["registration.sweeps"] == sweeps >= 1
-    for span in ("match_laterals", "optimal_rotation", "optimal_reparam_main"):
+    for span in ("match_laterals", "optimal_rotation"):
         assert summary[f"registration.{span}.calls"] >= sweeps, span
+    assert 1 <= summary["registration.optimal_reparam_main.calls"] < sweeps

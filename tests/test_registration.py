@@ -17,6 +17,7 @@ from treeshape import (
     optimal_rotation,
     preshape_dissimilarity_sq,
     register,
+    registration,
     resample_tree,
     tree_to_srvft,
 )
@@ -531,6 +532,13 @@ def srvft_pairs(draw):
     return a, b, w
 
 
+def assert_same_registration(got, want):
+    np.testing.assert_array_equal(got.rotation, want.rotation)
+    np.testing.assert_array_equal(got.gamma.values, want.gamma.values)
+    np.testing.assert_array_equal(got.assignment, want.assignment)
+    assert got.cost_history == want.cost_history
+
+
 def reconstruction(to_tree, Q):
     """``tree_to_dict`` of the reconstructed tree, or the error it raised."""
     try:
@@ -549,10 +557,7 @@ class TestArrayRegisterMatchesObjects:
         a, b, w = pair
         got = register(a, b, w)
         want = ref.register(a, b, w)
-        np.testing.assert_array_equal(got.rotation, want.rotation)
-        np.testing.assert_array_equal(got.gamma.values, want.gamma.values)
-        np.testing.assert_array_equal(got.assignment, want.assignment)
-        assert got.cost_history == want.cost_history
+        assert_same_registration(got, want)
         moved = apply_registration(b, got)
         moved_ref = ref.apply_registration(b, want)
         assert preshape_dissimilarity_sq(a, moved, w) == got.cost
@@ -568,9 +573,7 @@ class TestArrayRegisterMatchesObjects:
         # prepared trees with augmented (zero) laterals, at the default grid
         for n_a, n_b in ((0, 0), (1, 3), (4, 2)):
             Qa, Qb = prepare_pair(smooth_tree(rng, "a", n_a), smooth_tree(rng, "b", n_b))
-            got, want = register(Qa, Qb, Weights()), ref.register(Qa, Qb, Weights())
-            np.testing.assert_array_equal(got.gamma.values, want.gamma.values)
-            assert got.cost_history == want.cost_history
+            assert_same_registration(register(Qa, Qb, Weights()), ref.register(Qa, Qb, Weights()))
 
     def test_non_finite_cost_raises(self):
         # samples so large that squared differences overflow
@@ -579,3 +582,62 @@ class TestArrayRegisterMatchesObjects:
         b = SrvfTree(-big, np.zeros((0, 2, 2)), np.zeros(0), np.zeros(2))
         with pytest.raises(ValueError, match="not finite"):
             register(a, b, Weights())
+
+
+class TestDpReuse:
+    """A sweep whose rotation equals the one of the last DP reuses its gamma:
+    fewer DPs, the same registration bit for bit."""
+
+    @pytest.fixture
+    def dp_calls(self, monkeypatch):
+        calls = []
+
+        def counted(qa, qb):
+            calls.append(1)
+            return optimal_reparam_main(qa, qb)
+
+        monkeypatch.setattr(registration, "optimal_reparam_main", counted)
+        return calls
+
+    @staticmethod
+    def sweeps_matching_reference(a, b, w, **kwargs):
+        got = register(a, b, w, **kwargs)
+        assert_same_registration(got, ref.register(a, b, w, **kwargs))
+        return len(got.cost_history) - 1
+
+    def test_repeated_rotation_skips_the_dp(self, rng, dp_calls):
+        # these pairs settle their rotation in the first sweep; the second
+        # sweep sees the same rotation and stops
+        for _ in range(3):
+            Qa, Qb = prepare_pair(smooth_tree(rng, "a", 3), smooth_tree(rng, "b", 2))
+            dp_calls.clear()
+            sweeps = self.sweeps_matching_reference(Qa, Qb, Weights())
+            assert sweeps >= 2
+            assert len(dp_calls) < sweeps
+
+    def test_new_rotation_every_sweep_runs_every_dp(self, dp_calls):
+        # a large rotation whose last sweep still turns b before the cost stops
+        # falling
+        rng = np.random.default_rng(22)
+        a = smooth_tree(rng, "a", 4, bend=0.4)
+        b = move_tree(smooth_tree(rng, "b", 4, bend=0.4), theta=rng.uniform(-np.pi, np.pi))
+        Qa, Qb = prepare_pair(a, b)
+        sweeps = self.sweeps_matching_reference(Qa, Qb, Weights())
+        assert sweeps >= 2
+        assert len(dp_calls) == sweeps
+
+    def test_capped_descent_runs_every_dp(self, dp_calls):
+        # random SRVF-trees whose rotation is still moving when max_iter ends
+        # the descent
+        rng = np.random.default_rng(118)
+
+        def random_tree(n=40, k=20, n_lat=4):
+            s = rng.uniform(size=n_lat)
+            order = np.argsort(s)
+            q_lat = np.stack([random_srvf(rng, k) for _ in range(n_lat)])
+            return SrvfTree(random_srvf(rng, n), q_lat[order], s[order], rng.normal(size=2))
+
+        a, b = random_tree(), random_tree()
+        sweeps = self.sweeps_matching_reference(a, b, Weights(1.0, 1.0, 1.0), max_iter=4)
+        assert sweeps == 4
+        assert len(dp_calls) == sweeps
