@@ -71,9 +71,10 @@ def _add_pipeline_args(parser: argparse.ArgumentParser, threads: bool = False) -
 
 
 def _add_descent_args(parser: argparse.ArgumentParser) -> None:
-    parser.add_argument("--max-iter", type=int, default=30, help="mean descent iterations")
+    parser.add_argument("--max-iter", type=_at_least(0), default=30,
+                        help="mean descent iterations (>= 0)")
     parser.add_argument("--tol", type=float, default=1e-6, help="mean gradient tolerance")
-    parser.add_argument("--step", type=float, default=0.5, help="descent step size")
+    parser.add_argument("--step", type=_positive, default=0.5, help="descent step size (> 0)")
 
 
 def _weights(args: argparse.Namespace) -> Weights:
@@ -98,6 +99,17 @@ def _at_least(lo: int):
         return value
     parse.__name__ = "int"  # argparse reports "invalid int value" for non-integers
     return parse
+
+
+def _positive(text: str) -> float:
+    """argparse type: a float above 0 (not NaN); anything else exits 2."""
+    value = float(text)
+    if not value > 0:
+        raise argparse.ArgumentTypeError(f"must be above 0, got {text!r}")
+    return value
+
+
+_positive.__name__ = "float"
 
 
 def _split_range(text: str, n_parts: int) -> list[str]:

@@ -225,20 +225,9 @@ class DistanceMatrix:
                    failures=failures)
 
 
-def _attempt(fn, *args):
-    """fn(*args), or the "Type: message" text of the exception it raised."""
-    try:
-        return fn(*args)
-    except Exception as exc:  # recorded per pair, matrix entry flagged invalid
-        return f"{type(exc).__name__}: {exc}"
-
-
 def _pair_distance(Qa, Qb, w: Weights, max_iter: int) -> float | str:
-    """The registered distance, or the message of a's, else b's, failed
-    preparation (a str in place of its SRVF-tree), else of the registration."""
-    failed = next((Q for Q in (Qa, Qb) if isinstance(Q, str)), None)
-    if failed is not None:
-        return failed
+    """The registered distance, or the "Type: message" text of the
+    exception the registration raised."""
     try:
         return register(*augment_srvfts([Qa, Qb]), w, max_iter=max_iter).distance
     except Exception as exc:  # recorded per pair, matrix entry flagged invalid
@@ -267,15 +256,13 @@ def pairwise_matrix(
 
     Each tree is prepared once, in the calling process; each pair is then
     augmented and registered independently, giving the same value as
-    ``distance``.  The matrix is symmetric with a zero diagonal by
-    construction.
+    ``distance``, or recorded as a failure.  The matrix is symmetric with a
+    zero diagonal by construction.
     """
     if len(trees) < 2:
         raise ValueError("need at least 2 trees")
     m = len(trees)
-    # each tree prepared, or the message of its failure; a pair fails with
-    # the error prepare_trees raises on it
-    prepared = [_attempt(_prepare, t, opts) for t in trees]
+    prepared = prepare_trees(trees, opts)
     pairs = [(i, j) for i in range(m) for j in range(i + 1, m)]
     jobs = [(prepared[i], prepared[j], w, opts.max_iter) for i, j in pairs]
     values = np.zeros((m, m))

@@ -217,10 +217,11 @@ def srvft_to_tree(Q: SrvfTree, tree_id: str = "reconstructed") -> RootTree:
 
     The main branch is integrated from the anchor; each lateral starts where
     the reconstructed main sits at its attachment parameter.  Laterals whose
-    SRVF norm falls below ``EPS_NULL`` come out virtual.  Attachment t values
-    are stored as arc-length fractions of the reconstructed main, so the
-    output passes tree validation even when the main is not uniform speed
-    (as happens for interior geodesic points).
+    SRVF norm falls below ``EPS_NULL``, or whose points all round to their
+    start, come out virtual.  Attachment t values are stored as arc-length
+    fractions of the reconstructed main, so a written tree passes
+    ``tree_from_dict``'s attachment check even when the main is not uniform
+    speed (as happens for interior geodesic points).
     """
     main = Branch(_integrate(Q.q0, Q.anchor))
     points = main.points
@@ -238,7 +239,7 @@ def srvft_to_tree(Q: SrvfTree, tree_id: str = "reconstructed") -> RootTree:
     else:
         t_arc = (cum[i0] + frac * (cum[i0 + 1] - cum[i0])) / total
     curves = _integrate(Q.q_lat, starts)
-    null = Q.null_laterals()
+    null = Q.null_laterals() | np.all(curves == starts[:, None, :], axis=(1, 2))
     laterals = tuple(
         Lateral(t, Branch(point[None, :], is_virtual=True) if is_null else Branch(curve))
         for t, point, curve, is_null in zip(t_arc.tolist(), starts, curves, null)

@@ -8,13 +8,13 @@ PCA is consistent with the metric.
 """
 from __future__ import annotations
 
+import math
 import warnings
 from dataclasses import dataclass, replace
 from pathlib import Path
 from typing import Sequence
 
 import numpy as np
-from scipy.special import ndtr
 
 from .metric import DEFAULT_OPTIONS, PairOptions, parallel_map, prepare_trees
 from .registration import apply_registration, register
@@ -135,8 +135,13 @@ def karcher_mean(
     sample to the current mean and moves the mean toward the tangent
     average.  A step that would increase the objective is halved until it
     does not, so the objective sequence is nonincreasing; when eight halvings
-    do not, the descent stops with ``halving-exhausted``.
+    do not, the descent stops with ``halving-exhausted``.  ``step`` must be
+    above 0 and ``max_iter`` at least 0.
     """
+    if not step > 0:
+        raise ValueError(f"step must be above 0, got {step!r}")
+    if max_iter < 0:
+        raise ValueError(f"max_iter must be at least 0, got {max_iter!r}")
     if not trees:
         raise ValueError("empty collection")
     samples = prepare_collection(trees, opts)
@@ -394,7 +399,8 @@ def sample_random(
     lo, hi = coeff_range
     if not lo < hi:
         raise ValueError(f"coefficient range needs lo < hi, got ({lo}, {hi})")
-    mass = ndtr(hi) - ndtr(lo)
+    # the standard normal CDF is 0.5 * erfc(-x / sqrt(2))
+    mass = 0.5 * (math.erfc(-hi / math.sqrt(2)) - math.erfc(-lo / math.sqrt(2)))
     if mass < MIN_RANGE_MASS:
         raise ValueError(
             f"coefficient range ({lo}, {hi}) holds {mass:.3g} of the standard "

@@ -19,8 +19,8 @@ import numpy as np
 DEFAULT_MAIN_SAMPLES = 100
 DEFAULT_LATERAL_SAMPLES = 50
 
-# Attachment tolerance, relative to the main-curve arc length.  Skeletonized
-# scans carry pixel noise, so exact incidence cannot be required.
+# Attachment tolerance of a root file, relative to the main-curve arc length.
+# Skeletonized scans carry pixel noise, so exact incidence cannot be required.
 ATTACH_TOL_FACTOR = 1e-3
 
 
@@ -127,8 +127,7 @@ class RootTree:
     """A main branch plus laterals attached at arc-length positions.
 
     Laterals are stored sorted by t (stable, so ties keep insertion order).
-    Non-virtual laterals must start on the main curve at their t position,
-    within ``ATTACH_TOL_FACTOR * main length``.
+    Only root files are checked for laterals starting on the main at their t.
     """
 
     id: str
@@ -142,18 +141,7 @@ class RootTree:
         for t, _ in lats:
             if not (0.0 <= t <= 1.0):
                 raise TreeValidationError(f"t out of range: {t!r} not in [0, 1]")
-        lats = tuple(sorted(lats, key=lambda lb: lb.t))
-        tol = ATTACH_TOL_FACTOR * self.main.length
-        for t, br in lats:
-            if br.is_virtual:
-                continue
-            gap = float(np.linalg.norm(br.start - self.main.point_at(t)))
-            if gap > tol:
-                raise TreeValidationError(
-                    f"lateral at t={t:.6g} starts {gap:.6g} from the main curve "
-                    f"(tolerance {tol:.6g})"
-                )
-        object.__setattr__(self, "laterals", lats)
+        object.__setattr__(self, "laterals", tuple(sorted(lats, key=lambda lb: lb.t)))
 
     @property
     def n_laterals(self) -> int:
@@ -245,6 +233,8 @@ def tree_to_dict(tree: RootTree) -> dict:
 
 
 def tree_from_dict(data: dict, fallback_id: str = "root") -> RootTree:
+    """The tree of a parsed root object.  Each real lateral must start on the
+    main curve at its t, within ``ATTACH_TOL_FACTOR * main length``."""
     if not isinstance(data, dict):
         raise RootFormatError("root object must be a JSON object")
     try:
@@ -265,7 +255,16 @@ def tree_from_dict(data: dict, fallback_id: str = "root") -> RootTree:
             raise RootFormatError(f"invalid lateral #{i}: {exc}") from exc
         laterals.append(Lateral(t, Branch(pts, is_virtual=virtual)))
     tree_id = str(data.get("id", fallback_id))
-    return RootTree(id=tree_id, main=Branch(main_pts), laterals=tuple(laterals))
+    tree = RootTree(id=tree_id, main=Branch(main_pts), laterals=tuple(laterals))
+    tol = ATTACH_TOL_FACTOR * tree.main.length
+    for t, br in tree.real_laterals:
+        gap = float(np.linalg.norm(br.start - tree.main.point_at(t)))
+        if gap > tol:
+            raise TreeValidationError(
+                f"lateral at t={t:.6g} starts {gap:.6g} from the main curve "
+                f"(tolerance {tol:.6g})"
+            )
+    return tree
 
 
 def load_root(path: str | Path) -> RootTree:
@@ -343,8 +342,8 @@ def resample_tree(
     """Resample main and laterals; virtual laterals pass through unchanged.
 
     Resampling shifts the main polyline slightly, so each real lateral's t is
-    re-derived by projecting its (unchanged) start point onto the new main;
-    the attachment invariant then survives coarse sample counts.
+    re-derived by projecting its (unchanged) start point onto the new main; a
+    coarse main cuts the curve's bends, so that start can lie off it.
     """
     main = resample_branch(tree.main, n_main)
     laterals = []

@@ -4,11 +4,11 @@ import xml.etree.ElementTree as ET
 import numpy as np
 import pytest
 
-from treeshape import load_collection, load_root, save_root
+from treeshape import Branch, Lateral, RootTree, load_collection, load_root, save_root
 from treeshape.cli import build_parser, main
 from treeshape.metric import DistanceMatrix
 
-from conftest import smooth_tree
+from conftest import lateral_at, smooth_tree, straight_tree
 
 SVG_NS = "{http://www.w3.org/2000/svg}"
 
@@ -59,12 +59,12 @@ class TestDistanceCommand:
     def test_usage_error_exit_2(self):
         assert main(["distance"]) == 2
 
-    def test_two_samples_on_a_curved_main_exit_1(self, tree_files, capsys):
+    def test_two_samples_on_a_curved_main_exit_0(self, tree_files, capsys):
         # a curved main resampled to its two endpoints leaves the laterals'
-        # bases off the main curve
+        # bases off the main curve; only root files are checked for that
         pa, pb = tree_files
-        assert main(["distance", str(pa), str(pb), "--n-main", "2", "--n-lat", "2"]) == 1
-        assert "from the main curve" in capsys.readouterr().err
+        assert main(["distance", str(pa), str(pb), "--n-main", "2", "--n-lat", "2"]) == 0
+        assert np.isfinite(float(capsys.readouterr().out.strip().split("=")[-1]))
 
     def test_unknown_command_exit_2(self):
         assert main(["frobnicate"]) == 2
@@ -111,6 +111,50 @@ class TestMatrixCommand:
                          "--threads", threads, "--out", str(out)]) == 0
             outs.append(out.read_bytes())
         assert outs[0] == outs[1]
+
+
+def contract_trees() -> list:
+    """Trees at the edges of the input contract: laterals attached at t = 0
+    and t = 1, on a straight and on a curved main, and straight, collinear
+    trees (one without laterals, one whose lateral extends the main)."""
+    u = np.linspace(0.0, 1.0, 50)
+    curved = Branch(np.column_stack([0.2 * np.sin(np.pi * u), -u]))
+    straight = straight_tree("ends-straight", laterals=[(0.0, 0.3, 1.0), (1.0, 0.2, -1.0)])
+    extension = Branch(np.array([[0.0, -1.0], [0.0, -1.4]]))
+    return [
+        straight,
+        RootTree("ends-curved", curved, (lateral_at(curved, 0.0, 0.3, -1.0, -0.2),
+                                         lateral_at(curved, 1.0, 0.2, 1.0, -0.5))),
+        straight_tree("collinear-bare", length=1.3),
+        RootTree("collinear-extended", straight.main, (Lateral(1.0, extension),)),
+    ]
+
+
+class TestInputContract:
+    """Edge cases of the input contract give a finite distance and exit 0."""
+
+    @pytest.fixture
+    def contract_dir(self, tmp_path):
+        d = tmp_path / "contract"
+        d.mkdir()
+        for tree in contract_trees():
+            save_root(tree, d / f"{tree.id}.json")
+        return d
+
+    def test_distance(self, contract_dir, tmp_path):
+        files = sorted(contract_dir.iterdir())
+        out = tmp_path / "d.json"
+        for i, a in enumerate(files):
+            for b in files[i:]:
+                assert main(["distance", str(a), str(b), *FAST_FLAGS, "--out", str(out)]) == 0
+                assert np.isfinite(json.loads(out.read_text())["distance"])
+
+    def test_matrix_records_no_failure(self, contract_dir, tmp_path):
+        out = tmp_path / "m.json"
+        assert main(["matrix", str(contract_dir), *FAST_FLAGS, "--out", str(out)]) == 0
+        data = json.loads(out.read_text())
+        assert data["failures"] == []
+        assert np.all(np.isfinite(data["values"]))
 
 
 class TestMeanAndAtlas:
@@ -191,6 +235,10 @@ class TestUsageErrors:
         ["cluster", "m.csv", "--k", "0"],
         ["matrix", "roots", "--threads", "0"],
         ["atlas", "roots", "--threads", "-3"],
+        ["mean", "roots", "--step", "0"],
+        ["atlas", "roots", "--step", "-0.5"],
+        ["regress-fit", "roots", "--step", "nan"],
+        ["mean", "roots", "--max-iter", "-2"],
     ])
     def test_exit_2(self, argv, tmp_path, capsys):
         option = next(a for a in argv if a.startswith("--")).split("=")[0]
@@ -232,6 +280,9 @@ class TestUsageErrors:
         assert args.steps == 2
         args = build_parser().parse_args(["cluster", "m.csv", "--k", "1", "--out", "d.json"])
         assert args.k == 1
+        args = build_parser().parse_args(["mean", "roots", "--max-iter", "0", "--step", "1e-9",
+                                          "--out", "m.json"])
+        assert (args.max_iter, args.step) == (0, 1e-9)
 
     def test_alpha_range_count_one_and_descending(self, collection_dir, tmp_path):
         atlas_path = tmp_path / "atlas.json"
@@ -408,7 +459,12 @@ class TestMalformedFiles:
         ("cluster", {"labels": None, "values": []},
          "distance matrix labels must be a JSON array, not NoneType"),
         ("cluster", [1, 2], "distance matrix must be a JSON object, not list"),
-    ], ids=["root-laterals-null", "matrix-labels-null", "matrix-top-level-array"])
+        # the lateral starts 3x the attachment tolerance (1e-3 x 10) off the main
+        ("render", {"main": [[0, 0], [0, -10]],
+                    "laterals": [{"t": 0.5, "points": [[0.03, -5], [1.03, -5]]}]},
+         "starts 0.03 from the main curve (tolerance 0.01)"),
+    ], ids=["root-laterals-null", "matrix-labels-null", "matrix-top-level-array",
+            "root-lateral-off-the-main"])
     def test_root_and_matrix(self, tmp_path, capsys, command, payload, message):
         bad = tmp_path / "bad.json"
         bad.write_text(json.dumps(payload))

@@ -311,34 +311,27 @@ class TestPairwiseMatrix:
         assert sorted(calls) == ["t0", "t1", "t2", "t3"]
 
     @pytest.mark.parametrize("n_main", [2, 3])
-    def test_preparation_failure_matches_pairwise_preparation(self, rng, n_main):
+    def test_coarse_main_records_no_failure(self, rng, n_main):
         # a curved main resampled to 2 or 3 points moves away from its
-        # laterals' bases, so resampling fails and the pairs with either
-        # curved tree fail, as when each pair was prepared alone; the pair of
-        # straight trees succeeds at both sample counts
+        # laterals' bases; the resampled tree is still prepared and registered
         opts = PairOptions(n_main=n_main, n_lateral=20)
         lat = [(0.3, 0.3, 1.0), (0.6, 0.2, -1.0)]
         trees = [
             straight_tree("s0", laterals=lat[:1]),
-            smooth_tree(rng, "bad1", 2),
+            smooth_tree(rng, "c1", 2),
             straight_tree("s2", laterals=lat),
-            smooth_tree(rng, "bad3", 1),
+            smooth_tree(rng, "c3", 1),
         ]
-        expected = []
-        for i in range(4):
-            for j in range(i + 1, 4):
-                try:
-                    reference_prepare(trees[i], trees[j], opts=opts)
-                except Exception as exc:
-                    expected.append((i, j, f"{type(exc).__name__}: {exc}"))
-        assert len(expected) == 5
-        assert len({msg for _, _, msg in expected}) == 2
         dm = pairwise_matrix(trees, opts=opts)
-        assert dm.failures == tuple(expected)
-        failed = {(i, j) for i, j, _ in expected}
+        assert dm.failures == ()
         for i in range(4):
             for j in range(i + 1, 4):
-                assert np.isnan(dm.values[i, j]) == ((i, j) in failed)
+                assert dm.values[i, j] == distance(trees[i], trees[j], opts=opts)
+
+    def test_preparation_error_raises(self, rng):
+        trees = [smooth_tree(rng, f"t{i}", 1) for i in range(3)]
+        with pytest.raises(ValueError, match="need n >= 2 sample points"):
+            pairwise_matrix(trees, opts=PairOptions(n_main=1, n_lateral=20))
 
     def test_needs_two(self, rng):
         with pytest.raises(ValueError):

@@ -19,7 +19,8 @@ from treeshape import (
 )
 from treeshape.srvf import EPS_NULL, _sq_dists, _sq_norms, trapezoid_weights
 from treeshape.statistics import exp_map, flatten_srvft, log_map, unflatten_srvft
-from treeshape.tree_model import DEFAULT_LATERAL_SAMPLES, json_text
+from treeshape.metric import interpolate_srvft
+from treeshape.tree_model import DEFAULT_LATERAL_SAMPLES, json_text, tree_from_dict, tree_to_dict
 
 from conftest import rotation_matrix, smooth_branch, smooth_tree, straight_tree
 
@@ -163,6 +164,19 @@ class TestTreeConversion:
         # virtual point sits on the reconstructed main
         t, br = back.laterals[0]
         np.testing.assert_allclose(br.points[0], back.main.point_at(t), atol=1e-9)
+
+    def test_lateral_that_rounds_to_its_start_becomes_virtual(self):
+        # an SRVF norm just above EPS_NULL far from the origin: every
+        # integration step is below the coordinates' rounding unit
+        tree = resample_tree(straight_tree("a", 1.0))
+        Q = SrvfTree(
+            q0=tree_to_srvft(tree, DEFAULT_LATERAL_SAMPLES).q0,
+            q_lat=[np.full((30, 2), 2.0 * EPS_NULL)],
+            s=[0.5],
+            anchor=[1e3, 1e3],
+        )
+        assert not Q.null_laterals()[0]
+        assert srvft_to_tree(Q).laterals[0].branch.is_virtual
 
     def test_anchor_respected(self, rng):
         tree = resample_tree(smooth_tree(rng, "anch", 1))
@@ -329,6 +343,15 @@ class TestSrvfTreeArrays:
         assume(Q.n_laterals >= NEEDS_LATERALS.get(how, 0))
         with pytest.raises(ValueError):
             SrvfTree(**corrupted(Q, how, np.random.default_rng(seed)))
+
+    @settings(max_examples=60)
+    @given(pair=srvft_pairs(), r=st.floats(0.0, 1.0))
+    def test_reconstructed_trees_pass_the_loader(self, pair, r):
+        # mean, sample and modes write reconstructed trees that users read
+        # back; interior geodesic points have mains that are not uniform speed
+        tree = srvft_to_tree(interpolate_srvft(*pair, r), tree_id="x")
+        back = tree_from_dict(tree_to_dict(tree))
+        assert back.lateral_ts().tolist() == tree.lateral_ts().tolist()
 
     def test_no_laterals_is_one_shape(self):
         for q_lat in ([], np.zeros((0, 30, 2)), np.zeros(0)):
