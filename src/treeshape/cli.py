@@ -74,7 +74,7 @@ def _add_descent_args(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--max-iter", type=_at_least(0), default=30,
                         help="mean descent iterations (>= 0)")
     parser.add_argument("--tol", type=float, default=1e-6, help="mean gradient tolerance")
-    parser.add_argument("--step", type=_positive, default=0.5, help="descent step size (> 0)")
+    parser.add_argument("--step", type=_positive, default=0.5, help="descent step size (finite, > 0)")
 
 
 def _weights(args: argparse.Namespace) -> Weights:
@@ -102,10 +102,10 @@ def _at_least(lo: int):
 
 
 def _positive(text: str) -> float:
-    """argparse type: a float above 0 (not NaN); anything else exits 2."""
+    """argparse type: a finite float above 0; anything else exits 2."""
     value = float(text)
-    if not value > 0:
-        raise argparse.ArgumentTypeError(f"must be above 0, got {text!r}")
+    if not 0 < value < np.inf:
+        raise argparse.ArgumentTypeError(f"must be a finite number above 0, got {text!r}")
     return value
 
 

@@ -250,18 +250,19 @@ _DP_STENCIL = tuple(sorted(
 class _DpRowStep(NamedTuple):
     """Grid data of the stencil steps (di, dj) that share one row step di.
 
-    Their blocks sit next to each other in the cost buffer, from ``start``,
-    each (n - di, n - 1) with row stride n - 1; columns c >= n - dj have no
-    edge and are never read.  Index arrays address the component-major
-    flattening (c * n + index) of the SRVF samples.
+    Their blocks are the consecutive steps t0, t0 + 1, ... of the cost array,
+    each filled in rows i >= di; the qb indices are per end column j, clamped
+    in the columns j < dj that have no edge.  Index arrays address the
+    component-major flattening (c * n + index) of the SRVF samples.
     """
 
     di: int
-    start: int
+    t0: int
+    floor: np.ndarray  # (J, 1, n): 0, or +inf in the columns j < dj
     a_idx: np.ndarray  # (n-di, 2, di+1): qa samples of node k of edge row r
-    b_lo: np.ndarray  # (J, n-1, 2, di+1): qb lerp indices i0 and i0 + 1
+    b_lo: np.ndarray  # (J, n, 2, di+1): qb lerp indices i0 and i0 + 1
     b_hi: np.ndarray
-    w_lo: np.ndarray  # (J, n-1, 1, di+1): lerp weights 1 - fr and fr
+    w_lo: np.ndarray  # (J, n, 1, di+1): lerp weights 1 - fr and fr
     w_hi: np.ndarray
     wk: np.ndarray  # (di+1,): trapezoid weights of the nodes
     factor: np.ndarray  # (J, 1, 1, di+1): -2 sqrt(slope) wk
@@ -272,15 +273,9 @@ class _DpPlan(NamedTuple):
     """Everything of the DP that depends only on the grid size n."""
 
     stencil: tuple[tuple[int, int], ...]
-    base: np.ndarray  # (T,): flat offset of block t in the cost buffer
-    size: int  # entries of all blocks; the buffer's extra last entry is +inf
     row_steps: tuple[_DpRowStep, ...]
-    # per step t and column j: flat indices of block_t[i-di, j-dj] and of
-    # E[i-di, j-dj] at row i = 0, and their advance per row
-    c_idx: np.ndarray
-    c_step: np.ndarray
+    # (T, n): flat index of E[i-di, j-dj] at row i = 0; it advances by n per row
     e_idx: np.ndarray
-    e_step: np.ndarray
     steps_up_to: np.ndarray  # (n,): steps with di <= i, a stencil prefix
 
 
@@ -294,60 +289,52 @@ def _frozen(*arrays: np.ndarray) -> tuple[np.ndarray, ...]:
 def _dp_plan(n: int) -> _DpPlan:
     """The plan of grid size n, built by the first DP on that grid."""
     stencil = tuple((di, dj) for di, dj in _DP_STENCIL if di < n and dj < n)
-    di_t = np.array([di for di, _ in stencil], dtype=np.intp)[:, None]
+    di_t = np.array([di for di, _ in stencil], dtype=np.intp)
     dj_t = np.array([dj for _, dj in stencil], dtype=np.intp)[:, None]
-    ends = np.cumsum((n - di_t[:, 0]) * (n - 1))
-    size = int(ends[-1])
-    base = ends - (n - di_t[:, 0]) * (n - 1)
+    cols = np.arange(n)
     h = 1.0 / (n - 1)
     comp = np.array([[0], [n]])
     row_steps = []
     for di in sorted({di for di, _ in stencil}):
-        steps = [t for t, (d, _) in enumerate(stencil) if d == di]
-        slope = np.array([stencil[t][1] for t in steps]) / di
+        t0, t1 = np.searchsorted(di_t, [di, di + 1])
+        dj = dj_t[t0:t1]
+        slope = dj[:, 0] / di
         wk = np.full(di + 1, h)
         wk[[0, -1]] = 0.5 * h
         a_idx = np.arange(n - di)[:, None, None] + comp + np.arange(di + 1)
-        # qb position of node k on the edge from column c; positions past
-        # qb's last sample occur only in the unread columns c >= n - dj and
-        # are clamped, so those columns stay finite
-        x = np.arange(n - 1)[:, None, None] + np.arange(di + 1) * slope[:, None, None, None]
-        x = np.minimum(x, n - 1)
+        # qb position of node k on the edge into column j; it is clamped to
+        # qb's samples in the columns j < dj, whose costs become +inf
+        x = (cols - dj)[:, :, None, None] + np.arange(di + 1) * slope[:, None, None, None]
+        x = np.clip(x, 0, n - 1)
         i0 = np.minimum(x.astype(int), n - 2)
         fr = x - i0
         factor = (-2.0 * np.sqrt(slope))[:, None, None, None] * wk
+        floor = np.where(cols < dj, np.inf, 0.0)[:, None, :]
         row_steps.append(_DpRowStep(
-            di, int(base[steps[0]]),
-            *_frozen(a_idx, i0 + comp, i0 + comp + 1, 1.0 - fr, fr, wk, factor,
+            di, int(t0),
+            *_frozen(floor, a_idx, i0 + comp, i0 + comp + 1, 1.0 - fr, fr, wk, factor,
                      slope[:, None]),
         ))
-    cols = np.arange(n)
-    valid = cols >= dj_t
-    shift = np.where(valid, cols - dj_t, 0)
-    rows = _frozen(
-        np.where(valid, base[:, None] - di_t * (n - 1) + shift, size),
-        np.where(valid, n - 1, 0),
-        np.where(valid, shift - di_t * n, 0),
-        np.where(valid, n, 0),
-        np.searchsorted(di_t[:, 0], cols, side="right"),
-    )
-    return _DpPlan(stencil, *_frozen(base), size, tuple(row_steps), *rows)
+    e_idx = cols - dj_t - di_t[:, None] * n
+    steps_up_to = np.searchsorted(di_t, cols, side="right")
+    return _DpPlan(stencil, tuple(row_steps), *_frozen(e_idx, steps_up_to))
 
 
 def _dp_edge_cost(qa: np.ndarray, qb: np.ndarray) -> np.ndarray:
-    """Costs of every stencil edge, in one flat buffer laid out by ``_dp_plan``.
+    """Costs of every stencil edge as a (T, n, n) array by end node.
 
-    The edge from (i-di, j-dj) to (i, j) carries the trapezoid-rule energy of
-    |qa(t) - sqrt(slope) * qb(gamma(t))|^2 over its di grid intervals, with
-    gamma linear on the edge; it sits at ``base[t] + (i-di) * (n-1) + j-dj``.
-    Per row step di, the blocks of all its steps come from one batched
-    matrix product, one gemm per step: the node-stacked qa samples extended
-    by [|qa|^2, 1] against the weighted qb samples extended by
-    [1, slope * |u|^2].  The last entry of the buffer is +inf.
+    ``costs[t, i, j]`` is the trapezoid-rule energy of
+    |qa(t) - sqrt(slope) * qb(gamma(t))|^2 over the di grid intervals of the
+    edge from (i-di, j-dj) into (i, j), with gamma linear on the edge; it is
+    +inf in the columns j < dj, which have no edge, and rows i < di are left
+    unset.  Per row step di, the blocks of all its steps come from one
+    batched matrix product, one gemm per step: the node-stacked qa samples
+    extended by [|qa|^2, 1] against the weighted qb samples extended by
+    [1, slope * |u|^2].
     """
     n = len(qa)
     plan = _dp_plan(n)
-    costs = np.empty(plan.size + 1)
+    costs = np.empty((len(plan.stencil), n, n))
     flat_a = qa.T.ravel()
     flat_b = qb.T.ravel()
     for g in plan.row_steps:
@@ -358,14 +345,13 @@ def _dp_edge_cost(qa: np.ndarray, qb: np.ndarray) -> np.ndarray:
         left[:, :inner] = a.reshape(rows, inner)
         left[:, inner] = np.einsum("ick,ick->i", a, a * g.wk)
         left[:, inner + 1] = 1.0
-        right = np.empty((steps, n - 1, inner + 2))
-        right[..., :inner] = (u * g.factor).reshape(steps, n - 1, inner)
+        right = np.empty((steps, n, inner + 2))
+        right[..., :inner] = (u * g.factor).reshape(steps, n, inner)
         right[..., inner] = 1.0
         right[..., inner + 1] = g.slope * np.einsum("tjck,tjck->tj", u, u * g.wk)
-        out = costs[g.start : g.start + steps * rows * (n - 1)]
-        np.matmul(left, right.transpose(0, 2, 1), out=out.reshape(steps, rows, n - 1))
-    np.maximum(costs, 0.0, out=costs)
-    costs[-1] = np.inf  # columns j < dj have no edge of step t: they read this
+        block = costs[g.t0 : g.t0 + steps, g.di :]
+        np.matmul(left, right.transpose(0, 2, 1), out=block)
+        np.maximum(block, g.floor, out=block)
     return costs
 
 
@@ -373,28 +359,26 @@ def _reparam_dp(qa: np.ndarray, qb: np.ndarray) -> tuple[np.ndarray, float]:
     """Minimum-energy monotone grid path; returns (gamma values, energy).
 
     E[i, j], the least energy of a path from (0, 0) to (i, j), is filled one
-    row at a time: the candidates E[i-di, j-dj] + block_t[i-di, j-dj] of all
+    row at a time: the candidates E[i-di, j-dj] + costs[t, i, j] of all
     stencil steps t with di <= i are gathered into one (T, n) array and
     reduced by argmin.  argmin keeps the first minimum, so a tie goes to the
-    earliest step in stencil order (sorted (di, dj)).  The edge-cost blocks
-    sit in one flat buffer and are gathered by flat offsets; scratch memory
-    is O(sum of block sizes) plus O(T n) index arrays, never (T, n, n).
+    earliest step in stencil order (sorted (di, dj)).  In the columns j < dj
+    the flat index of E[i-di, j-dj] falls in another row, or wraps to E's
+    end when i = di, and is paired with a +inf cost.
     """
     n = len(qa)
     plan = _dp_plan(n)
     costs = _dp_edge_cost(qa, qb)
-    c_idx = plan.c_idx.copy()
     e_idx = plan.e_idx.copy()
     cols = np.arange(n)
     E = np.full(n * n, np.inf)
     E[0] = 0.0
     bt = np.zeros((n, n), dtype=np.int16)
     for i in range(1, n):
-        c_idx += plan.c_step
-        e_idx += plan.e_step
+        e_idx += n
         m = plan.steps_up_to[i]
-        cand = E[e_idx[:m]]
-        cand += costs[c_idx[:m]]
+        cand = E.take(e_idx[:m])
+        cand += costs[:m, i]
         best = cand.argmin(axis=0)
         bt[i] = best
         E[i * n : (i + 1) * n] = cand[best, cols]

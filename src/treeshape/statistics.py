@@ -133,13 +133,14 @@ def karcher_mean(
     Starts at the medoid (the sample with the smallest summed squared
     registered distance to all others), then repeatedly registers every
     sample to the current mean and moves the mean toward the tangent
-    average.  A step that would increase the objective is halved until it
-    does not, so the objective sequence is nonincreasing; when eight halvings
-    do not, the descent stops with ``halving-exhausted``.  ``step`` must be
-    above 0 and ``max_iter`` at least 0.
+    average.  A step that would increase the objective, or move an
+    attachment position out of [0, 1], is halved until it does not, so the
+    objective sequence is nonincreasing; when eight halvings do not, the
+    descent stops with ``halving-exhausted``.  ``step`` must be finite and
+    above 0, and ``max_iter`` at least 0.
     """
-    if not step > 0:
-        raise ValueError(f"step must be above 0, got {step!r}")
+    if not 0 < step < math.inf:
+        raise ValueError(f"step must be finite and above 0, got {step!r}")
     if max_iter < 0:
         raise ValueError(f"max_iter must be at least 0, got {max_iter!r}")
     if not trees:
@@ -177,8 +178,12 @@ def karcher_mean(
             break
         step_k = step
         for _ in range(8):
-            candidate = unflatten_srvft(flat_mu + step_k * vbar, mu)
-            cand_registered, cand_obj = registered_to(candidate)
+            try:
+                candidate = unflatten_srvft(flat_mu + step_k * vbar, mu)
+            except ValueError:  # a position left [0, 1]: not a tree
+                cand_obj = math.inf
+            else:
+                cand_registered, cand_obj = registered_to(candidate)
             if cand_obj <= objective[-1] + 1e-15:
                 mu = candidate
                 registered = cand_registered

@@ -305,7 +305,7 @@ def resample_branch(branch: Branch, n: int) -> Branch:
 
     Interpolation along the polyline is iterated to a fixed point so that the
     *output* polyline's own segments are uniform (relative deviation below
-    1e-9); a single pass leaves chord-length variation of order curvature^2 /
+    1e-12); a single pass leaves chord-length variation of order curvature^2 /
     n^2, which would also break resampling idempotence.
     """
     if branch.is_virtual:

@@ -4,11 +4,11 @@ import xml.etree.ElementTree as ET
 import numpy as np
 import pytest
 
-from treeshape import Branch, Lateral, RootTree, load_collection, load_root, save_root
+from treeshape import Branch, Lateral, RootTree, load_collection, load_root, save_root, statistics
 from treeshape.cli import build_parser, main
 from treeshape.metric import DistanceMatrix
 
-from conftest import lateral_at, smooth_tree, straight_tree
+from conftest import lateral_at, smooth_tree, straight_tree, transform_tree
 
 SVG_NS = "{http://www.w3.org/2000/svg}"
 
@@ -43,6 +43,19 @@ class TestDistanceCommand:
         assert "distance" in out
         value = float(out.strip().split("=")[-1])
         assert value == 0.0
+
+    def test_normalize_removes_scale(self, tree_files, tmp_path, capsys):
+        # a tree against its 3x copy: the scale shows in the distance unless
+        # every tree is first rescaled by its main-root length
+        pa, _ = tree_files
+        p3 = tmp_path / "a3.json"
+        save_root(transform_tree(load_root(pa), scale=3.0), p3)
+        values = []
+        for flags in ([], ["--normalize"]):
+            assert main(["distance", str(pa), str(p3), *FAST_FLAGS, *flags]) == 0
+            values.append(float(capsys.readouterr().out.strip().split("=")[-1]))
+        assert values[0] > 0.3
+        assert values[1] < 1e-9
 
     def test_json_report(self, tree_files, tmp_path, capsys):
         pa, pb = tree_files
@@ -168,6 +181,27 @@ class TestMeanAndAtlas:
         assert "objective" in summary
         assert "(stopped: " in summary
 
+    def test_step_that_moves_a_position_out_of_range_is_halved(self, tmp_path, monkeypatch,
+                                                               capsys):
+        # a full step of 5 moves an attachment position out of [0, 1]; the
+        # line search must halve it like a step that raises the objective
+        rng = np.random.default_rng(3)
+        for i in range(3):
+            save_root(smooth_tree(rng, f"t{i}", 3), tmp_path / f"t{i}.json")
+        results = []
+        karcher_mean = statistics.karcher_mean
+
+        def recorded(*args, **kwargs):
+            results.append(karcher_mean(*args, **kwargs))
+            return results[-1]
+
+        monkeypatch.setattr(statistics, "karcher_mean", recorded)
+        assert main(["mean", str(tmp_path), "--n-main", "40", "--n-lat", "10", "--step", "5",
+                     "--out", str(tmp_path / "mean.json")]) == 0
+        assert "objective" in capsys.readouterr().out
+        obj = np.array(results[0].objective)
+        assert len(obj) > 1 and np.all(np.diff(obj) <= 0.0)
+
     def test_atlas_then_modes_and_sample(self, collection_dir, tmp_path, capsys):
         atlas_path = tmp_path / "atlas.json"
         assert main(["atlas", str(collection_dir), *FAST_FLAGS, "--max-iter", "10",
@@ -238,6 +272,8 @@ class TestUsageErrors:
         ["mean", "roots", "--step", "0"],
         ["atlas", "roots", "--step", "-0.5"],
         ["regress-fit", "roots", "--step", "nan"],
+        ["mean", "roots", "--step", "inf"],
+        ["atlas", "roots", "--step", "-inf"],
         ["mean", "roots", "--max-iter", "-2"],
     ])
     def test_exit_2(self, argv, tmp_path, capsys):

@@ -261,18 +261,18 @@ def reference_reparam_dp(qa, qb, edge_cost=reference_edge_cost):
 
 
 def planned_blocks(qa, qb):
-    """Edge-cost function reading each step's block from one flat buffer
-    through the plan's base offsets (rows of stride n - 1, unread columns
-    c >= n - dj dropped)."""
+    """Edge-cost function reading each step's block from the end-node cost
+    array: the edge from (r, c) is costs[t, r + di, c + dj], and the columns
+    j < dj, which have no edge, hold +inf."""
     n = len(qa)
     plan = _dp_plan(n)
     costs = _dp_edge_cost(qa, qb)
-    assert costs.shape == (plan.size + 1,) and costs[-1] == np.inf
+    assert costs.shape == (len(plan.stencil), n, n)
 
     def block(_qa, _qb, di, dj):
-        start = plan.base[plan.stencil.index((di, dj))]
-        rows = costs[start : start + (n - di) * (n - 1)].reshape(n - di, n - 1)
-        return rows[:, : n - dj]
+        ends = costs[plan.stencil.index((di, dj)), di:]
+        assert np.all(ends[:, :dj] == np.inf)
+        return ends[:, dj:]
 
     return block
 
@@ -314,6 +314,21 @@ class TestReparamDPMatchesLoop:
         ref_values, ref_energy = reference_reparam_dp(qa, qb, edge_cost=planned_blocks(qa, qb))
         np.testing.assert_array_equal(values, ref_values)
         assert energy == ref_energy
+
+    @pytest.mark.parametrize("n", [50, 100])
+    def test_bench_grid_smooth_pairs(self, n, rng):
+        # main-root SRVFs of smooth trees, b turned, at the grid sizes of the
+        # atlas (50) and matrix (100) runs
+        for _ in range(3):
+            qa = srvft_of(smooth_tree(rng, "a", 0), n_main=n).q0
+            qb = srvft_of(smooth_tree(rng, "b", 0), n_main=n).q0 @ rotation_matrix(0.3).T
+            values, energy = _reparam_dp(qa, qb)
+            ref_values, ref_energy = reference_reparam_dp(qa, qb)
+            np.testing.assert_array_equal(values, ref_values)
+            assert abs(energy - ref_energy) <= 1e-12 * max(1.0, ref_energy)
+            shared = reference_reparam_dp(qa, qb, edge_cost=planned_blocks(qa, qb))
+            np.testing.assert_array_equal(values, shared[0])
+            assert energy == shared[1]
 
     @pytest.mark.parametrize("n", [2, 3, 4, 11, 40])
     @pytest.mark.parametrize("case", ["zero", "constant", "identical"])

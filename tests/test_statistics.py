@@ -157,6 +157,12 @@ class TestKarcherMean:
         assert len(result.objective) == 1
         assert (result.stop_reason, result.converged) == ("halving-exhausted", True)
 
+    @pytest.mark.parametrize("step", [np.inf, np.nan, 0.0, -1.0])
+    def test_step_must_be_finite_and_positive(self, step):
+        # checked before the collection is read: an empty one would fail later
+        with pytest.raises(ValueError, match="step must be finite and above 0"):
+            karcher_mean([], W, step=step)
+
     def test_single_tree(self, rng):
         x = smooth_tree(rng, "x", 1)
         result = karcher_mean([x], W, opts=FAST)
