@@ -50,9 +50,9 @@ def _write_trees(path: Path, trees: list[RootTree], titles: list[str]) -> None:
 
 
 def _add_weight_args(parser: argparse.ArgumentParser) -> None:
-    parser.add_argument("--lambda-m", type=float, default=0.02, help="main-shape weight")
-    parser.add_argument("--lambda-s", type=float, default=1.0, help="lateral-shape weight")
-    parser.add_argument("--lambda-p", type=float, default=1.0, help="attachment-position weight")
+    parser.add_argument("--lambda-m", type=_finite(0), default=0.02, help="main-shape weight")
+    parser.add_argument("--lambda-s", type=_finite(0), default=1.0, help="lateral-shape weight")
+    parser.add_argument("--lambda-p", type=_finite(0), default=1.0, help="attachment-position weight")
 
 
 def _add_pipeline_args(parser: argparse.ArgumentParser, threads: bool = False) -> None:
@@ -73,8 +73,9 @@ def _add_pipeline_args(parser: argparse.ArgumentParser, threads: bool = False) -
 def _add_descent_args(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--max-iter", type=_at_least(0), default=30,
                         help="mean descent iterations (>= 0)")
-    parser.add_argument("--tol", type=float, default=1e-6, help="mean gradient tolerance")
-    parser.add_argument("--step", type=_positive, default=0.5, help="descent step size (finite, > 0)")
+    parser.add_argument("--tol", type=_finite(0), default=1e-6, help="mean gradient tolerance")
+    parser.add_argument("--step", type=_finite(0, above=True), default=0.5,
+                        help="descent step size (finite, > 0)")
 
 
 def _weights(args: argparse.Namespace) -> Weights:
@@ -101,15 +102,29 @@ def _at_least(lo: int):
     return parse
 
 
-def _positive(text: str) -> float:
-    """argparse type: a finite float above 0; anything else exits 2."""
-    value = float(text)
-    if not 0 < value < np.inf:
-        raise argparse.ArgumentTypeError(f"must be a finite number above 0, got {text!r}")
-    return value
+def _finite(lo: float, above: bool = False):
+    """argparse type: a finite float of at least ``lo``, or above it if
+    ``above``; anything else, ``nan`` and ``inf`` too, exits 2."""
+    def parse(text: str) -> float:
+        value = float(text)
+        if not lo <= value < np.inf or (above and value == lo):
+            bound = "above" if above else "of at least"
+            raise argparse.ArgumentTypeError(
+                f"must be a finite number {bound} {lo:g}, got {text!r}")
+        return value
+    parse.__name__ = "float"  # argparse reports "invalid float value" for non-numbers
+    return parse
 
 
-_positive.__name__ = "float"
+def _finite_list(text: str) -> list[float]:
+    """argparse type: comma-separated finite numbers; anything else exits 2."""
+    try:
+        values = [float(v) for v in text.split(",")]
+        if np.isfinite(values).all():
+            return values
+    except ValueError:
+        pass
+    raise argparse.ArgumentTypeError(f"expected comma-separated finite numbers, got {text!r}")
 
 
 def _split_range(text: str, n_parts: int) -> list[str]:
@@ -179,7 +194,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("modes", help="sweep one principal mode of an atlas")
     p.add_argument("atlas")
-    p.add_argument("--mode", type=int, default=0, help="mode index (0-based)")
+    p.add_argument("--mode", type=_at_least(0), default=0, help="mode index (0-based)")
     p.add_argument("--alpha-range", type=_alpha_range, default="-2:2:5",
                    help="LO:HI:COUNT sweep in standard deviations "
                         "(use --alpha-range=-2:2:5 for negative bounds)")
@@ -188,7 +203,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("sample", help="randomly synthesize roots from an atlas")
     p.add_argument("atlas")
     p.add_argument("--n", type=_at_least(1), default=1, help="number of samples (>= 1)")
-    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--seed", type=_at_least(0), default=0, help="random seed (>= 0)")
     p.add_argument("--range", type=_coeff_range, default="-1:1",
                    help="LO:HI bound on mode coefficients (--range=-1:1 form "
                         "for negative bounds)")
@@ -202,7 +217,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("regress-predict", help="synthesize a root from parameters")
     p.add_argument("model")
-    p.add_argument("--params", required=True, help="comma-separated parameter values")
+    p.add_argument("--params", type=_finite_list, required=True,
+                   help="comma-separated finite parameter values")
     p.add_argument("--out", type=Path, required=True, help=".json root or .svg drawing")
 
     p = sub.add_parser("cluster", help="hierarchical clustering of a distance matrix")
@@ -346,13 +362,12 @@ def _cmd_regress_fit(args) -> int:
 
 def _cmd_regress_predict(args) -> int:
     model = RegressionModel.load(args.model)
-    values = [float(v) for v in args.params.split(",")]
-    tree = statistics.predict(model, values)
+    tree = statistics.predict(model, args.params)
     if args.out.suffix == ".svg":
         _write_text(args.out, render.render_tree(tree))
     else:
         save_root(tree, args.out)
-    pairs = ", ".join(f"{n}={v:g}" for n, v in zip(model.param_names, values))
+    pairs = ", ".join(f"{n}={v:g}" for n, v in zip(model.param_names, args.params))
     print(f"predicted root for {pairs} -> {args.out}")
     return 0
 

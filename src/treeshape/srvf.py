@@ -117,9 +117,9 @@ class Weights:
     lambda_p: float = 1.0
 
     def __post_init__(self) -> None:
-        vals = (self.lambda_m, self.lambda_s, self.lambda_p)
-        if any(v < 0 for v in vals):
-            raise ValueError("weights must be nonnegative")
+        vals = self.as_tuple()
+        if not all(0 <= v < np.inf for v in vals):
+            raise ValueError(f"weights must be finite and nonnegative, got {vals}")
         if not any(v > 0 for v in vals):
             raise ValueError("at least one weight must be positive")
 

@@ -233,10 +233,7 @@ class Atlas:
         return len(self.eigenvalues)
 
     def variance_ratio(self) -> np.ndarray:
-        total = self.eigenvalues.sum()
-        if total <= 0:
-            return np.zeros_like(self.eigenvalues)
-        return np.cumsum(self.eigenvalues) / total
+        return _variance_ratio(self.eigenvalues)
 
     def tangent_from_coeffs(self, coeffs: np.ndarray) -> np.ndarray:
         coeffs = np.asarray(coeffs, dtype=float)
@@ -299,37 +296,30 @@ VARIANCE_TARGET = 0.99
 MIN_RANGE_MASS = 1e-6
 
 
+def _variance_ratio(evals: np.ndarray) -> np.ndarray:
+    """Cumulative share of the total variance held by the leading eigenvalues."""
+    total = evals.sum()
+    if total <= 0:
+        return np.zeros_like(evals)
+    return np.cumsum(evals) / total
+
+
 def _gram_modes(V: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Eigenpairs of the sample covariance via the Gram matrix.
+    """Eigenpairs of the sample covariance ``V.T @ V / (m - 1)`` from one thin
+    SVD of ``V``.
 
     ``V`` holds one tangent vector per row.  Returns (eigenvalues desc,
-    modes) restricted to the positive spectrum; exact for covariances of
-    rank up to the sample count.
+    modes as orthonormal rows) restricted to the positive spectrum.  It never
+    forms the Gram matrix ``V @ V.T``, whose eigenvalues would carry the
+    square of V's condition number.  The name stays because
+    ``bench/tracing.py`` times it and acceptance criterion 07 calls it.
     """
-    m = len(V)
-    G = (V @ V.T) / (m - 1)
-    evals, evecs = np.linalg.eigh(G)
-    order = np.argsort(evals)[::-1]
-    evals = np.clip(evals[order], 0.0, None)
-    evecs = evecs[:, order]
+    _, sv, modes = np.linalg.svd(V, full_matrices=False)
+    evals = sv**2 / (len(V) - 1)
     # relative rank cutoff plus an absolute floor: registration noise on
     # identical trees leaves eigenvalue dust around machine precision squared
-    floor = max(evals[0] * 1e-12 if evals.size else 0.0, 1e-20)
-    keep = evals > floor
-    evals = evals[keep]
-    evecs = evecs[:, keep]
-    modes = []
-    for k in range(len(evals)):
-        direction = evecs[:, k] @ V
-        norm = np.linalg.norm(direction)
-        modes.append(direction / norm)
-    modes = np.array(modes).reshape(len(evals), V.shape[1])
-    # re-enforce orthonormality (finite-precision Gram matrices drift)
-    for k in range(len(modes)):
-        for j in range(k):
-            modes[k] -= (modes[k] @ modes[j]) * modes[j]
-        modes[k] /= np.linalg.norm(modes[k])
-    return evals, modes
+    keep = evals > max(evals.max(initial=0.0) * 1e-12, 1e-20)
+    return evals[keep], modes[keep]
 
 
 def fit_atlas(
@@ -343,10 +333,9 @@ def fit_atlas(
 ) -> Atlas:
     """Karcher mean plus tangent covariance eigenmodes of a collection.
 
-    Modes are computed with the Gram-matrix trick (the covariance has rank
-    below the sample count, so the small Gram eigenproblem is exact), the
-    retained count is the smallest one whose cumulative variance ratio
-    exceeds ``VARIANCE_TARGET``, and per-sample coefficients are stored for
+    Modes come from one thin SVD of the tangent vectors (``_gram_modes``),
+    the retained count is the smallest one whose cumulative variance ratio
+    reaches ``VARIANCE_TARGET``, and per-sample coefficients are stored for
     regression.
     """
     if len(trees) < 2:
@@ -355,22 +344,13 @@ def fit_atlas(
     mu = result.mean
     V = np.array([log_map(mu, Q, w) for Q in result.registered])
     evals, modes = _gram_modes(V)
-    total = evals.sum()
-    if total <= 0 or not evals.size:
-        retained = 0
-    else:
-        ratio = np.cumsum(evals) / total
-        retained = int(np.searchsorted(ratio, VARIANCE_TARGET) + 1)
-        retained = min(retained, len(evals))
-    coeffs = np.zeros((len(V), retained))
-    for j in range(retained):
-        coeffs[:, j] = (V @ modes[j]) / np.sqrt(evals[j])
+    retained = min(int(np.searchsorted(_variance_ratio(evals), VARIANCE_TARGET)) + 1, len(evals))
     return Atlas(
         mean=mu,
         eigenvalues=evals,
         modes=modes,
         retained=retained,
-        training_coeffs=coeffs,
+        training_coeffs=(V @ modes[:retained].T) / np.sqrt(evals[:retained]),
         weights=w,
         ids=tuple(t.id for t in trees),
     )
@@ -475,10 +455,14 @@ def fit_regression(
     """Least-squares affine map from per-sample parameters to coefficients.
 
     ``params`` has one row per training sample.  The map is B P^+ where B
-    stacks coefficient columns and P stacks [p; 1] columns; singular values
-    below 1e-10 of the largest are treated as zero, and a rank-deficient P
-    is reported (the minimum-norm solution is still returned).
+    stacks coefficient columns and P stacks [p; 1] columns, from one SVD of
+    P.  Singular values at or below 1e-10 of the largest are treated as
+    zero; when fewer than l + 1 remain, P is reported rank deficient (the
+    minimum-norm solution is still returned).  An atlas with no retained
+    modes is a ValueError.
     """
+    if atlas.retained < 1:
+        raise ValueError("atlas has no retained modes to regress on")
     params = np.asarray(params, dtype=float)
     if params.ndim != 2:
         raise ValueError("params must be a 2D array (samples x parameters)")
@@ -493,9 +477,11 @@ def fit_regression(
         param_names = tuple(f"p{i + 1}" for i in range(l))
     B = atlas.training_coeffs.T  # (retained, m)
     P = np.vstack([params.T, np.ones(m)])  # (l+1, m)
-    if np.linalg.matrix_rank(P, tol=1e-10 * max(np.linalg.norm(P), 1e-300)) < l + 1:
+    U, sv, Wt = np.linalg.svd(P, full_matrices=False)
+    keep = sv > 1e-10 * sv[0]
+    if keep.sum() < l + 1:
         warnings.warn("parameter matrix is rank deficient; minimum-norm solution returned")
-    M = B @ np.linalg.pinv(P, rcond=1e-10)
+    M = (B @ Wt[keep].T / sv[keep]) @ U[:, keep].T
     return RegressionModel(M=M, param_names=tuple(param_names), atlas=atlas)
 
 

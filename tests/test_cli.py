@@ -72,6 +72,12 @@ class TestDistanceCommand:
     def test_usage_error_exit_2(self):
         assert main(["distance"]) == 2
 
+    def test_all_zero_weights_exit_1(self, tree_files, capsys):
+        pa, pb = tree_files
+        zero = ["--lambda-m", "0", "--lambda-s", "0", "--lambda-p", "0"]
+        assert main(["distance", str(pa), str(pb), *FAST_FLAGS, *zero]) == 1
+        assert "at least one weight must be positive" in one_error_line(capsys.readouterr().err)
+
     def test_two_samples_on_a_curved_main_exit_0(self, tree_files, capsys):
         # a curved main resampled to its two endpoints leaves the laterals'
         # bases off the main curve; only root files are checked for that
@@ -275,6 +281,16 @@ class TestUsageErrors:
         ["mean", "roots", "--step", "inf"],
         ["atlas", "roots", "--step", "-inf"],
         ["mean", "roots", "--max-iter", "-2"],
+        ["mean", "roots", "--tol", "nan"],
+        ["atlas", "roots", "--tol=-1e-6"],
+        ["matrix", "roots", "--lambda-m", "nan"],
+        ["distance", "a.json", "b.json", "--lambda-s", "inf"],
+        ["atlas", "roots", "--lambda-p", "-1"],
+        ["sample", "atlas.json", "--seed", "-1"],
+        ["modes", "atlas.json", "--mode", "-1"],
+        ["regress-predict", "model.json", "--params", "1,abc,2"],
+        ["regress-predict", "model.json", "--params", "nan,1,2"],
+        ["regress-predict", "model.json", "--params", "1,-inf,2"],
     ])
     def test_exit_2(self, argv, tmp_path, capsys):
         option = next(a for a in argv if a.startswith("--")).split("=")[0]
@@ -319,6 +335,16 @@ class TestUsageErrors:
         args = build_parser().parse_args(["mean", "roots", "--max-iter", "0", "--step", "1e-9",
                                           "--out", "m.json"])
         assert (args.max_iter, args.step) == (0, 1e-9)
+        args = build_parser().parse_args(["mean", "roots", "--tol", "0", "--lambda-m", "0",
+                                          "--lambda-s", "0", "--lambda-p", "0", "--out", "m.json"])
+        assert (args.tol, args.lambda_m, args.lambda_s, args.lambda_p) == (0, 0, 0, 0)
+        args = build_parser().parse_args(["sample", "a.json", "--seed", "0", "--out", "s.json"])
+        assert args.seed == 0
+        args = build_parser().parse_args(["modes", "a.json", "--mode", "0", "--out", "m.json"])
+        assert args.mode == 0
+        args = build_parser().parse_args(["regress-predict", "m.json", "--params=-1e300,0,2",
+                                          "--out", "p.json"])
+        assert args.params == [-1e300, 0.0, 2.0]
 
     def test_alpha_range_count_one_and_descending(self, collection_dir, tmp_path):
         atlas_path = tmp_path / "atlas.json"
@@ -332,6 +358,19 @@ class TestUsageErrors:
 
 
 class TestRegression:
+    def test_fit_without_retained_modes_exit_1(self, rng, tmp_path, capsys):
+        # five copies of one tree: the atlas has no modes to regress on
+        d = tmp_path / "copies"
+        d.mkdir()
+        tree = smooth_tree(rng, "x", 1)
+        for i in range(5):
+            save_root(tree, d / f"copy{i}.json")
+        out = tmp_path / "model.json"
+        assert main(["regress-fit", str(d), *FAST_FLAGS, "--out", str(out)]) == 1
+        err = one_error_line(capsys.readouterr().err)
+        assert "atlas has no retained modes to regress on" in err
+        assert not out.exists()
+
     def test_fit_and_predict(self, collection_dir, tmp_path, capsys):
         model_path = tmp_path / "model.json"
         assert main(["regress-fit", str(collection_dir), *FAST_FLAGS,
@@ -446,7 +485,9 @@ class TestMalformedFiles:
         ("weights", "abc", "atlas weights must be a regular array of numbers"),
         ("layout", {"n_main": 50}, "atlas layout has no 'n_lateral' field"),
         ("eigenvalues", 5, "eigenvalues must be a 1-d array"),
-    ], ids=["mean-array", "retained-null", "weights-string", "layout-partial", "eigenvalues-number"])
+        ("weights", [0.02, float("nan"), 1.0], "weights must be finite and nonnegative"),
+    ], ids=["mean-array", "retained-null", "weights-string", "layout-partial", "eigenvalues-number",
+            "weights-nan"])
     def test_atlas_field(self, fitted, tmp_path, capsys, field, value, message):
         data = json.loads((fitted / "atlas.json").read_text())
         data[field] = value

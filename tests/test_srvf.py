@@ -235,6 +235,12 @@ class TestWeights:
         with pytest.raises(ValueError):
             Weights(-0.1, 1.0, 1.0)
 
+    @pytest.mark.parametrize("bad", [float("nan"), float("inf"), float("-inf")])
+    def test_rejects_non_finite(self, bad):
+        for weights in ((bad, 1.0, 1.0), (0.02, bad, 1.0), (0.02, 1.0, bad)):
+            with pytest.raises(ValueError, match="weights must be finite and nonnegative"):
+                Weights(*weights)
+
     def test_rejects_all_zero(self):
         with pytest.raises(ValueError):
             Weights(0.0, 0.0, 0.0)

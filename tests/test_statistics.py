@@ -1,5 +1,6 @@
 import json
 import time
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -224,6 +225,20 @@ class TestAtlas:
             # modes diagonalize the covariance
             for lam, mode in zip(evals, modes):
                 np.testing.assert_allclose(C @ mode, lam * mode, atol=1e-8)
+
+    def test_gram_modes_on_an_ill_conditioned_spectrum(self, rng):
+        # V = U diag(s) W^T with orthonormal U, W and a spectrum over five
+        # decades: the covariance eigenvalues are s^2 / (m - 1).  Forming
+        # V V^T squares the condition number and loses ~1e-6 relative on
+        # the smallest; one SVD of V keeps it near 1e-11.
+        m, dim = 6, 900
+        s = np.logspace(0, -5, m)
+        for _ in range(20):
+            U = np.linalg.qr(rng.normal(size=(m, m)))[0]
+            Wm = np.linalg.qr(rng.normal(size=(dim, m)))[0]
+            evals, modes = _gram_modes((U * s) @ Wm.T)
+            np.testing.assert_allclose(evals, s**2 / (m - 1), rtol=1e-9, atol=0)
+            np.testing.assert_allclose(modes @ modes.T, np.eye(m), rtol=0, atol=1e-12)
 
     def test_serialization_round_trip(self, rng, tmp_path):
         trees = small_collection(rng, 3)
@@ -452,6 +467,29 @@ class TestRegression:
         atlas = synthetic_atlas_with_coeffs(rng, coeffs)
         with pytest.warns(UserWarning, match="rank deficient"):
             fit_regression(atlas, params)
+
+    def test_one_cutoff_decides_warning_and_solution(self, rng):
+        # P = [params^T; 1] with orthogonal rows of norms (sqrt(m), sqrt(m),
+        # 1.2e-10 sqrt(m)): its smallest singular value lies above 1e-10 of
+        # the largest, so the solution keeps it and no rank warning is given
+        # (a cutoff at 1e-10 of the Frobenius norm, 1.41e-10 sqrt(m), would warn)
+        m = 6
+        Q = np.linalg.qr(np.column_stack([np.ones(m), rng.normal(size=(m, 2))]))[0]
+        params = np.sqrt(m) * Q[:, 1:] * [1.0, 1.2e-10]
+        P = np.vstack([params.T, np.ones(m)])
+        sv = np.linalg.svd(P, compute_uv=False)
+        assert 1e-10 * sv[0] < sv[-1] < 1e-10 * np.linalg.norm(P)
+        atlas = synthetic_atlas_with_coeffs(rng, rng.normal(size=(m, 2)))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            model = fit_regression(atlas, params)
+        assert np.all(np.isfinite(model.M))
+
+    def test_atlas_without_retained_modes_rejected(self, rng):
+        atlas = synthetic_atlas_with_coeffs(rng, np.zeros((5, 0)))
+        assert atlas.retained == 0
+        with pytest.raises(ValueError, match="atlas has no retained modes to regress on"):
+            fit_regression(atlas, rng.normal(size=(5, 2)))
 
     def test_predict_training_sample_exact_fit(self, rng):
         # exact-fit regime: params = coefficients themselves
