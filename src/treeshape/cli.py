@@ -63,8 +63,6 @@ def _add_pipeline_args(parser: argparse.ArgumentParser, threads: bool = False) -
                         help="main-branch sample count (>= 2)")
     parser.add_argument("--n-lat", type=_at_least(2), default=50,
                         help="lateral-branch sample count (>= 2)")
-    parser.add_argument("--reg-iter", type=_at_least(1), default=10,
-                        help="registration sweeps (>= 1)")
     if threads:
         parser.add_argument("--threads", type=_at_least(1), default=1,
                             help="worker processes (>= 1)")
@@ -87,7 +85,6 @@ def _pair_options(args: argparse.Namespace) -> PairOptions:
         n_main=args.n_main,
         n_lateral=args.n_lat,
         normalize=args.normalize,
-        max_iter=args.reg_iter,
     )
 
 

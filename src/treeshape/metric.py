@@ -45,7 +45,6 @@ class PairOptions:
     n_main: int = DEFAULT_MAIN_SAMPLES
     n_lateral: int = DEFAULT_LATERAL_SAMPLES
     normalize: bool = False
-    max_iter: int = 10
 
 
 DEFAULT_OPTIONS = PairOptions()
@@ -86,7 +85,7 @@ def register_pair(
 ) -> tuple[SrvfTree, SrvfTree, Registration]:
     """Full pipeline from raw trees to a registration of b onto a."""
     Qa, Qb = prepare_pair(a, b, opts)
-    return Qa, Qb, register(Qa, Qb, w, max_iter=opts.max_iter)
+    return Qa, Qb, register(Qa, Qb, w)
 
 
 def distance(
@@ -169,8 +168,12 @@ class DistanceMatrix:
     def __post_init__(self) -> None:
         vals = np.array(self.values, dtype=float)
         m = len(self.labels)
+        if not all(isinstance(label, str) for label in self.labels):
+            raise ValueError("distance matrix labels must be strings")
         if vals.shape != (m, m):
             raise ValueError("matrix shape must match the label count")
+        if any(not (0 <= i < m and 0 <= j < m) for i, j, _ in self.failures):
+            raise ValueError(f"distance matrix failures must index its {m} labels")
         with np.errstate(invalid="ignore"):
             asym = np.nanmax(np.abs(vals - vals.T)) if m else 0.0
         if m and asym > 1e-9:
@@ -225,11 +228,11 @@ class DistanceMatrix:
                    failures=failures)
 
 
-def _pair_distance(Qa, Qb, w: Weights, max_iter: int) -> float | str:
+def _pair_distance(Qa, Qb, w: Weights) -> float | str:
     """The registered distance, or the "Type: message" text of the
     exception the registration raised."""
     try:
-        return register(*augment_srvfts([Qa, Qb]), w, max_iter=max_iter).distance
+        return register(*augment_srvfts([Qa, Qb]), w).distance
     except Exception as exc:  # recorded per pair, matrix entry flagged invalid
         return f"{type(exc).__name__}: {exc}"
 
@@ -264,7 +267,7 @@ def pairwise_matrix(
     m = len(trees)
     prepared = prepare_trees(trees, opts)
     pairs = [(i, j) for i in range(m) for j in range(i + 1, m)]
-    jobs = [(prepared[i], prepared[j], w, opts.max_iter) for i, j in pairs]
+    jobs = [(prepared[i], prepared[j], w) for i, j in pairs]
     values = np.zeros((m, m))
     failures = []
     for (i, j), d in zip(pairs, parallel_map(_pair_distance, jobs, n_jobs)):

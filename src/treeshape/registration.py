@@ -26,51 +26,10 @@ from .srvf import SrvfTree, Weights, _sq_dists, trapezoid_weights
 # linearly growing speed needs unbounded slope near the ends).
 DP_MAX_STEP = 10
 
-# ``register`` stops once a sweep lowers the cost by less than this fraction.
+# ``register`` stops once a sweep lowers the cost by less than this fraction,
+# or after this many sweeps.
 SWEEP_TOL = 1e-8
-
-
-@dataclass(frozen=True)
-class Gamma:
-    """Discrete reparameterization of [0, 1]: values at the uniform grid."""
-
-    values: np.ndarray
-
-    def __post_init__(self) -> None:
-        vals = np.array(self.values, dtype=float)
-        if vals.ndim != 1 or len(vals) < 2:
-            raise ValueError("gamma needs at least two grid values")
-        if abs(vals[0]) > 1e-12 or abs(vals[-1] - 1.0) > 1e-12:
-            raise ValueError("gamma must map 0 to 0 and 1 to 1")
-        if np.any(np.diff(vals) < -1e-12):
-            raise ValueError("gamma must be nondecreasing")
-        vals[0], vals[-1] = 0.0, 1.0
-        vals.flags.writeable = False
-        object.__setattr__(self, "values", vals)
-
-    @classmethod
-    def identity(cls, n: int) -> "Gamma":
-        return cls(np.linspace(0.0, 1.0, n))
-
-    @property
-    def n(self) -> int:
-        return len(self.values)
-
-    @property
-    def grid(self) -> np.ndarray:
-        return np.linspace(0.0, 1.0, self.n)
-
-    def derivative(self) -> np.ndarray:
-        h = 1.0 / (self.n - 1)
-        return np.clip(np.gradient(self.values, h), 0.0, None)
-
-    def inverse_at(self, s: np.ndarray | float) -> np.ndarray | float:
-        """Monotone linear-interpolation inverse evaluated at s."""
-        out = np.interp(s, self.values, self.grid)
-        return float(out) if np.isscalar(s) else out
-
-    def is_identity(self, tol: float = 1e-12) -> bool:
-        return bool(np.max(np.abs(self.values - self.grid)) <= tol)
+MAX_SWEEPS = 10
 
 
 @dataclass(frozen=True)
@@ -78,15 +37,17 @@ class Registration:
     """Optimal alignment of tree b onto tree a."""
 
     rotation: np.ndarray  # 2x2, det +1
-    gamma: Gamma
+    gamma: np.ndarray  # (n,) main-curve warp at the uniform grid of [0, 1]
     assignment: np.ndarray  # assignment[k] = index in b matched to a's lateral k
     cost: float
     cost_history: tuple[float, ...] = ()
 
     def __post_init__(self) -> None:
         rot = np.array(self.rotation, dtype=float).reshape(2, 2)
-        rot.flags.writeable = False
+        gamma = np.array(self.gamma, dtype=float)
+        rot.flags.writeable = gamma.flags.writeable = False
         object.__setattr__(self, "rotation", rot)
+        object.__setattr__(self, "gamma", gamma)
         perm = np.array(self.assignment, dtype=int)
         if perm.ndim != 1 or sorted(perm.tolist()) != list(range(len(perm))):
             raise ValueError("assignment must be a permutation of 0..N-1")
@@ -113,28 +74,33 @@ class Registration:
 # calls them directly on the arrays of the two SRVF-trees.
 
 
-def _warp(samples: np.ndarray, gamma: Gamma) -> np.ndarray:
+def _is_identity(gamma: np.ndarray) -> bool:
+    return bool(np.max(np.abs(gamma - np.linspace(0.0, 1.0, len(gamma)))) <= 1e-12)
+
+
+def _warp(samples: np.ndarray, gamma: np.ndarray) -> np.ndarray:
     """(q o gamma) * sqrt(gamma') of (n, 2) samples; the samples themselves
     for an identity gamma."""
     n = len(samples)
-    if gamma.n != n:
+    if len(gamma) != n:
         raise ValueError("gamma grid does not match the SRVF grid")
-    if gamma.is_identity():
+    if _is_identity(gamma):
         return samples
-    pos = gamma.values * (n - 1)
+    pos = gamma * (n - 1)
     idx = np.arange(n)
     warped = np.column_stack([np.interp(pos, idx, samples[:, c]) for c in range(2)])
-    return warped * np.sqrt(gamma.derivative())[:, None]
+    slope = np.clip(np.gradient(gamma, 1.0 / (n - 1)), 0.0, None)
+    return warped * np.sqrt(slope)[:, None]
 
 
-def _remap(s: np.ndarray, gamma: Gamma) -> np.ndarray:
+def _remap(s: np.ndarray, gamma: np.ndarray) -> np.ndarray:
     """Attachment positions after reparameterization: gamma^-1(s), where the
     old attachment point now occurs."""
-    return s if gamma.is_identity() else gamma.inverse_at(s)
+    return s if _is_identity(gamma) else np.interp(s, gamma, np.linspace(0.0, 1.0, len(gamma)))
 
 
 def _transform(
-    Q: SrvfTree, rotation: np.ndarray | None, gamma: Gamma | None
+    Q: SrvfTree, rotation: np.ndarray | None, gamma: np.ndarray | None
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
     """Main samples, lateral samples, positions and anchor of a moved tree."""
     q0, lats, s, anchor = Q.q0, Q.q_lat, Q.s, Q.anchor
@@ -160,7 +126,7 @@ def _preshape_cost(
 
 
 def transform_tree(
-    Q: SrvfTree, rotation: np.ndarray | None = None, gamma: Gamma | None = None
+    Q: SrvfTree, rotation: np.ndarray | None = None, gamma: np.ndarray | None = None
 ) -> SrvfTree:
     """Rotate all SRVFs and reparameterize the main branch (no reordering)."""
     return SrvfTree(*_transform(Q, rotation, gamma))
@@ -400,9 +366,10 @@ def _reparam_dp(qa: np.ndarray, qb: np.ndarray) -> tuple[np.ndarray, float]:
     return values, energy
 
 
-def optimal_reparam_main(qa: np.ndarray, qb: np.ndarray) -> Gamma:
+def optimal_reparam_main(qa: np.ndarray, qb: np.ndarray) -> np.ndarray:
     """Reparameterization gamma minimizing |qa - (qb o gamma) sqrt(gamma')|^2
-    for (n, 2) SRVF samples ``qa`` and ``qb``.
+    for (n, 2) SRVF samples ``qa`` and ``qb``, as its read-only (n,) values
+    at the uniform grid of [0, 1].
 
     Solved by dynamic programming over monotone grid paths; the identity path
     lies in the search space, so the optimal energy never exceeds the
@@ -413,8 +380,9 @@ def optimal_reparam_main(qa: np.ndarray, qb: np.ndarray) -> Gamma:
         raise ValueError(f"sample shapes differ: {qa.shape} vs {qb.shape}")
     if not (np.isfinite(qa).all() and np.isfinite(qb).all()):
         raise ValueError("SRVF samples must be finite")
-    values, _ = _reparam_dp(qa, qb)
-    return Gamma(values)
+    gamma = _reparam_dp(qa, qb)[0]
+    gamma.flags.writeable = False
+    return gamma
 
 
 # ---------------------------------------------------------------------------
@@ -434,17 +402,15 @@ def preshape_dissimilarity_sq(a: SrvfTree, b: SrvfTree, w: Weights) -> float:
     return _preshape_cost(w, main_sq, _sq_dists(a.q_lat, b.q_lat), a.s.tolist(), b.s.tolist())
 
 
-def register(a: SrvfTree, b: SrvfTree, w: Weights, max_iter: int = 10) -> Registration:
+def register(a: SrvfTree, b: SrvfTree, w: Weights) -> Registration:
     """Align b onto a over rotation, reparameterization and correspondence.
 
     Coordinate descent, assignment first (attachment positions dominate the
     topology and are rotation invariant), then rotation, then the main-curve
     warp.  Stops when the relative cost decrease over a sweep drops below
-    ``SWEEP_TOL`` or after ``max_iter`` (at least 1) sweeps.  A non-finite
-    cost is a ValueError.
+    ``SWEEP_TOL`` or after ``MAX_SWEEPS`` sweeps.  A non-finite cost is a
+    ValueError.
     """
-    if max_iter < 1:
-        raise ValueError(f"registration needs at least one sweep, got max_iter={max_iter}")
     if a.n_laterals != b.n_laterals:
         raise ValueError(
             f"trees must be augmented to equal lateral counts "
@@ -466,7 +432,7 @@ def register(a: SrvfTree, b: SrvfTree, w: Weights, max_iter: int = 10) -> Regist
         return cost
 
     N = len(qa)
-    gamma = Gamma.identity(len(a0))
+    gamma = np.linspace(0.0, 1.0, len(a0))
     b_warped, s_moved = b0, sb  # b's main and positions under gamma
     rotation = np.eye(2)
     assignment = np.arange(N)
@@ -493,7 +459,7 @@ def register(a: SrvfTree, b: SrvfTree, w: Weights, max_iter: int = 10) -> Regist
     # equals the one of the last DP (typically the final sweep) reuses its
     # gamma, warp and positions.
     dp_rotation = None
-    for _ in range(max_iter):
+    for _ in range(MAX_SWEEPS):
         assignment = match_laterals(qa, sa, lat_rot, s_moved, w)
         rotation = optimal_rotation(a0, qa, b_warped, qb[assignment], w)
         lat_rot = qb @ rotation.T

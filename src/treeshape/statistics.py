@@ -153,13 +153,13 @@ def karcher_mean(
     def registered_to(mu: SrvfTree) -> tuple[list[SrvfTree], float]:
         """The samples registered to mu, and the objective: the sum of their
         registration costs, in sample order."""
-        regs = parallel_map(register, [(mu, Q, w, opts.max_iter) for Q in samples], n_jobs)
+        regs = parallel_map(register, [(mu, Q, w) for Q in samples], n_jobs)
         registered = [apply_registration(Q, reg) for Q, reg in zip(samples, regs)]
         return registered, float(sum(reg.cost for reg in regs))
 
     # medoid initialization
     upper = np.triu_indices(m, 1)
-    pairs = [(samples[i], samples[j], w, opts.max_iter) for i, j in zip(*upper)]
+    pairs = [(samples[i], samples[j], w) for i, j in zip(*upper)]
     pair_cost = np.zeros((m, m))
     pair_cost[upper] = [reg.cost for reg in parallel_map(register, pairs, n_jobs)]
     medoid = int(np.argmin((pair_cost + pair_cost.T).sum(axis=1)))
@@ -216,6 +216,10 @@ class Atlas:
         ev = np.array(self.eigenvalues, dtype=float)
         if ev.ndim != 1:
             raise ValueError("eigenvalues must be a 1-d array")
+        if not np.all(np.isfinite(ev) & (ev >= 0)):
+            raise ValueError("eigenvalues must be finite and nonnegative")
+        if not 0 <= self.retained <= len(ev):
+            raise ValueError(f"retained must be in [0, {len(ev)}], got {self.retained}")
         ev.flags.writeable = False
         object.__setattr__(self, "eigenvalues", ev)
         md = np.array(self.modes, dtype=float).reshape(len(ev), _dim(self.mean))
@@ -225,8 +229,6 @@ class Atlas:
         tc = tc.reshape(tc.shape[0] if tc.size else 0, self.retained)
         tc.flags.writeable = False
         object.__setattr__(self, "training_coeffs", tc)
-        if self.retained > len(ev):
-            raise ValueError("retained exceeds available modes")
 
     @property
     def n_modes(self) -> int:

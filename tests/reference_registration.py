@@ -20,8 +20,8 @@ from typing import NamedTuple
 import numpy as np
 from scipy.optimize import linear_sum_assignment
 
-from treeshape import Branch, Lateral, RootTree
-from treeshape.registration import Gamma, Registration, optimal_reparam_main
+from treeshape import Branch, Lateral, RootTree, registration
+from treeshape.registration import Registration, optimal_reparam_main
 from treeshape.srvf import SrvfTree, Weights, from_srvf, trapezoid_weights
 from treeshape.tree_model import _cumulative_arclength
 
@@ -101,22 +101,34 @@ def rotate_srvf(q: BranchSrvf, rotation: np.ndarray) -> BranchSrvf:
     return BranchSrvf(q.samples @ np.asarray(rotation).T)
 
 
-def warp_srvf(q: BranchSrvf, gamma: Gamma) -> BranchSrvf:
-    if gamma.is_identity():
+def is_identity(gamma: np.ndarray) -> bool:
+    grid = np.linspace(0.0, 1.0, len(gamma))
+    return bool(np.max(np.abs(gamma - grid)) <= 1e-12)
+
+
+def warp_srvf(q: BranchSrvf, gamma: np.ndarray) -> BranchSrvf:
+    if is_identity(gamma):
         return q
-    pos = gamma.values * (q.n - 1)
+    pos = gamma * (q.n - 1)
     idx = np.arange(q.n)
     warped = np.column_stack([np.interp(pos, idx, q.samples[:, c]) for c in range(2)])
-    return BranchSrvf(warped * np.sqrt(gamma.derivative())[:, None])
+    h = 1.0 / (q.n - 1)
+    derivative = np.clip(np.gradient(gamma, h), 0.0, None)
+    return BranchSrvf(warped * np.sqrt(derivative)[:, None])
+
+
+def inverse_at(gamma: np.ndarray, s: float) -> float:
+    """Monotone linear-interpolation inverse of gamma evaluated at s."""
+    return float(np.interp(s, gamma, np.linspace(0.0, 1.0, len(gamma))))
 
 
 def transform_tree(Q, rotation=None, gamma=None) -> ObjTree:
     q0 = Q.q0
     laterals = Q.laterals
     anchor = Q.anchor
-    if gamma is not None and not gamma.is_identity():
+    if gamma is not None and not is_identity(gamma):
         q0 = warp_srvf(q0, gamma)
-        laterals = tuple(LateralSrvf(q, float(gamma.inverse_at(s))) for q, s in laterals)
+        laterals = tuple(LateralSrvf(q, inverse_at(gamma, s)) for q, s in laterals)
     if rotation is not None:
         rot = np.asarray(rotation)
         q0 = rotate_srvf(q0, rot)
@@ -193,10 +205,10 @@ def _aligned_cost(a, b, rotation, gamma, assignment, w) -> float:
     return _preshape_dissimilarity_sq(a, reordered, w)
 
 
-def _register(a, b, w, max_iter=10, tol=1e-8) -> Registration:
+def _register(a, b, w, tol=1e-8) -> Registration:
     n = a.q0.n
     N = a.n_laterals
-    gamma = Gamma.identity(n)
+    gamma = np.linspace(0.0, 1.0, n)
     assignment = np.arange(N)
     cost = _aligned_cost(a, b, np.eye(2), gamma, assignment, w)
     history = [cost]
@@ -214,7 +226,7 @@ def _register(a, b, w, max_iter=10, tol=1e-8) -> Registration:
                 best = c
                 rotation = cand
                 assignment = pi
-    for _ in range(max_iter):
+    for _ in range(registration.MAX_SWEEPS):  # read per call: tests patch the cap
         moved = transform_tree(b, rotation=rotation, gamma=gamma)
         assignment = match_laterals(a, moved, w)
         b_warped = transform_tree(b, gamma=gamma)
@@ -272,8 +284,8 @@ def _srvft_to_tree(Q: ObjTree, tree_id: str = "reconstructed", eps_null: float =
 # the references on the package's array SRVF-trees
 
 
-def register(a: SrvfTree, b: SrvfTree, w: Weights, **kwargs) -> Registration:
-    return _register(to_objects(a), to_objects(b), w, **kwargs)
+def register(a: SrvfTree, b: SrvfTree, w: Weights) -> Registration:
+    return _register(to_objects(a), to_objects(b), w)
 
 
 def apply_registration(Q: SrvfTree, reg: Registration) -> SrvfTree:

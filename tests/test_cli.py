@@ -259,8 +259,8 @@ class TestUsageErrors:
         ["matrix", "roots", "--n-lat", "0"],
         ["distance", "a.json", "b.json", "--n-main", "2.5"],
         ["atlas", "roots", "--n-lat", "-3"],
-        ["distance", "a.json", "b.json", "--reg-iter", "0"],
-        ["matrix", "roots", "--reg-iter", "-3"],
+        ["geodesic", "a.json", "b.json", "--n-main", "0"],
+        ["regress-fit", "roots", "--n-lat", "1"],
         ["sample", "atlas.json", "--n", "0"],
         ["sample", "atlas.json", "--n", "-2"],
         ["sample", "atlas.json", "--range=1:-1"],
@@ -301,11 +301,12 @@ class TestUsageErrors:
     @pytest.mark.parametrize("argv", [
         ["distance", "a.json", "b.json", "--fixed-s"],
         ["matrix", "roots", "--reg-tol", "1e-6"],
+        ["matrix", "roots", "--reg-iter", "3"],
         ["distance", "a.json", "b.json", "--threads", "2"],
         ["geodesic", "a.json", "b.json", "--threads", "2"],
         ["cluster", "m.csv", "--n-main", "50"],
         ["cluster", "m.csv", "--threads", "2"],
-    ], ids=["fixed-s", "reg-tol", "distance-threads", "geodesic-threads",
+    ], ids=["fixed-s", "reg-tol", "reg-iter", "distance-threads", "geodesic-threads",
             "cluster-n-main", "cluster-threads"])
     def test_removed_switches_exit_2(self, argv, tmp_path, capsys):
         switch = next(a for a in argv if a.startswith("--"))
@@ -319,8 +320,6 @@ class TestUsageErrors:
         args = build_parser().parse_args([
             "matrix", "roots", "--n-main", "2", "--n-lat", "2", "--out", "m.csv"])
         assert (args.n_main, args.n_lat) == (2, 2)
-        args = build_parser().parse_args(["matrix", "roots", "--reg-iter", "1", "--out", "m.csv"])
-        assert args.reg_iter == 1
         args = build_parser().parse_args(["sample", "a.json", "--n", "1", "--out", "s.json"])
         assert args.n == 1
         args = build_parser().parse_args(["sample", "a.json", "--range=-0.5:2", "--out", "s.json"])
@@ -486,15 +485,23 @@ class TestMalformedFiles:
         ("layout", {"n_main": 50}, "atlas layout has no 'n_lateral' field"),
         ("eigenvalues", 5, "eigenvalues must be a 1-d array"),
         ("weights", [0.02, float("nan"), 1.0], "weights must be finite and nonnegative"),
+        ("eigenvalues", lambda ev: [-ev[0], *ev[1:]], "eigenvalues must be finite and nonnegative"),
+        ("eigenvalues", lambda ev: [float("inf"), *ev[1:]],
+         "eigenvalues must be finite and nonnegative"),
+        ("retained", -1, "retained must be in [0, 4], got -1"),
+        ("retained", 5, "retained must be in [0, 4], got 5"),
     ], ids=["mean-array", "retained-null", "weights-string", "layout-partial", "eigenvalues-number",
-            "weights-nan"])
-    def test_atlas_field(self, fitted, tmp_path, capsys, field, value, message):
+            "weights-nan", "eigenvalues-negative", "eigenvalues-inf", "retained-negative",
+            "retained-above-modes"])
+    def test_atlas_field(self, fitted, tmp_path, capsys, recwarn, field, value, message):
         data = json.loads((fitted / "atlas.json").read_text())
-        data[field] = value
+        data[field] = value(data[field]) if callable(value) else value
         bad = tmp_path / "bad.json"
         bad.write_text(json.dumps(data))
-        assert main(["sample", str(bad), "--out", str(tmp_path / "s.json")]) == 1
-        assert message in one_error_line(capsys.readouterr().err)
+        for command in ("sample", "modes"):
+            assert main([command, str(bad), "--out", str(tmp_path / "s.json")]) == 1
+            assert message in one_error_line(capsys.readouterr().err)
+        assert not recwarn.list
 
     def test_atlas_layout_that_disagrees_with_the_mean(self, fitted, tmp_path, capsys):
         # the same tangent dimension in other blocks: the modes still fit, so
@@ -536,12 +543,16 @@ class TestMalformedFiles:
         ("cluster", {"labels": None, "values": []},
          "distance matrix labels must be a JSON array, not NoneType"),
         ("cluster", [1, 2], "distance matrix must be a JSON object, not list"),
+        ("cluster", {"labels": [1, 2, 3], "values": [[0, 1, 2], [1, 0, 1.5], [2, 1.5, 0]]},
+         "distance matrix labels must be strings"),
+        ("cluster", {"labels": ["a", "b"], "values": [[0, 1], [1, 0]], "failures": [[0, 7, "x"]]},
+         "distance matrix failures must index its 2 labels"),
         # the lateral starts 3x the attachment tolerance (1e-3 x 10) off the main
         ("render", {"main": [[0, 0], [0, -10]],
                     "laterals": [{"t": 0.5, "points": [[0.03, -5], [1.03, -5]]}]},
          "starts 0.03 from the main curve (tolerance 0.01)"),
     ], ids=["root-laterals-null", "matrix-labels-null", "matrix-top-level-array",
-            "root-lateral-off-the-main"])
+            "matrix-labels-numbers", "matrix-failure-out-of-range", "root-lateral-off-the-main"])
     def test_root_and_matrix(self, tmp_path, capsys, command, payload, message):
         bad = tmp_path / "bad.json"
         bad.write_text(json.dumps(payload))

@@ -8,7 +8,6 @@ from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
 from treeshape import (
-    Gamma,
     Registration,
     Weights,
     apply_registration,
@@ -27,6 +26,7 @@ from treeshape.registration import (
     _dp_edge_cost,
     _dp_plan,
     _reparam_dp,
+    _remap,
     _warp,
     lateral_cost_matrix,
 )
@@ -52,34 +52,40 @@ def srvft_of(tree, n_main=60, n_lat=20):
 
 
 class TestGamma:
-    def test_identity(self):
-        g = Gamma.identity(50)
-        assert g.is_identity()
-        np.testing.assert_allclose(g.derivative(), 1.0, atol=1e-12)
+    """The main-curve warp as a plain (n,) array of its values at the grid."""
 
-    def test_invalid_endpoints(self):
-        with pytest.raises(ValueError):
-            Gamma(np.linspace(0.1, 1.0, 10))
-
-    def test_must_be_monotone(self):
-        vals = np.linspace(0, 1, 10)
-        vals[4], vals[5] = vals[5], vals[4]
-        with pytest.raises(ValueError):
-            Gamma(vals)
+    def test_identity(self, rng, monkeypatch):
+        grid = np.linspace(0, 1, 50)
+        q = rng.normal(size=(50, 2))
+        s = rng.uniform(size=4)
+        assert _warp(q, grid) is q
+        assert _remap(s, grid) is s
+        # the full arithmetic, past the identity shortcut, agrees with it
+        monkeypatch.setattr(registration, "_is_identity", lambda gamma: False)
+        np.testing.assert_allclose(_warp(q, grid), q, atol=1e-12)
+        np.testing.assert_allclose(_remap(s, grid), s, atol=1e-12)
 
     def test_inverse(self):
         grid = np.linspace(0, 1, 200)
-        g = Gamma(grid**2)
+        g = grid**2
         # between knots the piecewise-linear inverse carries O(h^2) error
-        np.testing.assert_allclose(g.inverse_at(0.25), 0.5, atol=1e-4)
-        np.testing.assert_allclose(g.inverse_at(g.values), grid, atol=1e-9)
+        np.testing.assert_allclose(_remap(np.array([0.25]), g), 0.5, atol=1e-4)
+        np.testing.assert_allclose(_remap(g, g), grid, atol=1e-9)
+
+    def test_read_only_arrays(self, rng):
+        q = srvft_of(smooth_tree(rng, "g", 1), n_main=40).q0
+        g = optimal_reparam_main(q, q[::-1])
+        reg = Registration(np.eye(2), g, np.arange(0), 0.0)
+        for gamma in (g, reg.gamma):
+            assert gamma.shape == (40,) and gamma.dtype == float
+            assert not gamma.flags.writeable
 
 
 class TestWarp:
     def test_identity_warp_is_noop(self, rng):
         tree = smooth_tree(rng, "w", 2)
         q = srvft_of(tree).q0
-        out = _warp(q, Gamma.identity(len(q)))
+        out = _warp(q, np.linspace(0, 1, len(q)))
         np.testing.assert_array_equal(out, q)
 
     def test_warp_preserves_norm_approximately(self, rng):
@@ -87,7 +93,7 @@ class TestWarp:
         tree = smooth_tree(rng, "w", 0)
         q = srvft_of(tree, n_main=200).q0
         grid = np.linspace(0, 1, len(q))
-        g = Gamma(grid + 0.08 * np.sin(np.pi * grid))
+        g = grid + 0.08 * np.sin(np.pi * grid)
         norm_sq, warped_sq = _sq_norms(np.stack([q, _warp(q, g)]))
         assert abs(warped_sq - norm_sq) / norm_sq < 5e-3
 
@@ -146,7 +152,7 @@ class TestReparamDP:
     def test_identity_for_equal(self, rng):
         q = srvft_of(smooth_tree(rng, "g", 0), n_main=100).q0
         g = optimal_reparam_main(q, q)
-        assert np.max(np.abs(g.values - g.grid)) < 2.0 / len(q)
+        assert np.max(np.abs(g - np.linspace(0, 1, len(q)))) < 2.0 / len(q)
 
     def test_speed_profile_fixture(self):
         # unit-speed line vs the same line traversed with speed 2t.
@@ -158,7 +164,7 @@ class TestReparamDP:
         q_unit = np.column_stack([np.ones(n), np.zeros(n)])
         q_2t = np.column_stack([np.sqrt(2 * grid), np.zeros(n)])
         g = optimal_reparam_main(q_unit, q_2t)
-        err = np.abs(g.values - np.sqrt(grid))
+        err = np.abs(g - np.sqrt(grid))
         assert err.max() < 3.0 / n
         assert err[5:].max() < 2.0 / n
 
@@ -171,7 +177,7 @@ class TestReparamDP:
         q_unit = np.column_stack([np.ones(n), np.zeros(n)])
         q_2t = np.column_stack([np.sqrt(2 * grid), np.zeros(n)])
         g = optimal_reparam_main(q_2t, q_unit)
-        assert np.max(np.abs(g.values - grid**2)) < 2.0 / n
+        assert np.max(np.abs(g - grid**2)) < 2.0 / n
 
     def test_dp_energy_never_exceeds_identity(self, rng):
         # the identity path is inside the search space
@@ -413,7 +419,7 @@ class TestMatchLaterals:
 class TestApplyRegistration:
     def test_identity_noop(self, rng):
         Q = srvft_of(smooth_tree(rng, "ap", 2))
-        reg = Registration(np.eye(2), Gamma.identity(len(Q.q0)), np.arange(Q.n_laterals), 0.0)
+        reg = Registration(np.eye(2), np.linspace(0, 1, len(Q.q0)), np.arange(Q.n_laterals), 0.0)
         out = apply_registration(Q, reg)
         np.testing.assert_array_equal(out.q0, Q.q0)
         np.testing.assert_array_equal(out.anchor, Q.anchor)
@@ -423,9 +429,9 @@ class TestApplyRegistration:
     def test_rotation_round_trip(self, rng):
         Q = srvft_of(smooth_tree(rng, "ap", 2))
         theta = 0.9
-        fwd = Registration(rotation_matrix(theta), Gamma.identity(len(Q.q0)),
+        fwd = Registration(rotation_matrix(theta), np.linspace(0, 1, len(Q.q0)),
                            np.arange(Q.n_laterals), 0.0)
-        back = Registration(rotation_matrix(-theta), Gamma.identity(len(Q.q0)),
+        back = Registration(rotation_matrix(-theta), np.linspace(0, 1, len(Q.q0)),
                             np.arange(Q.n_laterals), 0.0)
         out = apply_registration(apply_registration(Q, fwd), back)
         np.testing.assert_allclose(out.q0, Q.q0, atol=1e-9)
@@ -433,7 +439,7 @@ class TestApplyRegistration:
 
     def test_rotation_preserves_norms(self, rng):
         Q = srvft_of(smooth_tree(rng, "ap", 3))
-        reg = Registration(rotation_matrix(1.3), Gamma.identity(len(Q.q0)),
+        reg = Registration(rotation_matrix(1.3), np.linspace(0, 1, len(Q.q0)),
                            np.arange(Q.n_laterals), 0.0)
         out = apply_registration(Q, reg)
         assert abs(_sq_norms(out.q0)[0] - _sq_norms(Q.q0)[0]) < 1e-12
@@ -446,7 +452,7 @@ class TestApplyRegistration:
         a = straight_tree("a", 1.0, laterals=[(0.25, 0.2, 1)])
         Q = srvft_of(a, n_main=201)
         grid = np.linspace(0, 1, len(Q.q0))
-        reg = Registration(np.eye(2), Gamma(grid**2), np.arange(1), 0.0)
+        reg = Registration(np.eye(2), grid**2, np.arange(1), 0.0)
         out = apply_registration(Q, reg)
         assert abs(out.s[0] - 0.5) < 1e-9
 
@@ -493,13 +499,11 @@ class TestRegister:
             Qa2, Qb2 = prepare_pair(a, move_tree(b, theta=theta))
             assert abs(register(Qa2, Qb2, w).cost - base) < 1e-6
 
-    @pytest.mark.parametrize("max_iter", [0, -3])
-    def test_needs_one_sweep(self, rng, max_iter):
-        # with no sweep the warm-start rotation and assignment would come back
-        # with the identity-aligned cost
+    def test_sweeps_capped_by_max_sweeps(self, rng, monkeypatch):
         Qa, Qb = prepare_pair(smooth_tree(rng, "a", 1), smooth_tree(rng, "b", 2))
-        with pytest.raises(ValueError, match="at least one sweep"):
-            register(Qa, Qb, Weights(), max_iter=max_iter)
+        assert len(register(Qa, Qb, Weights()).cost_history) > 2
+        monkeypatch.setattr(registration, "MAX_SWEEPS", 1)
+        assert len(register(Qa, Qb, Weights()).cost_history) == 2
 
     def test_mismatched_counts_rejected(self, rng):
         a = srvft_of(smooth_tree(rng, "a", 1))
@@ -549,7 +553,7 @@ def srvft_pairs(draw):
 
 def assert_same_registration(got, want):
     np.testing.assert_array_equal(got.rotation, want.rotation)
-    np.testing.assert_array_equal(got.gamma.values, want.gamma.values)
+    np.testing.assert_array_equal(got.gamma, want.gamma)
     np.testing.assert_array_equal(got.assignment, want.assignment)
     assert got.cost_history == want.cost_history
 
@@ -615,9 +619,9 @@ class TestDpReuse:
         return calls
 
     @staticmethod
-    def sweeps_matching_reference(a, b, w, **kwargs):
-        got = register(a, b, w, **kwargs)
-        assert_same_registration(got, ref.register(a, b, w, **kwargs))
+    def sweeps_matching_reference(a, b, w):
+        got = register(a, b, w)
+        assert_same_registration(got, ref.register(a, b, w))
         return len(got.cost_history) - 1
 
     def test_repeated_rotation_skips_the_dp(self, rng, dp_calls):
@@ -641,9 +645,10 @@ class TestDpReuse:
         assert sweeps >= 2
         assert len(dp_calls) == sweeps
 
-    def test_capped_descent_runs_every_dp(self, dp_calls):
-        # random SRVF-trees whose rotation is still moving when max_iter ends
-        # the descent
+    def test_capped_descent_runs_every_dp(self, dp_calls, monkeypatch):
+        # random SRVF-trees whose rotation is still moving when MAX_SWEEPS
+        # ends the descent
+        monkeypatch.setattr(registration, "MAX_SWEEPS", 4)
         rng = np.random.default_rng(118)
 
         def random_tree(n=40, k=20, n_lat=4):
@@ -653,6 +658,6 @@ class TestDpReuse:
             return SrvfTree(random_srvf(rng, n), q_lat[order], s[order], rng.normal(size=2))
 
         a, b = random_tree(), random_tree()
-        sweeps = self.sweeps_matching_reference(a, b, Weights(1.0, 1.0, 1.0), max_iter=4)
+        sweeps = self.sweeps_matching_reference(a, b, Weights(1.0, 1.0, 1.0))
         assert sweeps == 4
         assert len(dp_calls) == sweeps
