@@ -16,7 +16,6 @@ from functools import lru_cache
 from typing import NamedTuple
 
 import numpy as np
-from scipy.optimize import linear_sum_assignment
 
 from .srvf import SrvfTree, Weights, _sq_dists, trapezoid_weights
 
@@ -161,15 +160,79 @@ def lateral_cost_matrix(
     return w.lambda_s * np.clip(shape_cost, 0.0, None) + w.lambda_p * ds * ds
 
 
+def _linear_assignment(cost: np.ndarray) -> list[int]:
+    """Minimum-cost assignment of a square cost matrix: the column of each row.
+
+    Shortest augmenting paths with dual variables (Crouse, "On implementing
+    2D rectangular assignment algorithms", IEEE TAES 2016), ported scalar by
+    scalar from scipy's ``linear_sum_assignment``, whose arithmetic order and
+    tie rule it keeps, so both return the same columns.  Non-finite costs are
+    a ValueError.
+    """
+    n = len(cost)
+    if not np.isfinite(cost).all():
+        raise ValueError("assignment costs must be finite")
+    if n <= 1:
+        return list(range(n))
+    c = cost.tolist()
+    u, v = [0.0] * n, [0.0] * n
+    path, col4row, row4col = [-1] * n, [-1] * n, [-1] * n
+    for cur in range(n):
+        # grow a shortest-path tree from row cur until it reaches a free column
+        spc = [math.inf] * n
+        remaining = list(range(n - 1, -1, -1))
+        rows, cols = [], []  # the other rows and the columns the tree reached
+        min_val, i = 0.0, cur
+        while True:
+            index, lowest = -1, math.inf
+            ci, ui = c[i], u[i]
+            for it, j in enumerate(remaining):
+                r = min_val + ci[j] - ui - v[j]
+                sj = spc[j]
+                if r < sj:
+                    path[j] = i
+                    spc[j] = sj = r
+                # among equal minima, a later unassigned column wins
+                if sj < lowest or (sj == lowest and row4col[j] == -1):
+                    index, lowest = it, sj
+            if lowest == math.inf:
+                raise ValueError("assignment cost overflow")
+            min_val = lowest
+            j = remaining[index]
+            cols.append(j)
+            remaining[index] = remaining[-1]
+            remaining.pop()
+            if row4col[j] == -1:
+                break
+            i = row4col[j]
+            rows.append(i)
+        u[cur] += min_val
+        for i in rows:
+            u[i] += min_val - spc[col4row[i]]
+        for k in cols:
+            v[k] -= min_val - spc[k]
+        # augment along the path back to row cur
+        while True:
+            i = path[j]
+            row4col[j] = i
+            col4row[i], j = j, col4row[i]
+            if i == cur:
+                break
+    return col4row
+
+
 def match_laterals(
     qa: np.ndarray, sa: np.ndarray, qb: np.ndarray, sb: np.ndarray, w: Weights
 ) -> np.ndarray:
-    """Minimum-cost lateral correspondence via exact linear assignment:
-    perm[k] is the lateral of b matched to a's lateral k."""
-    rows, cols = linear_sum_assignment(lateral_cost_matrix(qa, sa, qb, sb, w))
-    perm = np.empty(len(qa), dtype=int)
-    perm[rows] = cols
-    return perm
+    """Minimum-cost lateral correspondence: perm[k] is the lateral of b
+    matched to a's lateral k.
+
+    Exact linear assignment on ``lateral_cost_matrix`` by shortest augmenting
+    paths (``_linear_assignment``).  Ties go as in scipy's
+    ``linear_sum_assignment``: of equal path costs, the last free column in
+    the scan, else the first one.
+    """
+    return np.array(_linear_assignment(lateral_cost_matrix(qa, sa, qb, sb, w)), dtype=int)
 
 
 def optimal_rotation(
@@ -444,23 +507,33 @@ def register(a: SrvfTree, b: SrvfTree, w: Weights) -> Registration:
     # optimum.  The identity stays a candidate, and candidates are scored by
     # the full cost under their own best match, so the start never exceeds
     # the identity-aligned cost.
+    #
+    # ``assignment`` is the match of b's laterals under ``match_rotation`` at
+    # the positions ``match_s``; a sweep with the same inputs reuses it, as
+    # does the first sweep, whose inputs are those of the kept start (the
+    # identity's if neither candidate lowers the cost).
+    match_rotation = match_s = None
     if N:
         main_only = Weights(max(w.lambda_m, 1e-12), 0.0, 0.0)
         with warnings.catch_warnings():
             warnings.simplefilter("ignore")
             candidate = optimal_rotation(a0, qa, b0, qb, main_only)
         best = cost
-        for cand, lat in ((np.eye(2), lat_rot), (candidate, qb @ candidate.T)):
+        for cand, lat in ((rotation, lat_rot), (candidate, qb @ candidate.T)):
             pi = match_laterals(qa, sa, lat, sb, w)
             c = aligned_cost(b0 @ cand.T, _sq_dists(qa, lat[pi]), sb, pi)
             if c < best:
-                best, rotation, assignment, lat_rot = c, cand, pi, lat
+                best, rotation, lat_rot = c, cand, lat
+            if rotation is cand:
+                match_rotation, match_s, assignment = cand, sb, pi
     # The DP sees only a0 and b0 under the rotation, so a sweep whose rotation
     # equals the one of the last DP (typically the final sweep) reuses its
     # gamma, warp and positions.
     dp_rotation = None
     for _ in range(MAX_SWEEPS):
-        assignment = match_laterals(qa, sa, lat_rot, s_moved, w)
+        if not (s_moved is match_s and np.array_equal(rotation, match_rotation)):
+            match_rotation, match_s = rotation, s_moved
+            assignment = match_laterals(qa, sa, lat_rot, s_moved, w)
         rotation = optimal_rotation(a0, qa, b_warped, qb[assignment], w)
         lat_rot = qb @ rotation.T
         shapes = _sq_dists(qa, lat_rot[assignment])

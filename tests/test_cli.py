@@ -1,9 +1,14 @@
 import json
+import os
+import subprocess
+import sys
 import xml.etree.ElementTree as ET
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import treeshape
 from treeshape import Branch, Lateral, RootTree, load_collection, load_root, save_root, statistics
 from treeshape.cli import build_parser, main
 from treeshape.metric import DistanceMatrix
@@ -588,3 +593,13 @@ class TestRender:
         assert main(["render", str(pa), "--out", str(out)]) == 0
         root = ET.fromstring(out.read_text())
         assert len(root.findall(f".//{SVG_NS}polyline")) == 3  # main + 2 laterals
+
+
+def test_import_loads_no_scipy():
+    # scipy is a test oracle only; the command line must run without it
+    env = dict(os.environ)
+    src = str(Path(treeshape.__file__).parents[1])
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    code = "import sys, treeshape.cli; print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))"
+    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True)
+    assert out.stdout.strip() == "[]"

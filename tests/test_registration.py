@@ -6,6 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
+from scipy.optimize import linear_sum_assignment
 
 from treeshape import (
     Registration,
@@ -25,6 +26,7 @@ from treeshape.registration import (
     _DP_STENCIL,
     _dp_edge_cost,
     _dp_plan,
+    _linear_assignment,
     _reparam_dp,
     _remap,
     _warp,
@@ -376,6 +378,43 @@ class TestReparamDPMatchesLoop:
                     np.testing.assert_allclose(block, ref, rtol=0, atol=1e-14 * max(1.0, ref.max()))
 
 
+@st.composite
+def cost_matrices(draw):
+    """Square costs of size 0-25: continuous, small integers, or a constant
+    with a few other small integers, the last two rich in ties."""
+    n = draw(st.integers(0, 25))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    kind = draw(st.sampled_from(["continuous", "integer", "constant"]))
+    if kind == "continuous":
+        return rng.normal(size=(n, n))
+    if kind == "integer":
+        return rng.integers(0, 4, size=(n, n)).astype(float)
+    cost = np.full((n, n), 2.0)
+    mask = rng.uniform(size=(n, n)) < 0.1
+    cost[mask] = rng.integers(0, 3, size=int(mask.sum()))
+    return cost
+
+
+class TestLinearAssignment:
+    """The scalar solver against scipy's ``linear_sum_assignment``: the same
+    columns, ties included."""
+
+    @settings(max_examples=400)
+    @given(cost=cost_matrices())
+    def test_matches_scipy(self, cost):
+        rows, cols = linear_sum_assignment(cost)
+        np.testing.assert_array_equal(rows, np.arange(len(cost)))
+        np.testing.assert_array_equal(_linear_assignment(cost), cols)
+
+    @pytest.mark.parametrize("n", [1, 4])
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_non_finite_costs_raise(self, n, bad):
+        cost = np.ones((n, n))
+        cost[n // 2, n - 1] = bad
+        with pytest.raises(ValueError, match="finite"):
+            _linear_assignment(cost)
+
+
 class TestMatchLaterals:
     def test_matches_brute_force(self, rng):
         w = Weights(0.02, 1.0, 1.0)
@@ -661,3 +700,28 @@ class TestDpReuse:
         sweeps = self.sweeps_matching_reference(a, b, Weights(1.0, 1.0, 1.0))
         assert sweeps == 4
         assert len(dp_calls) == sweeps
+
+
+class TestMatchReuse:
+    """A sweep whose rotation and positions equal those of the last lateral
+    match reuses its assignment, as does the first sweep, which starts from
+    the kept warm-start candidate: fewer matches, the same registration bit
+    for bit."""
+
+    def test_sweeps_reuse_the_last_match(self, rng, monkeypatch):
+        calls = []
+
+        def counted(*args):
+            calls.append(1)
+            return match_laterals(*args)
+
+        monkeypatch.setattr(registration, "match_laterals", counted)
+        for _ in range(3):
+            Qa, Qb = prepare_pair(smooth_tree(rng, "a", 3), smooth_tree(rng, "b", 2))
+            # (Qa, Qa): no candidate lowers the start, so the identity's match is kept
+            for a, b in ((Qa, Qb), (Qa, Qa)):
+                calls.clear()
+                got = register(a, b, Weights())
+                warm_start, sweeps = 2, len(got.cost_history) - 1
+                assert len(calls) - warm_start < sweeps
+                assert_same_registration(got, ref.register(a, b, Weights()))
