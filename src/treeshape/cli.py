@@ -71,7 +71,6 @@ def _add_pipeline_args(parser: argparse.ArgumentParser, threads: bool = False) -
 def _add_descent_args(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--max-iter", type=_at_least(0), default=30,
                         help="mean descent iterations (>= 0)")
-    parser.add_argument("--tol", type=_finite(0), default=1e-6, help="mean gradient tolerance")
     parser.add_argument("--step", type=_finite(0, above=True), default=0.5,
                         help="descent step size (finite, > 0)")
 
@@ -278,12 +277,16 @@ def _cmd_matrix(args) -> int:
     return 0
 
 
-def _cmd_mean(args) -> int:
+def _karcher_from_args(args) -> tuple[list[RootTree], statistics.KarcherResult]:
     trees = load_collection(args.trees)
-    result = statistics.karcher_mean(
+    return trees, statistics.karcher_mean(
         trees, _weights(args), step=args.step, max_iter=args.max_iter,
-        tol=args.tol, opts=_pair_options(args), n_jobs=args.threads,
+        opts=_pair_options(args), n_jobs=args.threads,
     )
+
+
+def _cmd_mean(args) -> int:
+    trees, result = _karcher_from_args(args)
     mean_tree = srvft_to_tree(result.mean, tree_id="karcher-mean")
     if args.out.suffix == ".svg":
         _write_text(args.out, render.render_tree(mean_tree))
@@ -299,12 +302,8 @@ def _cmd_mean(args) -> int:
 
 
 def _fit_atlas_from_args(args) -> tuple[list[RootTree], Atlas]:
-    trees = load_collection(args.trees)
-    atlas = statistics.fit_atlas(
-        trees, _weights(args), step=args.step, max_iter=args.max_iter,
-        tol=args.tol, opts=_pair_options(args), n_jobs=args.threads,
-    )
-    return trees, atlas
+    trees, result = _karcher_from_args(args)
+    return trees, statistics.fit_atlas(result)
 
 
 def _cmd_atlas(args) -> int:
@@ -416,8 +415,9 @@ def main(argv: list[str] | None = None) -> int:
         return int(exc.code or 0)
     try:
         return _COMMANDS[args.command](args)
-    except (ValueError, OSError, KeyError, IndexError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
+    except (ValueError, OSError, KeyError, IndexError, MemoryError) as exc:
+        # a bare MemoryError has no message: name it instead
+        print(f"error: {str(exc) or type(exc).__name__}", file=sys.stderr)
         return 1
 
 

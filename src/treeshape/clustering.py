@@ -100,6 +100,8 @@ def linkage(
     m = len(values)
     if labels is None:
         labels = tuple(str(i) for i in range(m))
+    if len(labels) != m:
+        raise ValueError(f"{len(labels)} labels for a {m}x{m} distance matrix")
     if m < 2:
         raise ValueError("need at least 2 leaves")
 

@@ -95,17 +95,24 @@ def exp_map(mu: SrvfTree, v: np.ndarray, w: Weights) -> SrvfTree:
 # Karcher mean
 
 
+# the descent stops once the metric norm of the tangent mean falls below this
+GRADIENT_TOL = 1e-6
+
+
 @dataclass(frozen=True)
 class KarcherResult:
     """The mean, the samples registered to it, the objective per accepted step,
-    and why the descent stopped: ``gradient`` (the tangent mean fell below
-    ``tol``), ``halving-exhausted`` (no halved step lowered the objective) or
-    ``iteration-limit``; ``converged`` is false only for the last."""
+    why the descent stopped (``gradient``: the tangent mean fell below
+    ``GRADIENT_TOL``; ``halving-exhausted``: no halved step lowered the
+    objective; ``iteration-limit``, the only one that is not ``converged``),
+    and the metric weights and tree ids the atlas needs."""
 
     mean: SrvfTree
     registered: tuple[SrvfTree, ...]
     objective: tuple[float, ...]
     stop_reason: str
+    weights: Weights
+    ids: tuple[str, ...]
 
     @property
     def converged(self) -> bool:
@@ -124,7 +131,6 @@ def karcher_mean(
     w: Weights = DEFAULT_WEIGHTS,
     step: float = 0.5,
     max_iter: int = 30,
-    tol: float = 1e-6,
     opts: PairOptions = DEFAULT_OPTIONS,
     n_jobs: int = 1,
 ) -> KarcherResult:
@@ -146,9 +152,10 @@ def karcher_mean(
     if not trees:
         raise ValueError("empty collection")
     samples = prepare_collection(trees, opts)
+    ids = tuple(t.id for t in trees)
     m = len(samples)
     if m == 1:
-        return KarcherResult(samples[0], (samples[0],), (0.0,), "gradient")
+        return KarcherResult(samples[0], (samples[0],), (0.0,), "gradient", w, ids)
 
     def registered_to(mu: SrvfTree) -> tuple[list[SrvfTree], float]:
         """The samples registered to mu, and the objective: the sum of their
@@ -173,7 +180,7 @@ def karcher_mean(
     for _ in range(max_iter):
         flat_mu = flatten_srvft(mu)
         vbar = np.mean([flatten_srvft(Q) for Q in registered], axis=0) - flat_mu
-        if float(np.linalg.norm(vbar * scale)) < tol:
+        if float(np.linalg.norm(vbar * scale)) < GRADIENT_TOL:
             stop_reason = "gradient"
             break
         step_k = step
@@ -193,7 +200,7 @@ def karcher_mean(
         else:
             stop_reason = "halving-exhausted"
             break
-    return KarcherResult(mu, tuple(registered), tuple(objective), stop_reason)
+    return KarcherResult(mu, tuple(registered), tuple(objective), stop_reason, w, ids)
 
 
 # ---------------------------------------------------------------------------
@@ -324,26 +331,17 @@ def _gram_modes(V: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return evals[keep], modes[keep]
 
 
-def fit_atlas(
-    trees: Sequence[RootTree],
-    w: Weights = DEFAULT_WEIGHTS,
-    step: float = 0.5,
-    max_iter: int = 30,
-    tol: float = 1e-6,
-    opts: PairOptions = DEFAULT_OPTIONS,
-    n_jobs: int = 1,
-) -> Atlas:
-    """Karcher mean plus tangent covariance eigenmodes of a collection.
+def fit_atlas(result: KarcherResult) -> Atlas:
+    """Tangent covariance eigenmodes at a Karcher mean.
 
     Modes come from one thin SVD of the tangent vectors (``_gram_modes``),
     the retained count is the smallest one whose cumulative variance ratio
     reaches ``VARIANCE_TARGET``, and per-sample coefficients are stored for
     regression.
     """
-    if len(trees) < 2:
+    if len(result.registered) < 2:
         raise ValueError("need at least 2 trees to fit an atlas")
-    result = karcher_mean(trees, w, step=step, max_iter=max_iter, tol=tol, opts=opts, n_jobs=n_jobs)
-    mu = result.mean
+    mu, w = result.mean, result.weights
     V = np.array([log_map(mu, Q, w) for Q in result.registered])
     evals, modes = _gram_modes(V)
     retained = min(int(np.searchsorted(_variance_ratio(evals), VARIANCE_TARGET)) + 1, len(evals))
@@ -354,7 +352,7 @@ def fit_atlas(
         retained=retained,
         training_coeffs=(V @ modes[:retained].T) / np.sqrt(evals[:retained]),
         weights=w,
-        ids=tuple(t.id for t in trees),
+        ids=result.ids,
     )
 
 

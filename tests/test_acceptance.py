@@ -180,10 +180,8 @@ def test_criterion_06_karcher_mean():
 def acceptance_atlas():
     rng = np.random.default_rng(707)
     trees = [smooth_tree(rng, f"t{i}", 2, bend=0.15) for i in range(6)]
-    opts = PairOptions(n_main=50, n_lateral=20)
-    atlas = ts.fit_atlas(trees, W, opts=opts)
-    result = ts.karcher_mean(trees, W, opts=opts)
-    return trees, atlas, result
+    result = ts.karcher_mean(trees, W, opts=PairOptions(n_main=50, n_lateral=20))
+    return trees, ts.fit_atlas(result), result
 
 
 def test_criterion_07_tangent_pca(acceptance_atlas):
@@ -244,7 +242,8 @@ def test_criterion_08_regression(acceptance_atlas):
         straight_tree(f"L{i}", L, laterals=[(0.4, 0.3, 1)])
         for i, L in enumerate([1.0, 1.5, 2.0, 2.5, 3.0])
     ]
-    lin_atlas = ts.fit_atlas(trees, W, opts=PairOptions(n_main=50, n_lateral=20), max_iter=50)
+    lin_atlas = ts.fit_atlas(
+        ts.karcher_mean(trees, W, opts=PairOptions(n_main=50, n_lateral=20), max_iter=50))
     bio = np.array([ts.extract_bio_params(t) for t in trees])
     with pytest.warns(UserWarning, match="rank deficient"):
         lin_model = ts.fit_regression(

@@ -83,6 +83,20 @@ class TestDistanceCommand:
         assert main(["distance", str(pa), str(pb), *FAST_FLAGS, *zero]) == 1
         assert "at least one weight must be positive" in one_error_line(capsys.readouterr().err)
 
+    @pytest.mark.parametrize("message, line", [
+        ("Unable to allocate 8 GiB", "error: Unable to allocate 8 GiB"),
+        ("", "error: MemoryError"),
+    ], ids=["message", "bare"])
+    def test_memory_error_exit_1(self, tree_files, monkeypatch, capsys, message, line):
+        # a failed allocation is one error line, like any computation error
+        def fail(*args, **kwargs):
+            raise MemoryError(message)
+
+        monkeypatch.setattr(treeshape.metric, "register_pair", fail)
+        pa, pb = tree_files
+        assert main(["distance", str(pa), str(pb)]) == 1
+        assert one_error_line(capsys.readouterr().err) == line
+
     def test_two_samples_on_a_curved_main_exit_0(self, tree_files, capsys):
         # a curved main resampled to its two endpoints leaves the laterals'
         # bases off the main curve; only root files are checked for that
@@ -249,6 +263,16 @@ class TestMeanAndAtlas:
             outs.append(out.read_bytes())
         assert outs[0] == outs[1]
 
+    @pytest.mark.parametrize("command", ["mean", "atlas"])
+    def test_deterministic_across_workers(self, collection_dir, tmp_path, command):
+        outs = []
+        for threads in ("1", "2"):
+            out = tmp_path / f"{command}-{threads}.json"
+            assert main([command, str(collection_dir), *FAST_FLAGS, "--max-iter", "2",
+                         "--threads", threads, "--out", str(out)]) == 0
+            outs.append(out.read_bytes())
+        assert outs[0] == outs[1]
+
     def test_modes_bad_range_exit_2(self, tmp_path, capsys):
         # options are checked while parsing, before the atlas file is read
         assert main(["modes", str(tmp_path / "atlas.json"), "--alpha-range", "oops",
@@ -286,8 +310,8 @@ class TestUsageErrors:
         ["mean", "roots", "--step", "inf"],
         ["atlas", "roots", "--step", "-inf"],
         ["mean", "roots", "--max-iter", "-2"],
-        ["mean", "roots", "--tol", "nan"],
-        ["atlas", "roots", "--tol=-1e-6"],
+        ["atlas", "roots", "--max-iter", "2.5"],
+        ["regress-fit", "roots", "--max-iter=-1"],
         ["matrix", "roots", "--lambda-m", "nan"],
         ["distance", "a.json", "b.json", "--lambda-s", "inf"],
         ["atlas", "roots", "--lambda-p", "-1"],
@@ -311,8 +335,11 @@ class TestUsageErrors:
         ["geodesic", "a.json", "b.json", "--threads", "2"],
         ["cluster", "m.csv", "--n-main", "50"],
         ["cluster", "m.csv", "--threads", "2"],
+        ["mean", "roots", "--tol", "1e-6"],
+        ["atlas", "roots", "--tol", "1e-6"],
+        ["regress-fit", "roots", "--tol", "1e-6"],
     ], ids=["fixed-s", "reg-tol", "reg-iter", "distance-threads", "geodesic-threads",
-            "cluster-n-main", "cluster-threads"])
+            "cluster-n-main", "cluster-threads", "mean-tol", "atlas-tol", "regress-fit-tol"])
     def test_removed_switches_exit_2(self, argv, tmp_path, capsys):
         switch = next(a for a in argv if a.startswith("--"))
         assert main([*argv, "--out", str(tmp_path / "out.json")]) == 2
@@ -339,9 +366,9 @@ class TestUsageErrors:
         args = build_parser().parse_args(["mean", "roots", "--max-iter", "0", "--step", "1e-9",
                                           "--out", "m.json"])
         assert (args.max_iter, args.step) == (0, 1e-9)
-        args = build_parser().parse_args(["mean", "roots", "--tol", "0", "--lambda-m", "0",
+        args = build_parser().parse_args(["mean", "roots", "--lambda-m", "0",
                                           "--lambda-s", "0", "--lambda-p", "0", "--out", "m.json"])
-        assert (args.tol, args.lambda_m, args.lambda_s, args.lambda_p) == (0, 0, 0, 0)
+        assert (args.lambda_m, args.lambda_s, args.lambda_p) == (0, 0, 0)
         args = build_parser().parse_args(["sample", "a.json", "--seed", "0", "--out", "s.json"])
         assert args.seed == 0
         args = build_parser().parse_args(["modes", "a.json", "--mode", "0", "--out", "m.json"])

@@ -87,6 +87,12 @@ class TestLinkage:
         dend = linkage(dm)
         assert dend.leaf_labels == ("a", "b", "c", "d")
 
+    @pytest.mark.parametrize("count", [3, 5])
+    def test_label_count_mismatch(self, rng, count):
+        labels = tuple(f"leaf{i}" for i in range(count))
+        with pytest.raises(ValueError, match=f"^{count} labels for a 4x4 distance matrix$"):
+            linkage(random_distance_matrix(rng, 4), labels=labels)
+
     def test_rejects_invalid(self):
         with pytest.raises(ValueError, match="asymmetry"):
             linkage(np.array([[0.0, 1.0], [2.0, 0.0]]))

@@ -20,6 +20,7 @@ from treeshape import (
     preshape_dissimilarity_sq,
     sample_random,
     srvft_to_tree,
+    statistics,
 )
 from treeshape.metric import PairOptions, distance
 from treeshape.statistics import (
@@ -43,13 +44,13 @@ def collection4():
 
 
 @pytest.fixture(scope="module")
-def atlas4(collection4):
-    return fit_atlas(collection4, W, opts=FAST)
+def karcher4(collection4):
+    return karcher_mean(collection4, W, opts=FAST)
 
 
 @pytest.fixture(scope="module")
-def karcher4(collection4):
-    return karcher_mean(collection4, W, opts=FAST)
+def atlas4(karcher4):
+    return fit_atlas(karcher4)
 
 
 def small_collection(rng, m=4, n_lat=2):
@@ -113,10 +114,11 @@ class TestKarcherMean:
         assert result.converged
         assert result.stop_reason == "gradient"
 
-    def test_two_straight_mains(self):
+    def test_two_straight_mains(self, monkeypatch):
         a = straight_tree("a", 1.0)
         b = straight_tree("b", 4.0)
-        result = karcher_mean([a, b], W, max_iter=60, tol=1e-9)
+        monkeypatch.setattr(statistics, "GRADIENT_TOL", 1e-9)
+        result = karcher_mean([a, b], W, max_iter=60)
         mean_tree = srvft_to_tree(result.mean)
         assert abs(mean_tree.main.length - 2.25) < 1e-3
 
@@ -179,17 +181,18 @@ class TestKarcherMean:
 class TestAtlas:
     def test_identical_trees_zero_variance(self, rng):
         x = smooth_tree(rng, "x", 1)
-        atlas = fit_atlas([x, x, x], W, opts=FAST)
+        atlas = fit_atlas(karcher_mean([x, x, x], W, opts=FAST))
         assert atlas.retained == 0
         assert atlas.n_modes == 0
 
-    def test_two_trees_single_mode(self, rng):
+    def test_two_trees_single_mode(self, rng, monkeypatch):
         trees = small_collection(rng, 2)
-        atlas = fit_atlas(trees, W, opts=FAST, max_iter=40, tol=1e-8)
+        monkeypatch.setattr(statistics, "GRADIENT_TOL", 1e-8)
+        result = karcher_mean(trees, W, opts=FAST, max_iter=40)
+        atlas = fit_atlas(result)
         assert atlas.retained == 1
         assert atlas.n_modes == 1
         # the mode is parallel to v1 - v2
-        result = karcher_mean(trees, W, opts=FAST, max_iter=40, tol=1e-8)
         v1 = log_map(result.mean, result.registered[0], W)
         v2 = log_map(result.mean, result.registered[1], W)
         direction = (v1 - v2) / np.linalg.norm(v1 - v2)
@@ -242,7 +245,7 @@ class TestAtlas:
 
     def test_serialization_round_trip(self, rng, tmp_path):
         trees = small_collection(rng, 3)
-        atlas = fit_atlas(trees, W, opts=FAST)
+        atlas = fit_atlas(karcher_mean(trees, W, opts=FAST))
         path = tmp_path / "atlas.json"
         atlas.save(path)
         loaded = Atlas.load(path)
@@ -251,6 +254,7 @@ class TestAtlas:
         np.testing.assert_array_equal(loaded.training_coeffs, atlas.training_coeffs)
         assert loaded.retained == atlas.retained
         assert loaded.weights == atlas.weights
+        assert loaded.ids == atlas.ids == tuple(t.id for t in trees)
         np.testing.assert_array_equal(
             flatten_srvft(loaded.mean), flatten_srvft(atlas.mean)
         )
@@ -258,7 +262,8 @@ class TestAtlas:
     def test_lateral_free_atlas_file(self, rng, tmp_path):
         # no laterals: the layout keeps n_lateral 0 and the file round-trips
         # byte for byte
-        atlas = fit_atlas([smooth_tree(rng, f"b{i}", 0) for i in range(3)], W, opts=FAST)
+        trees = [smooth_tree(rng, f"b{i}", 0) for i in range(3)]
+        atlas = fit_atlas(karcher_mean(trees, W, opts=FAST))
         path, again = tmp_path / "atlas.json", tmp_path / "again.json"
         atlas.save(path)
         data = json.loads(path.read_text())
@@ -272,7 +277,7 @@ class TestAtlas:
 
     def test_needs_two_trees(self, rng):
         with pytest.raises(ValueError):
-            fit_atlas([smooth_tree(rng, "x", 1)], W, opts=FAST)
+            fit_atlas(karcher_mean([smooth_tree(rng, "x", 1)], W, opts=FAST))
 
 
 class TestModePath:
@@ -379,7 +384,7 @@ class TestSampleRandom:
 
     def test_requires_retained_mode(self, rng):
         x = smooth_tree(rng, "x", 1)
-        atlas = fit_atlas([x, x], W, opts=FAST)
+        atlas = fit_atlas(karcher_mean([x, x], W, opts=FAST))
         with pytest.raises(ValueError):
             sample_random(atlas, 0)
 
@@ -392,9 +397,9 @@ def synthetic_atlas_with_coeffs(rng, coeffs: np.ndarray) -> Atlas:
     global _BASE_ATLAS
     if _BASE_ATLAS is None:
         gen = np.random.default_rng(99)
-        _BASE_ATLAS = fit_atlas(
+        _BASE_ATLAS = fit_atlas(karcher_mean(
             [smooth_tree(gen, f"b{i}", 2, bend=0.15) for i in range(4)], W, opts=FAST
-        )
+        ))
     atlas = _BASE_ATLAS
     m, retained = coeffs.shape
     k = min(retained, atlas.n_modes)
@@ -536,7 +541,8 @@ class TestRegression:
             straight_tree(f"L{i}", L, laterals=[(0.4, 0.3, 1)])
             for i, L in enumerate([1.0, 1.5, 2.0, 2.5, 3.0])
         ]
-        atlas = fit_atlas(trees, W, opts=PairOptions(n_main=50, n_lateral=20), max_iter=50)
+        atlas = fit_atlas(
+            karcher_mean(trees, W, opts=PairOptions(n_main=50, n_lateral=20), max_iter=50))
         params = np.array([extract_bio_params(t) for t in trees])
         # lat_mean is constant and lat_std identically zero, so P is rank
         # deficient by construction
