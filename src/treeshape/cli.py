@@ -131,14 +131,6 @@ def _split_range(text: str, n_parts: int) -> list[str]:
     return parts
 
 
-def _coeff_range(text: str) -> tuple[float, float]:
-    """``LO:HI`` with LO < HI."""
-    lo, hi = (float(p) for p in _split_range(text, 2))
-    if not lo < hi:
-        raise argparse.ArgumentTypeError(f"LO must be below HI, got {text!r}")
-    return lo, hi
-
-
 def _alpha_range(text: str) -> tuple[float, float, int]:
     """``LO:HI:COUNT`` with an integer COUNT >= 1."""
     lo, hi, count = _split_range(text, 3)
@@ -200,9 +192,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("atlas")
     p.add_argument("--n", type=_at_least(1), default=1, help="number of samples (>= 1)")
     p.add_argument("--seed", type=_at_least(0), default=0, help="random seed (>= 0)")
-    p.add_argument("--range", type=_coeff_range, default="-1:1",
-                   help="LO:HI bound on mode coefficients (--range=-1:1 form "
-                        "for negative bounds)")
     p.add_argument("--out", type=Path, required=True, help=".json tree array or .svg row")
 
     p = sub.add_parser("regress-fit", help="fit biological-parameter regression")
@@ -332,7 +321,7 @@ def _cmd_sample(args) -> int:
     atlas = Atlas.load(args.atlas)
     rng = np.random.default_rng(args.seed)
     trees = [
-        statistics.sample_random(atlas, rng, args.range, tree_id=f"sample-{i:03d}")
+        statistics.sample_random(atlas, rng, tree_id=f"sample-{i:03d}")
         for i in range(args.n)
     ]
     _write_trees(args.out, trees, [t.id for t in trees])

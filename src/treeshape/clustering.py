@@ -73,35 +73,18 @@ class Dendrogram:
 
 
 def _validate_matrix(values: np.ndarray) -> np.ndarray:
-    values = np.asarray(values, dtype=float)
-    if values.ndim != 2 or values.shape[0] != values.shape[1]:
-        raise ValueError("distance matrix must be square")
+    """Finite and nonnegative, then symmetrized (``DistanceMatrix`` checked the shape)."""
     if not np.all(np.isfinite(values)):
         raise ValueError("distance matrix has non-finite entries")
     if np.any(values < 0):
         raise ValueError("distance matrix has negative entries")
-    if np.max(np.abs(values - values.T)) > 1e-9:
-        raise ValueError("distance matrix asymmetry exceeds 1e-9")
     return 0.5 * (values + values.T)
 
 
-def linkage(
-    d: DistanceMatrix | np.ndarray,
-    method: str = "single",
-    labels: tuple[str, ...] | None = None,
-) -> Dendrogram:
-    """Agglomerate all leaves into one tree of m-1 merges."""
-    if isinstance(d, DistanceMatrix):
-        labels = d.labels
-        values = d.values
-    else:
-        values = d
-    values = _validate_matrix(values)
+def linkage(d: DistanceMatrix, method: str = "single") -> Dendrogram:
+    """Agglomerate all leaves into one tree of m-1 merges; the leaves are ``d.labels``."""
+    values = _validate_matrix(d.values)
     m = len(values)
-    if labels is None:
-        labels = tuple(str(i) for i in range(m))
-    if len(labels) != m:
-        raise ValueError(f"{len(labels)} labels for a {m}x{m} distance matrix")
     if m < 2:
         raise ValueError("need at least 2 leaves")
 
@@ -135,7 +118,7 @@ def linkage(
         del active[cj]
         active[next_id] = size
         next_id += 1
-    return Dendrogram(merges=np.array(merges, dtype=float), leaf_labels=tuple(labels))
+    return Dendrogram(merges=np.array(merges, dtype=float), leaf_labels=d.labels)
 
 
 def cut(dend: Dendrogram, k: int) -> np.ndarray:

@@ -229,7 +229,12 @@ class Atlas:
             raise ValueError(f"retained must be in [0, {len(ev)}], got {self.retained}")
         ev.flags.writeable = False
         object.__setattr__(self, "eigenvalues", ev)
-        md = np.array(self.modes, dtype=float).reshape(len(ev), _dim(self.mean))
+        md = np.array(self.modes, dtype=float)
+        shape = (len(ev), _dim(self.mean))
+        if md.size == 0 and not len(ev):  # an atlas file writes no modes as []
+            md = md.reshape(shape)
+        if md.shape != shape:
+            raise ValueError(f"modes must have shape {shape}, got {md.shape}")
         md.flags.writeable = False
         object.__setattr__(self, "modes", md)
         tc = np.array(self.training_coeffs, dtype=float)
@@ -300,9 +305,8 @@ class Atlas:
 
 
 VARIANCE_TARGET = 0.99
-# least standard-normal mass of a sampling range: rejection sampling takes
-# ~1/mass draws per coefficient, about 1 s at this floor (~1 us a draw)
-MIN_RANGE_MASS = 1e-6
+# sampled mode coefficients are standard normals truncated to [-COEFF_BOUND, COEFF_BOUND]
+COEFF_BOUND = 1.0
 
 
 def _variance_ratio(evals: np.ndarray) -> np.ndarray:
@@ -365,38 +369,22 @@ def mode_path(atlas: Atlas, mode: int, alpha: float, tree_id: str | None = None)
     return srvft_to_tree(Q, tree_id=tree_id or f"mode{mode}_alpha{alpha:+.2f}")
 
 
-def sample_random(
-    atlas: Atlas,
-    rng: np.random.Generator | int,
-    coeff_range: tuple[float, float] = (-1.0, 1.0),
-    tree_id: str = "sample",
-) -> RootTree:
+def sample_random(atlas: Atlas, rng: np.random.Generator | int,
+                  tree_id: str = "sample") -> RootTree:
     """Draw one tree from the Gaussian mode model.
 
     Coefficients are standard normal draws, redrawn until they fall inside
-    ``coeff_range`` so implausibly remote trees are avoided.  Deterministic
-    for a seeded generator.  A range with lo >= hi, or with a standard-normal
-    mass below ``MIN_RANGE_MASS`` (which would take ~1/mass redraws), is a
-    ValueError.
+    [-COEFF_BOUND, COEFF_BOUND] so implausibly remote trees are avoided.
+    Deterministic for a seeded generator.
     """
     if atlas.retained < 1:
         raise ValueError("atlas has no retained modes to sample from")
-    lo, hi = coeff_range
-    if not lo < hi:
-        raise ValueError(f"coefficient range needs lo < hi, got ({lo}, {hi})")
-    # the standard normal CDF is 0.5 * erfc(-x / sqrt(2))
-    mass = 0.5 * (math.erfc(-hi / math.sqrt(2)) - math.erfc(-lo / math.sqrt(2)))
-    if mass < MIN_RANGE_MASS:
-        raise ValueError(
-            f"coefficient range ({lo}, {hi}) holds {mass:.3g} of the standard "
-            f"normal mass, below {MIN_RANGE_MASS:g}"
-        )
     if isinstance(rng, (int, np.integer)):
         rng = np.random.default_rng(int(rng))
     coeffs = np.empty(atlas.retained)
     for i in range(atlas.retained):
         b = rng.standard_normal()
-        while not (lo <= b <= hi):
+        while not (-COEFF_BOUND <= b <= COEFF_BOUND):
             b = rng.standard_normal()
         coeffs[i] = b
     Q = exp_map(atlas.mean, atlas.tangent_from_coeffs(coeffs), atlas.weights)
@@ -419,6 +407,9 @@ class RegressionModel:
         M = np.array(self.M, dtype=float)
         if M.ndim != 2 or M.shape[1] != len(self.param_names) + 1:
             raise ValueError("M must have one column per parameter plus an affine column")
+        if len(M) != self.atlas.retained:
+            raise ValueError(
+                f"M has {len(M)} rows, but the atlas retains {self.atlas.retained} modes")
         M.flags.writeable = False
         object.__setattr__(self, "M", M)
         object.__setattr__(self, "param_names", tuple(self.param_names))

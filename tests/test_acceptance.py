@@ -261,11 +261,12 @@ def test_criterion_08_regression(acceptance_atlas):
 
 def test_criterion_09_clustering():
     rng = np.random.default_rng(909)
+    names = tuple(f"r{i}" for i in range(8))
     # single linkage equals the independent agglomeration oracle on 8x8
     for _ in range(10):
         condensed = rng.permutation(np.arange(1.0, 29.0)) + rng.uniform(0, 0.4, 28)
         d = squareform(condensed)
-        dend = ts.linkage(d, "single")
+        dend = ts.linkage(ts.DistanceMatrix(labels=names, values=d), "single")
         oracle = sch.linkage(squareform(d, checks=False), method="single")
         np.testing.assert_allclose(dend.heights(), oracle[:, 2], atol=1e-10)
         got = [tuple(sorted((int(l), int(r)))) for l, r, _, _ in dend.merges]
@@ -280,7 +281,7 @@ def test_criterion_09_clustering():
             if i != j:
                 d[i, j] = 0.02 + 0.01 * (i + j)
                 d[i + 4, j + 4] = 0.03 + 0.01 * (i + j)
-    labels = ts.cut(ts.linkage(d, "single"), 2)
+    labels = ts.cut(ts.linkage(ts.DistanceMatrix(labels=names, values=d), "single"), 2)
     assert len(set(labels[:4])) == 1 and len(set(labels[4:])) == 1
     assert labels[0] != labels[4]
     report(9, "single linkage matches the independent oracle on 10 random 8x8 "

@@ -1,5 +1,6 @@
 import json
 import os
+import shlex
 import subprocess
 import sys
 import xml.etree.ElementTree as ET
@@ -292,10 +293,10 @@ class TestUsageErrors:
         ["regress-fit", "roots", "--n-lat", "1"],
         ["sample", "atlas.json", "--n", "0"],
         ["sample", "atlas.json", "--n", "-2"],
-        ["sample", "atlas.json", "--range=1:-1"],
-        ["sample", "atlas.json", "--range=0.5:0.5"],
-        ["sample", "atlas.json", "--range=-1:1:3"],
-        ["sample", "atlas.json", "--range=a:b"],
+        ["sample", "atlas.json", "--n", "x"],
+        ["sample", "atlas.json", "--seed", "1.5"],
+        ["cluster", "m.csv", "--linkage", "ward"],
+        ["modes", "atlas.json", "--mode", "x"],
         ["modes", "atlas.json", "--alpha-range=-2:2:2.7"],
         ["modes", "atlas.json", "--alpha-range=-2:2:0"],
         ["modes", "atlas.json", "--alpha-range=-2:2"],
@@ -338,8 +339,10 @@ class TestUsageErrors:
         ["mean", "roots", "--tol", "1e-6"],
         ["atlas", "roots", "--tol", "1e-6"],
         ["regress-fit", "roots", "--tol", "1e-6"],
+        ["sample", "atlas.json", "--range=-1:1"],
     ], ids=["fixed-s", "reg-tol", "reg-iter", "distance-threads", "geodesic-threads",
-            "cluster-n-main", "cluster-threads", "mean-tol", "atlas-tol", "regress-fit-tol"])
+            "cluster-n-main", "cluster-threads", "mean-tol", "atlas-tol", "regress-fit-tol",
+            "sample-range"])
     def test_removed_switches_exit_2(self, argv, tmp_path, capsys):
         switch = next(a for a in argv if a.startswith("--"))
         assert main([*argv, "--out", str(tmp_path / "out.json")]) == 2
@@ -354,8 +357,6 @@ class TestUsageErrors:
         assert (args.n_main, args.n_lat) == (2, 2)
         args = build_parser().parse_args(["sample", "a.json", "--n", "1", "--out", "s.json"])
         assert args.n == 1
-        args = build_parser().parse_args(["sample", "a.json", "--range=-0.5:2", "--out", "s.json"])
-        assert args.range == (-0.5, 2.0)
         args = build_parser().parse_args(["matrix", "roots", "--threads", "1", "--out", "m.csv"])
         assert args.threads == 1
         args = build_parser().parse_args(["geodesic", "a.json", "b.json", "--steps", "2",
@@ -376,6 +377,18 @@ class TestUsageErrors:
         args = build_parser().parse_args(["regress-predict", "m.json", "--params=-1e300,0,2",
                                           "--out", "p.json"])
         assert args.params == [-1e300, 0.0, 2.0]
+
+    def test_readme_examples_parse(self):
+        # a flag removed from the parser but left in README fails here
+        readme = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
+        blocks = [b.split("```", 1)[0] for b in readme.split("```sh\n")[1:]]
+        lines = [ln for b in blocks for ln in b.splitlines() if ln.startswith("treeshape ")]
+        for line in lines:
+            try:
+                build_parser().parse_args(shlex.split(line)[1:])
+            except SystemExit:
+                pytest.fail(f"README example does not parse: {line}")
+        assert {shlex.split(ln)[1] for ln in lines} == set(treeshape.cli._COMMANDS)
 
     def test_alpha_range_count_one_and_descending(self, collection_dir, tmp_path):
         atlas_path = tmp_path / "atlas.json"
@@ -522,9 +535,11 @@ class TestMalformedFiles:
          "eigenvalues must be finite and nonnegative"),
         ("retained", -1, "retained must be in [0, 4], got -1"),
         ("retained", 5, "retained must be in [0, 4], got 5"),
+        ("modes", lambda md: np.transpose(md).tolist(),
+         "modes must have shape (4, 346), got (346, 4)"),
     ], ids=["mean-array", "retained-null", "weights-string", "layout-partial", "eigenvalues-number",
             "weights-nan", "eigenvalues-negative", "eigenvalues-inf", "retained-negative",
-            "retained-above-modes"])
+            "retained-above-modes", "modes-transposed"])
     def test_atlas_field(self, fitted, tmp_path, capsys, recwarn, field, value, message):
         data = json.loads((fitted / "atlas.json").read_text())
         data[field] = value(data[field]) if callable(value) else value
@@ -559,7 +574,8 @@ class TestMalformedFiles:
         (lambda d: d.update(param_names=None), "model param_names must be an array of strings"),
         (lambda d: d["atlas"].update(retained=None), "atlas retained must be an integer"),
         (lambda d: d.pop("M"), "model has no 'M' field"),
-    ], ids=["param_names-null", "atlas-retained-null", "no-M"])
+        (lambda d: d["M"].append(d["M"][-1]), "M has 5 rows, but the atlas retains 4 modes"),
+    ], ids=["param_names-null", "atlas-retained-null", "no-M", "M-extra-row"])
     def test_model(self, fitted, tmp_path, capsys, change, message):
         data = json.loads((fitted / "model.json").read_text())
         change(data)

@@ -17,10 +17,16 @@ def random_distance_matrix(rng, m):
     return squareform(condensed)
 
 
+def as_matrix(values, labels=None):
+    """``values`` as a ``DistanceMatrix`` whose leaves are labeled "0".."m-1" by default."""
+    return DistanceMatrix(labels=labels or tuple(str(i) for i in range(len(values))),
+                          values=values)
+
+
 class TestLinkage:
     def test_two_leaves(self):
         d = np.array([[0.0, 3.0], [3.0, 0.0]])
-        dend = linkage(d, "single")
+        dend = linkage(as_matrix(d), "single")
         assert len(dend.merges) == 1
         left, right, height, size = dend.merges[0]
         assert {int(left), int(right)} == {0, 1}
@@ -29,14 +35,14 @@ class TestLinkage:
     def test_three_collinear_points(self):
         # points at 0, 1, 6 on a line: merge heights 1 then 5
         d = np.array([[0.0, 1.0, 6.0], [1.0, 0.0, 5.0], [6.0, 5.0, 0.0]])
-        dend = linkage(d, "single")
+        dend = linkage(as_matrix(d), "single")
         np.testing.assert_allclose(dend.heights(), [1.0, 5.0])
 
     @pytest.mark.parametrize("method", ["single", "complete", "average"])
     def test_matches_scipy_oracle(self, rng, method):
         for _ in range(10):
             d = random_distance_matrix(rng, 8)
-            dend = linkage(d, method)
+            dend = linkage(as_matrix(d), method)
             oracle = sch.linkage(squareform(d, checks=False), method=method)
             np.testing.assert_allclose(dend.heights(), oracle[:, 2], atol=1e-10)
             np.testing.assert_allclose(dend.merges[:, 3], oracle[:, 3])
@@ -49,14 +55,14 @@ class TestLinkage:
         # independent oracle: sorted MST edge weights
         for _ in range(5):
             d = random_distance_matrix(rng, 9)
-            dend = linkage(d, "single")
+            dend = linkage(as_matrix(d), "single")
             mst = minimum_spanning_tree(d).toarray()
             edges = np.sort(mst[mst > 0])
             np.testing.assert_allclose(np.sort(dend.heights()), edges, atol=1e-10)
 
     def test_single_linkage_heights_nondecreasing(self, rng):
         for _ in range(5):
-            dend = linkage(random_distance_matrix(rng, 10), "single")
+            dend = linkage(as_matrix(random_distance_matrix(rng, 10)), "single")
             assert np.all(np.diff(dend.heights()) >= -1e-12)
 
     def test_label_permutation_equivariance(self, rng):
@@ -64,8 +70,8 @@ class TestLinkage:
         perm = rng.permutation(7)
         d2 = d[np.ix_(perm, perm)]
         labels = tuple(f"leaf{i}" for i in range(7))
-        dend1 = linkage(d, "single", labels=labels)
-        dend2 = linkage(d2, "single", labels=tuple(labels[p] for p in perm))
+        dend1 = linkage(as_matrix(d, labels), "single")
+        dend2 = linkage(as_matrix(d2, tuple(labels[p] for p in perm)), "single")
         for k in (2, 3):
             c1 = {}
             for lab, cl in zip(dend1.leaf_labels, cut(dend1, k)):
@@ -78,7 +84,7 @@ class TestLinkage:
     def test_deterministic_tie_break(self):
         # all distances equal: merges proceed by smallest-index pair
         d = np.ones((4, 4)) - np.eye(4)
-        dend = linkage(d, "single")
+        dend = linkage(as_matrix(d), "single")
         assert (int(dend.merges[0][0]), int(dend.merges[0][1])) == (0, 1)
 
     def test_accepts_distance_matrix_object(self, rng):
@@ -90,24 +96,24 @@ class TestLinkage:
     @pytest.mark.parametrize("count", [3, 5])
     def test_label_count_mismatch(self, rng, count):
         labels = tuple(f"leaf{i}" for i in range(count))
-        with pytest.raises(ValueError, match=f"^{count} labels for a 4x4 distance matrix$"):
-            linkage(random_distance_matrix(rng, 4), labels=labels)
+        with pytest.raises(ValueError, match="^matrix shape must match the label count$"):
+            DistanceMatrix(labels=labels, values=random_distance_matrix(rng, 4))
 
     def test_rejects_invalid(self):
         with pytest.raises(ValueError, match="asymmetry"):
-            linkage(np.array([[0.0, 1.0], [2.0, 0.0]]))
+            DistanceMatrix(labels=("a", "b"), values=np.array([[0.0, 1.0], [2.0, 0.0]]))
+        with pytest.raises(ValueError, match="label count"):
+            DistanceMatrix(labels=("a", "b"), values=np.zeros((2, 3)))
         with pytest.raises(ValueError, match="negative"):
-            linkage(np.array([[0.0, -1.0], [-1.0, 0.0]]))
-        with pytest.raises(ValueError, match="square"):
-            linkage(np.zeros((2, 3)))
+            linkage(as_matrix(np.array([[0.0, -1.0], [-1.0, 0.0]])))
         with pytest.raises(ValueError, match="finite"):
-            linkage(np.array([[0.0, np.nan], [np.nan, 0.0]]))
+            linkage(as_matrix(np.array([[0.0, np.nan], [np.nan, 0.0]])))
 
 
 class TestCut:
     def test_k_one_and_k_m(self, rng):
         d = random_distance_matrix(rng, 6)
-        dend = linkage(d, "single")
+        dend = linkage(as_matrix(d), "single")
         assert set(cut(dend, 1)) == {0}
         assert sorted(cut(dend, 6)) == list(range(6))
 
@@ -121,7 +127,7 @@ class TestCut:
                 if i != j:
                     d[i, j] = 0.05
                     d[i + 3, j + 3] = 0.08
-        dend = linkage(d, "single")
+        dend = linkage(as_matrix(d), "single")
         labels = cut(dend, 2)
         assert labels[0] == labels[1] == labels[2]
         assert labels[3] == labels[4] == labels[5]
@@ -129,7 +135,7 @@ class TestCut:
 
     def test_labels_contiguous_first_occurrence(self, rng):
         d = random_distance_matrix(rng, 8)
-        dend = linkage(d, "single")
+        dend = linkage(as_matrix(d), "single")
         labels = cut(dend, 3)
         seen = []
         for lab in labels:
@@ -138,7 +144,7 @@ class TestCut:
         assert seen == list(range(3))
 
     def test_k_out_of_range(self, rng):
-        dend = linkage(random_distance_matrix(rng, 4), "single")
+        dend = linkage(as_matrix(random_distance_matrix(rng, 4)), "single")
         with pytest.raises(ValueError):
             cut(dend, 0)
         with pytest.raises(ValueError):
@@ -153,7 +159,7 @@ class TestDendrogram:
     def test_json_round_trip(self, rng, tmp_path):
         import json
 
-        dend = linkage(random_distance_matrix(rng, 5), "average")
+        dend = linkage(as_matrix(random_distance_matrix(rng, 5)), "average")
         path = tmp_path / "dend.json"
         write_text(path, json_text(dend.to_dict()))
         data = json.loads(path.read_text())

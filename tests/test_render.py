@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from treeshape import (
+    DistanceMatrix,
     augment_pair,
     geodesic,
     linkage,
@@ -78,7 +79,7 @@ class TestRenderDendrogram:
         d = rng.uniform(1, 10, size=(5, 5))
         d = 0.5 * (d + d.T)
         np.fill_diagonal(d, 0.0)
-        dend = linkage(d, "single", labels=("r1", "r2", "r3", "r4", "r5"))
+        dend = linkage(DistanceMatrix(labels=("r1", "r2", "r3", "r4", "r5"), values=d), "single")
         svg = render_dendrogram(dend)
         root = ET.fromstring(svg)
         texts = {el.text for el in root.findall(f".//{SVG_NS}text")}
