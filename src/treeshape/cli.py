@@ -311,7 +311,7 @@ def _cmd_modes(args) -> int:
     atlas = Atlas.load(args.atlas)
     lo, hi, count = args.alpha_range
     alphas = np.linspace(lo, hi, count)
-    trees = [statistics.mode_path(atlas, args.mode, float(a)) for a in alphas]
+    trees = statistics.mode_path(atlas, args.mode, alphas)
     _write_trees(args.out, trees, [f"alpha={a:+.2f}" for a in alphas])
     print(f"mode {args.mode}: {len(alphas)} steps over [{lo}, {hi}] -> {args.out}")
     return 0
@@ -319,11 +319,7 @@ def _cmd_modes(args) -> int:
 
 def _cmd_sample(args) -> int:
     atlas = Atlas.load(args.atlas)
-    rng = np.random.default_rng(args.seed)
-    trees = [
-        statistics.sample_random(atlas, rng, tree_id=f"sample-{i:03d}")
-        for i in range(args.n)
-    ]
+    trees = statistics.sample_random(atlas, args.seed, args.n)
     _write_trees(args.out, trees, [t.id for t in trees])
     print(f"{args.n} samples (seed {args.seed}) -> {args.out}")
     return 0

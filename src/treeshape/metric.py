@@ -120,10 +120,7 @@ class Geodesic:
         object.__setattr__(self, "r_values", r)
 
     def trees(self, id_prefix: str = "step") -> list[RootTree]:
-        return [
-            srvft_to_tree(Q, tree_id=f"{id_prefix}-{i:02d}")
-            for i, Q in enumerate(self.steps)
-        ]
+        return srvft_to_tree(self.steps, [f"{id_prefix}-{i:02d}" for i in range(len(self.steps))])
 
 
 def interpolate_srvft(Qa: SrvfTree, Qb: SrvfTree, r: float) -> SrvfTree:

@@ -67,7 +67,7 @@ def _escape(text: str) -> str:
 
 
 def _polyline(pts: np.ndarray, color: str) -> str:
-    coords = " ".join(f"{_fmt(x)},{_fmt(y)}" for x, y in pts)
+    coords = " ".join(map("{:.3f},{:.3f}".format, pts[:, 0].tolist(), pts[:, 1].tolist()))
     return (
         f'<polyline points="{coords}" fill="none" stroke="{color}" '
         f'stroke-width="{_fmt(STROKE_WIDTH)}" stroke-linecap="round" '

@@ -212,8 +212,11 @@ def augment_srvfts(Qs: Sequence[SrvfTree]) -> list[SrvfTree]:
     return out
 
 
-def srvft_to_tree(Q: SrvfTree, tree_id: str = "reconstructed") -> RootTree:
-    """Map an SRVF-tree back to a root tree.
+def srvft_to_tree(
+    Q: SrvfTree | Sequence[SrvfTree], tree_id: str | Sequence[str] = "reconstructed"
+) -> RootTree | list[RootTree]:
+    """Map an SRVF-tree back to a root tree, or a sequence of SRVF-trees of
+    one layout, with one id each, to the list of their trees in one pass.
 
     The main branch is integrated from the anchor; each lateral starts where
     the reconstructed main sits at its attachment parameter.  Laterals whose
@@ -223,28 +226,47 @@ def srvft_to_tree(Q: SrvfTree, tree_id: str = "reconstructed") -> RootTree:
     ``tree_from_dict``'s attachment check even when the main is not uniform
     speed (as happens for interior geodesic points).
     """
-    main = Branch(_integrate(Q.q0, Q.anchor))
-    points = main.points
-    n = len(points)
+    if isinstance(Q, SrvfTree):
+        return _srvfts_to_trees([Q], [tree_id])[0]
+    return _srvfts_to_trees(Q, tree_id)
+
+
+def _srvfts_to_trees(Qs: Sequence[SrvfTree], ids: Sequence[str]) -> list[RootTree]:
+    """``srvft_to_tree`` of a batch: every main is integrated in one
+    ``_integrate`` call and every lateral in another.  Trees are then built,
+    and checked, in batch order, main first."""
+    if len(ids) != len(Qs):
+        raise ValueError(f"{len(Qs)} SRVF-trees need as many ids, got {len(ids)}")
+    if not Qs:
+        return []
+    mains = _integrate(np.stack([Q.q0 for Q in Qs]), np.stack([Q.anchor for Q in Qs]))
+    q_lat = np.stack([Q.q_lat for Q in Qs])
+    s = np.stack([Q.s for Q in Qs])
+    n = mains.shape[1]
     # attachment points by linear interpolation at parameter s, and their
     # arc-length fractions along the main
-    x = Q.s * (n - 1)
+    x = s * (n - 1)
     i0 = np.minimum(np.floor(x).astype(int), n - 2)
     frac = x - i0
-    starts = (1.0 - frac)[:, None] * points[i0] + frac[:, None] * points[i0 + 1]
-    cum = _cumulative_arclength(points)
-    total = cum[-1]
-    if total <= 0.0:
-        t_arc = np.zeros(len(x))
-    else:
-        t_arc = (cum[i0] + frac * (cum[i0 + 1] - cum[i0])) / total
-    curves = _integrate(Q.q_lat, starts)
-    null = Q.null_laterals() | np.all(curves == starts[:, None, :], axis=(1, 2))
-    laterals = tuple(
-        Lateral(t, Branch(point[None, :], is_virtual=True) if is_null else Branch(curve))
-        for t, point, curve, is_null in zip(t_arc.tolist(), starts, curves, null)
-    )
-    return RootTree(id=tree_id, main=main, laterals=laterals)
+    rows = np.arange(len(Qs))[:, None]
+    starts = (1.0 - frac)[..., None] * mains[rows, i0] + frac[..., None] * mains[rows, i0 + 1]
+    cum = _cumulative_arclength(mains)
+    arc = cum[rows, i0] + frac * (cum[rows, i0 + 1] - cum[rows, i0])
+    total = cum[:, -1:]
+    t_arc = np.divide(arc, total, out=np.zeros_like(arc), where=total > 0.0)
+    curves = _integrate(q_lat, starts)
+    null = (np.sqrt(_sq_norms(q_lat)).reshape(s.shape) < EPS_NULL) | np.all(
+        curves == starts[..., None, :], axis=(-2, -1))
+    trees = []
+    for tree_id, main_points, ts, bases, lats, nulls in zip(ids, mains, t_arc.tolist(), starts,
+                                                            curves, null):
+        main = Branch(main_points)
+        laterals = tuple(
+            Lateral(t, Branch(base[None, :], is_virtual=True) if is_null else Branch(curve))
+            for t, base, curve, is_null in zip(ts, bases, lats, nulls)
+        )
+        trees.append(RootTree(id=tree_id, main=main, laterals=laterals))
+    return trees
 
 
 # ---------------------------------------------------------------------------

@@ -74,21 +74,26 @@ def log_map(mu: SrvfTree, x: SrvfTree, w: Weights) -> np.ndarray:
     return (flatten_srvft(x) - flatten_srvft(mu)) * _metric_scale(mu, w)
 
 
-def exp_map(mu: SrvfTree, v: np.ndarray, w: Weights) -> SrvfTree:
-    """Inverse of ``log_map``; attachment positions are clamped to [0, 1]."""
+def exp_map(mu: SrvfTree, v: np.ndarray, w: Weights) -> SrvfTree | list[SrvfTree]:
+    """Inverse of ``log_map``; attachment positions are clamped to [0, 1].
+
+    One tangent vector (dim,) gives one SRVF-tree; a (B, dim) stack gives
+    the list of B, and the clamp warning is raised once if any position of
+    the stack was clamped.
+    """
     dim = _dim(mu)
-    if len(v) != dim:
-        raise ValueError(f"tangent dimension {len(v)} != layout dimension {dim}")
-    vec = flatten_srvft(mu) + np.asarray(v, dtype=float) / _metric_scale(mu, w)
-    if mu.n_laterals:
-        s_start = dim - mu.n_laterals
-        s = vec[s_start:]
-        clamped = np.clip(s, 0.0, 1.0)
-        if np.any(clamped != s):
-            warnings.warn("attachment positions clamped to [0, 1]")
-            vec = vec.copy()
-            vec[s_start:] = clamped
-    return unflatten_srvft(vec, mu)
+    V = np.asarray(v, dtype=float)
+    if V.ndim not in (1, 2) or V.shape[-1] != dim:
+        raise ValueError(f"tangent shape {V.shape} does not match the layout dimension {dim}")
+    flat = flatten_srvft(mu) + V / _metric_scale(mu, w)
+    s = flat[..., dim - mu.n_laterals:]
+    clamped = np.clip(s, 0.0, 1.0)
+    if np.any(clamped != s):
+        warnings.warn("attachment positions clamped to [0, 1]")
+        s[...] = clamped
+    if V.ndim == 1:
+        return unflatten_srvft(flat, mu)
+    return [unflatten_srvft(vec, mu) for vec in flat]
 
 
 # ---------------------------------------------------------------------------
@@ -238,7 +243,11 @@ class Atlas:
         md.flags.writeable = False
         object.__setattr__(self, "modes", md)
         tc = np.array(self.training_coeffs, dtype=float)
-        tc = tc.reshape(tc.shape[0] if tc.size else 0, self.retained)
+        if tc.size == 0:  # no coefficients at all, as an empty list in a file
+            tc = tc.reshape(0, self.retained)
+        if tc.ndim != 2 or tc.shape[1] != self.retained:
+            raise ValueError(
+                f"training_coeffs must have shape (m, {self.retained}), got {tc.shape}")
         tc.flags.writeable = False
         object.__setattr__(self, "training_coeffs", tc)
 
@@ -360,35 +369,44 @@ def fit_atlas(result: KarcherResult) -> Atlas:
     )
 
 
-def mode_path(atlas: Atlas, mode: int, alpha: float, tree_id: str | None = None) -> RootTree:
-    """Tree at ``alpha`` standard deviations along one principal mode."""
+def mode_path(atlas: Atlas, mode: int, alphas: Sequence[float]) -> list[RootTree]:
+    """The trees at each of ``alphas`` standard deviations along one
+    principal mode, built in one pass."""
     if not (0 <= mode < atlas.retained):
         raise IndexError(f"mode {mode} out of range (retained={atlas.retained})")
-    v = alpha * np.sqrt(atlas.eigenvalues[mode]) * atlas.modes[mode]
-    Q = exp_map(atlas.mean, v, atlas.weights)
-    return srvft_to_tree(Q, tree_id=tree_id or f"mode{mode}_alpha{alpha:+.2f}")
+    alphas = [float(alpha) for alpha in alphas]
+    V = (np.array(alphas) * np.sqrt(atlas.eigenvalues[mode]))[:, None] * atlas.modes[mode]
+    Qs = exp_map(atlas.mean, V, atlas.weights)
+    return srvft_to_tree(Qs, [f"mode{mode}_alpha{alpha:+.2f}" for alpha in alphas])
 
 
-def sample_random(atlas: Atlas, rng: np.random.Generator | int,
-                  tree_id: str = "sample") -> RootTree:
-    """Draw one tree from the Gaussian mode model.
+def sample_random(atlas: Atlas, rng: np.random.Generator | int, n: int = 1) -> list[RootTree]:
+    """Draw ``n`` trees, ``sample-000``, ``sample-001``, ..., from the
+    Gaussian mode model, in one pass.
 
     Coefficients are standard normal draws, redrawn until they fall inside
-    [-COEFF_BOUND, COEFF_BOUND] so implausibly remote trees are avoided.
-    Deterministic for a seeded generator.
+    [-COEFF_BOUND, COEFF_BOUND] so implausibly remote trees are avoided; they
+    are drawn tree by tree, so the first k of n trees are the k trees of the
+    same seed.  Deterministic for a seeded generator.
     """
     if atlas.retained < 1:
         raise ValueError("atlas has no retained modes to sample from")
+    if n < 1:
+        raise ValueError(f"n must be at least 1, got {n!r}")
     if isinstance(rng, (int, np.integer)):
         rng = np.random.default_rng(int(rng))
-    coeffs = np.empty(atlas.retained)
-    for i in range(atlas.retained):
-        b = rng.standard_normal()
-        while not (-COEFF_BOUND <= b <= COEFF_BOUND):
+    coeffs = np.empty((n, atlas.retained))
+    for row in coeffs:
+        for i in range(atlas.retained):
             b = rng.standard_normal()
-        coeffs[i] = b
-    Q = exp_map(atlas.mean, atlas.tangent_from_coeffs(coeffs), atlas.weights)
-    return srvft_to_tree(Q, tree_id=tree_id)
+            while not (-COEFF_BOUND <= b <= COEFF_BOUND):
+                b = rng.standard_normal()
+            row[i] = b
+    # one (retained,) @ (retained, dim) product per tree: a stacked product
+    # rounds differently
+    V = np.array([atlas.tangent_from_coeffs(row) for row in coeffs])
+    Qs = exp_map(atlas.mean, V, atlas.weights)
+    return srvft_to_tree(Qs, [f"sample-{i:03d}" for i in range(n)])
 
 
 # ---------------------------------------------------------------------------

@@ -11,6 +11,8 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass
+from itertools import chain
+from json.encoder import encode_basestring_ascii
 from pathlib import Path
 from typing import NamedTuple, Sequence
 
@@ -39,8 +41,9 @@ def polyline_length(points: np.ndarray) -> float:
 
 
 def _cumulative_arclength(points: np.ndarray) -> np.ndarray:
-    seg = np.linalg.norm(np.diff(points, axis=0), axis=1)
-    return np.concatenate([[0.0], np.cumsum(seg)])
+    """Arc length up to each point of the (..., n, 2) polylines."""
+    seg = np.linalg.norm(np.diff(points, axis=-2), axis=-1)
+    return np.concatenate([np.zeros_like(seg[..., :1]), np.cumsum(seg, axis=-1)], axis=-1)
 
 
 def project_to_polyline(points: np.ndarray, x: np.ndarray) -> float:
@@ -62,12 +65,6 @@ def project_to_polyline(points: np.ndarray, x: np.ndarray) -> float:
     return float(arc / total)
 
 
-def _freeze(arr: np.ndarray) -> np.ndarray:
-    out = np.array(arr, dtype=float)
-    out.flags.writeable = False
-    return out
-
-
 @dataclass(frozen=True)
 class Branch:
     """A discretized planar curve, ordered base to tip.
@@ -80,10 +77,10 @@ class Branch:
     is_virtual: bool = False
 
     def __post_init__(self) -> None:
-        pts = np.asarray(self.points, dtype=float)
+        pts = np.array(self.points, dtype=float)
         if pts.ndim != 2 or pts.shape[1] != 2:
             raise TreeValidationError("branch points must be an (n, 2) array")
-        if not np.all(np.isfinite(pts)):
+        if not np.isfinite(pts).all():
             raise TreeValidationError("branch coordinates must be finite")
         if self.is_virtual:
             if len(pts) != 1:
@@ -91,9 +88,13 @@ class Branch:
         else:
             if len(pts) < 2:
                 raise TreeValidationError("branch needs at least 2 points")
-            if polyline_length(pts) <= 0.0:
+            # the length is 0 exactly when every squared step is (the squares
+            # underflow as they do in ``polyline_length``)
+            step = pts[1:] - pts[:-1]
+            if not (step * step).any():
                 raise TreeValidationError("branch has zero length")
-        object.__setattr__(self, "points", _freeze(pts))
+        pts.flags.writeable = False
+        object.__setattr__(self, "points", pts)
 
     @property
     def n_points(self) -> int:
@@ -160,9 +161,80 @@ class RootTree:
 
 
 def json_text(payload) -> str:
-    """The layout of every JSON file written: sorted keys, two-space indent,
-    a final newline."""
-    return json.dumps(payload, indent=2, sort_keys=True) + "\n"
+    """The layout of every JSON file written: byte for byte what
+    ``json.dumps(payload, indent=2, sort_keys=True)`` writes, plus a final
+    newline.
+
+    With an indent, ``json.dumps`` runs the json module's pure-Python
+    encoder; this builds the same text in fewer steps, and each list of
+    floats or of [x, y] float pairs in one ``str.join``.  A value that is
+    not a str-keyed dict, a list, a str, an int, a float, a bool or None is
+    written (or rejected) by ``json.dumps`` itself, and so is a payload
+    nested too deep for this recursion.
+    """
+    try:
+        return _json_value(payload, "\n") + "\n"
+    except RecursionError:
+        return json.dumps(payload, indent=2, sort_keys=True) + "\n"
+
+
+# float reprs that json writes as JavaScript literals
+_NON_FINITE = {"nan": "NaN", "inf": "Infinity", "-inf": "-Infinity"}
+
+
+def _json_value(value, nl: str) -> str:
+    """``value`` as ``json.dumps`` writes it on a line that starts with ``nl``
+    (a line break and the indent)."""
+    if isinstance(value, str):
+        return encode_basestring_ascii(value)
+    if value is None:
+        return "null"
+    if value is True:
+        return "true"
+    if value is False:
+        return "false"
+    if isinstance(value, int):
+        return int.__repr__(value)
+    if isinstance(value, float):
+        text = float.__repr__(value)
+        return _NON_FINITE.get(text, text)
+    inner = nl + "  "
+    if type(value) is list:
+        if not value:
+            return "[]"
+        items = _float_items(value, inner)
+        if items is None:
+            items = ("," + inner).join([_json_value(v, inner) for v in value])
+        return "[" + inner + items + nl + "]"
+    if type(value) is dict and all(isinstance(key, str) for key in value):
+        if not value:
+            return "{}"
+        items = ("," + inner).join([
+            encode_basestring_ascii(key) + ": " + _json_value(value[key], inner)
+            for key in sorted(value)
+        ])
+        return "{" + inner + items + nl + "}"
+    return json.dumps(value, indent=2, sort_keys=True).replace("\n", nl)
+
+
+def _float_items(items: list, nl: str) -> str | None:
+    """The items of a list of floats, or of [x, y] float pairs, joined as
+    ``json.dumps`` joins them on lines that start with ``nl``; None for any
+    other list, and for one that holds a non-finite float."""
+    kinds = set(map(type, items))
+    if kinds == {float}:
+        text = ("," + nl).join(map(float.__repr__, items))
+    elif kinds == {list} and set(map(len, items)) == {2}:
+        flat = list(chain.from_iterable(items))
+        if set(map(type, flat)) != {float}:
+            return None
+        inner = nl + "  "
+        reprs = map(float.__repr__, flat)
+        pairs = map(("," + inner).join, zip(reprs, reprs))
+        text = "[" + inner + (nl + "]," + nl + "[" + inner).join(pairs) + nl + "]"
+    else:
+        return None
+    return None if "n" in text else text  # "nan", "inf": json spells them otherwise
 
 
 def write_text(path: str | Path, text: str) -> None:

@@ -19,6 +19,7 @@ from conftest import lateral_at, smooth_tree, straight_tree, transform_tree
 SVG_NS = "{http://www.w3.org/2000/svg}"
 
 FAST_FLAGS = ["--n-main", "50", "--n-lat", "20"]
+FIXTURE_MODEL = Path(__file__).resolve().parents[1] / "bench" / "fixtures" / "model.json"
 
 
 @pytest.fixture
@@ -570,20 +571,28 @@ class TestMalformedFiles:
         assert main(["sample", str(bad), "--out", str(tmp_path / "s.json")]) == 1
         assert "atlas mean lateral #0 has no 's' field" in one_error_line(capsys.readouterr().err)
 
-    @pytest.mark.parametrize("change, message", [
-        (lambda d: d.update(param_names=None), "model param_names must be an array of strings"),
-        (lambda d: d["atlas"].update(retained=None), "atlas retained must be an integer"),
-        (lambda d: d.pop("M"), "model has no 'M' field"),
-        (lambda d: d["M"].append(d["M"][-1]), "M has 5 rows, but the atlas retains 4 modes"),
-    ], ids=["param_names-null", "atlas-retained-null", "no-M", "M-extra-row"])
-    def test_model(self, fitted, tmp_path, capsys, change, message):
-        data = json.loads((fitted / "model.json").read_text())
+    @pytest.mark.parametrize("model, change, message", [
+        ("fitted", lambda d: d.update(param_names=None),
+         "model param_names must be an array of strings"),
+        ("fitted", lambda d: d["atlas"].update(retained=None), "atlas retained must be an integer"),
+        ("fitted", lambda d: d.pop("M"), "model has no 'M' field"),
+        ("fitted", lambda d: d["M"].append(d["M"][-1]), "M has 5 rows, but the atlas retains 4 modes"),
+        # the fitted atlas's coefficients are square; the fixture's are (8, 6)
+        ("fixture", lambda d: d["atlas"].update(
+            training_coeffs=np.transpose(d["atlas"]["training_coeffs"]).tolist()),
+         "training_coeffs must have shape (m, 6), got (6, 8)"),
+    ], ids=["param_names-null", "atlas-retained-null", "no-M", "M-extra-row",
+            "training_coeffs-transposed"])
+    def test_model(self, fitted, tmp_path, capsys, recwarn, model, change, message):
+        path = fitted / "model.json" if model == "fitted" else FIXTURE_MODEL
+        data = json.loads(path.read_text())
         change(data)
         bad = tmp_path / "bad.json"
         bad.write_text(json.dumps(data))
         assert main(["regress-predict", str(bad), "--params", "1,1,1",
                      "--out", str(tmp_path / "p.json")]) == 1
         assert message in one_error_line(capsys.readouterr().err)
+        assert not recwarn.list
 
     @pytest.mark.parametrize("command, payload, message", [
         ("render", {"main": [[0, 0], [0, -1]], "laterals": None},

@@ -272,7 +272,7 @@ class TestAtlas:
         loaded.save(again)
         assert again.read_bytes() == path.read_bytes()
         assert loaded.mean.q_lat.shape == (0, 2, 2)
-        assert sample_random(loaded, 3).n_laterals == 0
+        assert [t.n_laterals for t in sample_random(loaded, 3, n=2)] == [0, 0]
 
     def test_needs_two_trees(self, rng):
         with pytest.raises(ValueError):
@@ -282,36 +282,36 @@ class TestAtlas:
 class TestModePath:
     def test_alpha_zero_is_mean(self, atlas4):
         atlas = atlas4
-        tree = mode_path(atlas, 0, 0.0)
+        [tree] = mode_path(atlas, 0, [0.0])
         mean_tree = srvft_to_tree(atlas.mean)
         np.testing.assert_allclose(tree.main.points, mean_tree.main.points, atol=1e-12)
 
     def test_symmetric_displacement(self, atlas4):
         atlas = atlas4
         mean_tree = srvft_to_tree(atlas.mean)
-        plus = mode_path(atlas, 0, 1.0)
-        minus = mode_path(atlas, 0, -1.0)
+        plus, minus = mode_path(atlas, 0, [1.0, -1.0])
         d_plus = distance(mean_tree, plus, opts=FAST)
         d_minus = distance(mean_tree, minus, opts=FAST)
         assert abs(d_plus - d_minus) / max(d_plus, d_minus) < 0.05
 
     def test_sweep_produces_valid_trees(self, atlas4):
         atlas = atlas4
-        for alpha in np.linspace(-2, 2, 9):
-            tree = mode_path(atlas, 0, float(alpha))
+        trees = mode_path(atlas, 0, np.linspace(-2, 2, 9))
+        assert [t.id for t in trees][:2] == ["mode0_alpha-2.00", "mode0_alpha-1.50"]
+        for tree in trees:
             assert tree.main.length > 0
 
     def test_mode_out_of_range(self, atlas4):
         atlas = atlas4
         with pytest.raises(IndexError):
-            mode_path(atlas, atlas.n_modes, 1.0)
+            mode_path(atlas, atlas.n_modes, [1.0])
 
 
 class TestSampleRandom:
     def test_deterministic(self, atlas4):
         atlas = atlas4
-        t1 = sample_random(atlas, 7)
-        t2 = sample_random(atlas, 7)
+        [t1] = sample_random(atlas, 7)
+        [t2] = sample_random(atlas, 7)
         np.testing.assert_array_equal(t1.main.points, t2.main.points)
 
     def test_zero_coefficients_give_mean(self, atlas4):
@@ -322,8 +322,7 @@ class TestSampleRandom:
     def test_coefficients_within_range(self, atlas4):
         atlas = atlas4
         gen = np.random.default_rng(3)
-        for _ in range(50):
-            tree = sample_random(atlas, gen)
+        for tree in sample_random(atlas, gen, n=50):
             assert tree.main.length > 0
 
     def test_seeded_sample_is_plain_rejection_sampling(self, atlas4):
@@ -338,7 +337,7 @@ class TestSampleRandom:
             coeffs.append(b)
         Q = exp_map(atlas4.mean, atlas4.tangent_from_coeffs(np.array(coeffs)), atlas4.weights)
         want = srvft_to_tree(Q, tree_id="sample")
-        got = sample_random(atlas4, 7)
+        [got] = sample_random(atlas4, 7)
         np.testing.assert_array_equal(got.main.points, want.main.points)
         assert [t for t, _ in got.laterals] == [t for t, _ in want.laterals]
         for (_, b1), (_, b2) in zip(got.laterals, want.laterals):

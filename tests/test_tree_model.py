@@ -21,7 +21,7 @@ from treeshape import (
     resample_tree,
     save_root,
 )
-from treeshape.tree_model import ATTACH_TOL_FACTOR, tree_from_dict, tree_to_dict
+from treeshape.tree_model import ATTACH_TOL_FACTOR, json_text, tree_from_dict, tree_to_dict
 
 from conftest import smooth_branch, smooth_tree, straight_tree
 
@@ -314,3 +314,63 @@ def test_resample_tree_counts(rng):
     out = resample_tree(tree, 80, 30)
     assert out.main.n_points == 80
     assert all(br.n_points == 30 for _, br in out.laterals)
+
+
+FLOATS = st.one_of(
+    st.floats(allow_nan=True, allow_infinity=True),
+    st.sampled_from([-0.0, 5e-324, 1e16, 1e-7, float("nan"), float("inf"), float("-inf")]),
+)
+TEXT = st.one_of(
+    st.text(), st.sampled_from(["", "é", "ü漢字", "\x00\t\n\x1f\x7f", " \"\\", "\U0001f331"]),
+)
+SCALARS = st.one_of(
+    st.none(), st.booleans(), FLOATS, TEXT,
+    st.integers(), st.sampled_from([2**64, -(10**40), 0]),
+)
+ROWS = st.one_of(
+    st.lists(FLOATS, max_size=6),
+    st.lists(st.lists(FLOATS, min_size=2, max_size=2), max_size=4),
+    # a pair with an int inside takes the general path
+    st.lists(st.one_of(st.tuples(FLOATS, st.integers()), st.tuples(FLOATS, FLOATS)).map(list),
+             min_size=1, max_size=4),
+)
+PAYLOADS = st.recursive(
+    st.one_of(SCALARS, ROWS),
+    lambda children: st.one_of(
+        st.lists(children, max_size=4),
+        st.dictionaries(TEXT, children, max_size=4),
+        st.dictionaries(st.integers(), children, max_size=3),  # json.dumps writes int keys
+        st.tuples(children, children),
+    ),
+    max_leaves=25,
+)
+
+
+def circular() -> list:
+    loop: list = [1.0]
+    loop.append({"a": loop})
+    return loop
+
+
+class TestJsonText:
+    """The one writer gives exactly the bytes of ``json.dumps`` with sorted
+    keys and a two-space indent, plus a final newline."""
+
+    @settings(max_examples=200)
+    @given(payload=PAYLOADS)
+    def test_same_text_as_json_dumps(self, payload):
+        assert json_text(payload) == json.dumps(payload, indent=2, sort_keys=True) + "\n"
+
+    def test_written_trees(self, rng):
+        payload = [tree_to_dict(smooth_tree(rng, f"t{i}", i)) for i in range(3)]
+        assert json_text(payload) == json.dumps(payload, indent=2, sort_keys=True) + "\n"
+
+    @pytest.mark.parametrize("payload", [
+        {1.0, 2.0}, np.arange(3.0), [[1.0, 2.0], {"a": {3}}], {"k": np.zeros(2)},
+        {"a": 1.0, 2: 3.0}, [np.int64(3)], circular(),
+    ], ids=["set", "array", "nested-set", "array-value", "mixed-keys", "numpy-int", "circular"])
+    def test_rejects_what_json_dumps_rejects(self, payload):
+        with pytest.raises(Exception) as want:
+            json.dumps(payload, indent=2, sort_keys=True)
+        with pytest.raises(want.type):
+            json_text(payload)
