@@ -132,15 +132,18 @@ def _split_range(text: str, n_parts: int) -> list[str]:
 
 
 def _alpha_range(text: str) -> tuple[float, float, int]:
-    """``LO:HI:COUNT`` with an integer COUNT >= 1."""
+    """``LO:HI:COUNT`` with finite LO and HI and an integer COUNT >= 1."""
     lo, hi, count = _split_range(text, 3)
+    lo, hi = float(lo), float(hi)
+    if not np.isfinite([lo, hi]).all():
+        raise argparse.ArgumentTypeError(f"LO and HI must be finite, got {text!r}")
     try:
         steps = int(count)
     except ValueError:
         raise argparse.ArgumentTypeError(f"COUNT must be an integer, got {count!r}") from None
     if steps < 1:
         raise argparse.ArgumentTypeError(f"COUNT must be at least 1, got {steps}")
-    return float(lo), float(hi), steps
+    return lo, hi, steps
 
 
 @functools.cache

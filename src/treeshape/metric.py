@@ -50,13 +50,6 @@ class PairOptions:
 DEFAULT_OPTIONS = PairOptions()
 
 
-def _prepare(tree: RootTree, opts: PairOptions) -> SrvfTree:
-    """Normalize (if asked), resample and convert one tree to SRVF."""
-    if opts.normalize:
-        tree = normalize_scale(tree)
-    return tree_to_srvft(resample_tree(tree, opts.n_main, opts.n_lateral), opts.n_lateral)
-
-
 def prepare_trees(
     trees: Sequence[RootTree], opts: PairOptions = DEFAULT_OPTIONS
 ) -> list[SrvfTree]:
@@ -66,7 +59,9 @@ def prepare_trees(
     and equalizes lateral counts afterwards, at the SRVF level, with
     ``augment_srvfts``.
     """
-    return [_prepare(t, opts) for t in trees]
+    n, k = opts.n_main, opts.n_lateral
+    return [tree_to_srvft(resample_tree(normalize_scale(t) if opts.normalize else t, n, k), k)
+            for t in trees]
 
 
 def prepare_pair(

@@ -98,20 +98,6 @@ def _remap(s: np.ndarray, gamma: np.ndarray) -> np.ndarray:
     return s if _is_identity(gamma) else np.interp(s, gamma, np.linspace(0.0, 1.0, len(gamma)))
 
 
-def _transform(
-    Q: SrvfTree, rotation: np.ndarray | None, gamma: np.ndarray | None
-) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
-    """Main samples, lateral samples, positions and anchor of a moved tree."""
-    q0, lats, s, anchor = Q.q0, Q.q_lat, Q.s, Q.anchor
-    if gamma is not None:
-        q0 = _warp(q0, gamma)
-        s = _remap(s, gamma)
-    if rotation is not None:
-        rot = np.asarray(rotation)
-        q0, lats, anchor = q0 @ rot.T, lats @ rot.T, rot @ anchor
-    return q0, lats, s, anchor
-
-
 def _preshape_cost(
     w: Weights, main_sq: float, shapes: list[float], sa: list[float], sb: list[float]
 ) -> float:
@@ -128,19 +114,25 @@ def transform_tree(
     Q: SrvfTree, rotation: np.ndarray | None = None, gamma: np.ndarray | None = None
 ) -> SrvfTree:
     """Rotate all SRVFs and reparameterize the main branch (no reordering)."""
-    return SrvfTree(*_transform(Q, rotation, gamma))
+    q0, lats, s, anchor = Q.q0, Q.q_lat, Q.s, Q.anchor
+    if gamma is not None:
+        q0, s = _warp(q0, gamma), _remap(s, gamma)
+    if rotation is not None:
+        rot = np.asarray(rotation)
+        q0, lats, anchor = q0 @ rot.T, lats @ rot.T, rot @ anchor
+    return SrvfTree(q0, lats, s, anchor)
 
 
 def apply_registration(Q: SrvfTree, reg: Registration) -> SrvfTree:
     """Transform tree b by a registration found against some reference a.
 
-    Applies the reparameterization (remapping each attachment position s to
-    gamma^-1(s), where the old attachment point now occurs), rotates every
-    sample and the anchor, and reorders laterals so index k corresponds to
-    the reference's lateral k.
+    ``transform_tree`` by the rotation and gamma (remapping each attachment
+    position s to gamma^-1(s), where the old attachment point now occurs),
+    then the laterals reordered so index k corresponds to the reference's
+    lateral k.
     """
-    q0, lats, s, anchor = _transform(Q, reg.rotation, reg.gamma)
-    return SrvfTree(q0, lats[reg.assignment], s[reg.assignment], anchor)
+    moved, perm = transform_tree(Q, reg.rotation, reg.gamma), reg.assignment
+    return SrvfTree(moved.q0, moved.q_lat[perm], moved.s[perm], moved.anchor)
 
 
 def lateral_cost_matrix(
@@ -495,53 +487,52 @@ def register(a: SrvfTree, b: SrvfTree, w: Weights) -> Registration:
         return cost
 
     N = len(qa)
+    memo: dict = {}  # this call's matches and DPs, keyed by the bytes of their inputs
+
+    def match(rotation: np.ndarray, s: np.ndarray) -> np.ndarray:
+        """The match of b's laterals under ``rotation`` at the positions ``s``."""
+        lat = qb @ rotation.T
+        key = (lat.tobytes(), s.tobytes())
+        if key not in memo:
+            memo[key] = match_laterals(qa, sa, lat, s, w)
+        return memo[key]
+
+    def reparam(rotation: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """The DP's gamma under ``rotation``, b's main warped and positions moved by it."""
+        main = b0 @ rotation.T
+        key = main.tobytes()
+        if key not in memo:
+            gamma = optimal_reparam_main(a0, main)
+            memo[key] = gamma, _warp(b0, gamma), _remap(sb, gamma)
+        return memo[key]
+
     gamma = np.linspace(0.0, 1.0, len(a0))
     b_warped, s_moved = b0, sb  # b's main and positions under gamma
     rotation = np.eye(2)
     assignment = np.arange(N)
-    lat_rot = qb @ rotation.T  # b's laterals under rotation
-    cost = aligned_cost(b0 @ rotation.T, _sq_dists(qa, lat_rot[assignment]), sb, assignment)
-    history = [cost]
+    shapes = _sq_dists(qa, (qb @ rotation.T)[assignment])
+    history = [aligned_cost(b0 @ rotation.T, shapes, sb, assignment)]
     # Warm-start the rotation from a main-branch-only Procrustes fit; large
     # rotations otherwise mislead the first matching sweep into a poor local
     # optimum.  The identity stays a candidate, and candidates are scored by
     # the full cost under their own best match, so the start never exceeds
     # the identity-aligned cost.
-    #
-    # ``assignment`` is the match of b's laterals under ``match_rotation`` at
-    # the positions ``match_s``; a sweep with the same inputs reuses it, as
-    # does the first sweep, whose inputs are those of the kept start (the
-    # identity's if neither candidate lowers the cost).
-    match_rotation = match_s = None
     if N:
         main_only = Weights(max(w.lambda_m, 1e-12), 0.0, 0.0)
         with warnings.catch_warnings():
             warnings.simplefilter("ignore")
             candidate = optimal_rotation(a0, qa, b0, qb, main_only)
-        best = cost
-        for cand, lat in ((rotation, lat_rot), (candidate, qb @ candidate.T)):
-            pi = match_laterals(qa, sa, lat, sb, w)
-            c = aligned_cost(b0 @ cand.T, _sq_dists(qa, lat[pi]), sb, pi)
+        best = history[0]
+        for cand in (rotation, candidate):
+            pi = match(cand, sb)
+            c = aligned_cost(b0 @ cand.T, _sq_dists(qa, (qb @ cand.T)[pi]), sb, pi)
             if c < best:
-                best, rotation, lat_rot = c, cand, lat
-            if rotation is cand:
-                match_rotation, match_s, assignment = cand, sb, pi
-    # The DP sees only a0 and b0 under the rotation, so a sweep whose rotation
-    # equals the one of the last DP (typically the final sweep) reuses its
-    # gamma, warp and positions.
-    dp_rotation = None
+                best, rotation = c, cand
     for _ in range(MAX_SWEEPS):
-        if not (s_moved is match_s and np.array_equal(rotation, match_rotation)):
-            match_rotation, match_s = rotation, s_moved
-            assignment = match_laterals(qa, sa, lat_rot, s_moved, w)
+        assignment = match(rotation, s_moved)
         rotation = optimal_rotation(a0, qa, b_warped, qb[assignment], w)
-        lat_rot = qb @ rotation.T
-        shapes = _sq_dists(qa, lat_rot[assignment])
-        if dp_rotation is None or not np.array_equal(rotation, dp_rotation):
-            dp_rotation = rotation
-            gamma_new = optimal_reparam_main(a0, b0 @ rotation.T)
-            warped_new = _warp(b0, gamma_new)
-            s_new = _remap(sb, gamma_new)
+        shapes = _sq_dists(qa, (qb @ rotation.T)[assignment])
+        gamma_new, warped_new, s_new = reparam(rotation)
         cost_new = aligned_cost(warped_new @ rotation.T, shapes, s_new, assignment)
         cost_keep = aligned_cost(b_warped @ rotation.T, shapes, s_moved, assignment)
         if cost_new <= cost_keep:

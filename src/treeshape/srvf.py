@@ -226,22 +226,15 @@ def srvft_to_tree(
     ``tree_from_dict``'s attachment check even when the main is not uniform
     speed (as happens for interior geodesic points).
     """
-    if isinstance(Q, SrvfTree):
-        return _srvfts_to_trees([Q], [tree_id])[0]
-    return _srvfts_to_trees(Q, tree_id)
-
-
-def _srvfts_to_trees(Qs: Sequence[SrvfTree], ids: Sequence[str]) -> list[RootTree]:
-    """``srvft_to_tree`` of a batch: every main is integrated in one
-    ``_integrate`` call and every lateral in another.  Trees are then built,
-    and checked, in batch order, main first."""
+    single = isinstance(Q, SrvfTree)
+    Qs, ids = ([Q], [tree_id]) if single else (Q, tree_id)
     if len(ids) != len(Qs):
         raise ValueError(f"{len(Qs)} SRVF-trees need as many ids, got {len(ids)}")
     if not Qs:
         return []
-    mains = _integrate(np.stack([Q.q0 for Q in Qs]), np.stack([Q.anchor for Q in Qs]))
-    q_lat = np.stack([Q.q_lat for Q in Qs])
-    s = np.stack([Q.s for Q in Qs])
+    mains = _integrate(np.stack([P.q0 for P in Qs]), np.stack([P.anchor for P in Qs]))
+    q_lat = np.stack([P.q_lat for P in Qs])
+    s = np.stack([P.s for P in Qs])
     n = mains.shape[1]
     # attachment points by linear interpolation at parameter s, and their
     # arc-length fractions along the main
@@ -255,7 +248,7 @@ def _srvfts_to_trees(Qs: Sequence[SrvfTree], ids: Sequence[str]) -> list[RootTre
     total = cum[:, -1:]
     t_arc = np.divide(arc, total, out=np.zeros_like(arc), where=total > 0.0)
     curves = _integrate(q_lat, starts)
-    null = (np.sqrt(_sq_norms(q_lat)).reshape(s.shape) < EPS_NULL) | np.all(
+    null = np.stack([P.null_laterals() for P in Qs]) | np.all(
         curves == starts[..., None, :], axis=(-2, -1))
     trees = []
     for tree_id, main_points, ts, bases, lats, nulls in zip(ids, mains, t_arc.tolist(), starts,
@@ -266,7 +259,7 @@ def _srvfts_to_trees(Qs: Sequence[SrvfTree], ids: Sequence[str]) -> list[RootTre
             for t, base, curve, is_null in zip(ts, bases, lats, nulls)
         )
         trees.append(RootTree(id=tree_id, main=main, laterals=laterals))
-    return trees
+    return trees[0] if single else trees
 
 
 # ---------------------------------------------------------------------------

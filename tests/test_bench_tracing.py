@@ -3,9 +3,9 @@
 A traced benchmark run lists the functions it could not wrap only in its
 result file; this test fails as soon as a wrapped function is renamed or
 removed.  The registration building blocks must also be what ``register``
-runs, or their spans read 0 calls.  The main-curve DP runs only in sweeps
-whose rotation differs from the one of the last DP, so its span counts the
-DPs that ran, not the sweeps.
+runs, or their spans read 0 calls.  Within one ``register`` the main-curve
+DP runs once per distinct input, b's main under the sweep's rotation, so its
+span counts the DPs that ran, not the sweeps.
 """
 import sys
 from pathlib import Path
@@ -46,3 +46,22 @@ def test_building_block_spans_count_every_sweep(rng):
     for span in ("match_laterals", "optimal_rotation"):
         assert summary[f"registration.{span}.calls"] >= sweeps, span
     assert 1 <= summary["registration.optimal_reparam_main.calls"] < sweeps
+
+
+def test_apply_registration_runs_transform_tree(rng):
+    opts = PairOptions(n_main=30, n_lateral=10)
+    Qa, Qb = prepare_pair(smooth_tree(rng, "a", 2), smooth_tree(rng, "b", 1), opts)
+    reg = registration.register(Qa, Qb, Weights())
+    tracer = tracing.Tracer()
+    tracer.install()
+    try:
+        registration.apply_registration(Qb, reg)
+    finally:
+        tracer.uninstall()
+    summary = tracer.summary()
+    assert summary["registration.apply_registration.calls"] == 1
+    assert summary["registration.transform_tree.calls"] == 1
+    # the transform_tree span nests inside the apply_registration span
+    names = [tracer.names[i] for i in tracer.span_name]
+    apply = names.index("registration.apply_registration")
+    assert tracer.span_parent[names.index("registration.transform_tree")] == apply

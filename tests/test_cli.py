@@ -322,6 +322,9 @@ class TestUsageErrors:
         ["regress-predict", "model.json", "--params", "1,abc,2"],
         ["regress-predict", "model.json", "--params", "nan,1,2"],
         ["regress-predict", "model.json", "--params", "1,-inf,2"],
+        ["modes", "atlas.json", "--alpha-range=nan:2:5"],
+        ["modes", "atlas.json", "--alpha-range=-inf:2:5"],
+        ["modes", "atlas.json", "--alpha-range=-2:inf:3"],
     ])
     def test_exit_2(self, argv, tmp_path, capsys):
         option = next(a for a in argv if a.startswith("--")).split("=")[0]

@@ -725,3 +725,76 @@ class TestMatchReuse:
                 warm_start, sweeps = 2, len(got.cost_history) - 1
                 assert len(calls) - warm_start < sweeps
                 assert_same_registration(got, ref.register(a, b, Weights()))
+
+
+class TestRegisterMemo:
+    """Within one ``register``, the lateral match and the DP each run once
+    per distinct input, and the first sweep uses the match of the kept
+    warm-start candidate; the registration is the reference's bit for bit."""
+
+    @staticmethod
+    def check(a, b, w):
+        events = []  # (kind, args, result) of every match, rotation and DP, in order
+
+        def recorded(kind, fn):
+            def call(*args):
+                out = fn(*args)
+                events.append((kind, args, out))
+                return out
+            return call
+
+        with pytest.MonkeyPatch.context() as mp:
+            for kind, fn in (("match", match_laterals), ("rotation", optimal_rotation),
+                             ("dp", optimal_reparam_main)):
+                mp.setattr(registration, fn.__name__, recorded(kind, fn))
+            got = register(a, b, w)
+        assert_same_registration(got, ref.register(a, b, w))
+
+        def inputs(kind, *positions):
+            return [tuple(args[i].tobytes() for i in positions)
+                    for k, args, _ in events if k == kind]
+
+        dp_inputs = inputs("dp", 1)  # b0 @ R.T
+        match_inputs = inputs("match", 2, 3)  # rotated laterals and positions
+        assert len(set(dp_inputs)) == len(dp_inputs) >= 1
+        assert len(set(match_inputs)) == len(match_inputs) >= 1
+        if not a.n_laterals:
+            return
+        # the warm start: a main-only rotation R0, then one match per distinct
+        # candidate input, b's laterals under the identity and under R0 at
+        # b's own positions
+        rotations = [i for i, (k, _, _) in enumerate(events) if k == "rotation"]
+        R0, first_sweep = events[rotations[0]][2], rotations[1]
+        warm = events[1:first_sweep]
+        assert all(k == "match" for k, _, _ in warm)
+        pis = {args[2].tobytes(): out for _, args, out in warm}
+
+        def pi_of(R):
+            return pis[(b.q_lat @ R.T).tobytes()]
+
+        def start_cost(R):
+            gamma = np.linspace(0.0, 1.0, len(b.q0))
+            moved = apply_registration(b, Registration(R, gamma, pi_of(R), 0.0))
+            return preshape_dissimilarity_sq(a, moved, w)
+
+        assert len(warm) == len({(b.q_lat @ R.T).tobytes() for R in (np.eye(2), R0)})
+        identity_cost = got.cost_history[0]
+        kept = R0 if start_cost(R0) < min(identity_cost, start_cost(np.eye(2))) else np.eye(2)
+        sweep_lats = events[first_sweep][1][3]  # b's laterals in the first sweep's order
+        np.testing.assert_array_equal(sweep_lats, b.q_lat[pi_of(kept)])
+
+    @settings(max_examples=40)
+    @given(pair=srvft_pairs())
+    def test_random_pairs(self, pair):
+        self.check(*pair)
+
+    def test_bench_like_pairs(self, rng):
+        for n_a, n_b in ((0, 0), (1, 3), (4, 2), (3, 3)):
+            Qa, Qb = prepare_pair(smooth_tree(rng, "a", n_a), smooth_tree(rng, "b", n_b))
+            self.check(Qa, Qb, Weights())
+
+    def test_large_rotation(self):
+        rng = np.random.default_rng(22)
+        a = smooth_tree(rng, "a", 4, bend=0.4)
+        b = move_tree(smooth_tree(rng, "b", 4, bend=0.4), theta=rng.uniform(-np.pi, np.pi))
+        self.check(*prepare_pair(a, b), Weights())
