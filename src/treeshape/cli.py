@@ -16,9 +16,11 @@ import numpy as np
 
 from . import clustering, metric, render, statistics
 from .metric import DistanceMatrix, PairOptions
-from .srvf import Weights, srvft_to_tree
+from .srvf import DEFAULT_WEIGHTS, Weights, srvft_to_tree
 from .statistics import Atlas, RegressionModel
 from .tree_model import (
+    DEFAULT_LATERAL_SAMPLES,
+    DEFAULT_MAIN_SAMPLES,
     RootTree,
     extract_bio_params,
     json_text,
@@ -50,18 +52,21 @@ def _write_trees(path: Path, trees: list[RootTree], titles: list[str]) -> None:
 
 
 def _add_weight_args(parser: argparse.ArgumentParser) -> None:
-    parser.add_argument("--lambda-m", type=_finite(0), default=0.02, help="main-shape weight")
-    parser.add_argument("--lambda-s", type=_finite(0), default=1.0, help="lateral-shape weight")
-    parser.add_argument("--lambda-p", type=_finite(0), default=1.0, help="attachment-position weight")
+    w = DEFAULT_WEIGHTS
+    parser.add_argument("--lambda-m", type=_finite(0), default=w.lambda_m, help="main-shape weight")
+    parser.add_argument("--lambda-s", type=_finite(0), default=w.lambda_s,
+                        help="lateral-shape weight")
+    parser.add_argument("--lambda-p", type=_finite(0), default=w.lambda_p,
+                        help="attachment-position weight")
 
 
 def _add_pipeline_args(parser: argparse.ArgumentParser, threads: bool = False) -> None:
     _add_weight_args(parser)
     parser.add_argument("--normalize", action="store_true",
                         help="rescale every tree by its main-root length before analysis")
-    parser.add_argument("--n-main", type=_at_least(2), default=100,
+    parser.add_argument("--n-main", type=_at_least(2), default=DEFAULT_MAIN_SAMPLES,
                         help="main-branch sample count (>= 2)")
-    parser.add_argument("--n-lat", type=_at_least(2), default=50,
+    parser.add_argument("--n-lat", type=_at_least(2), default=DEFAULT_LATERAL_SAMPLES,
                         help="lateral-branch sample count (>= 2)")
     if threads:
         parser.add_argument("--threads", type=_at_least(1), default=1,

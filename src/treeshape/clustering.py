@@ -83,6 +83,8 @@ def _validate_matrix(values: np.ndarray) -> np.ndarray:
 
 def linkage(d: DistanceMatrix, method: str = "single") -> Dendrogram:
     """Agglomerate all leaves into one tree of m-1 merges; the leaves are ``d.labels``."""
+    if method not in LINKAGE_METHODS:
+        raise ValueError(f"unknown linkage method: {method!r}")
     values = _validate_matrix(d.values)
     m = len(values)
     if m < 2:
@@ -108,10 +110,8 @@ def linkage(d: DistanceMatrix, method: str = "single") -> Dendrogram:
                 new = min(a, b)
             elif method == "complete":
                 new = max(a, b)
-            elif method == "average":
-                new = (active[ci] * a + active[cj] * b) / size
             else:
-                raise ValueError(f"unknown linkage method: {method!r}")
+                new = (active[ci] * a + active[cj] * b) / size
             dist[(other, next_id)] = new
         del dist[(ci, cj)]
         del active[ci]

@@ -8,7 +8,6 @@ from __future__ import annotations
 
 import csv
 import io
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Sequence
@@ -233,10 +232,13 @@ def parallel_map(fn, items: list[tuple], n_jobs: int) -> list:
     """Order-preserving ``fn(*item)`` per item, optionally over a process pool.
 
     Each item is computed independently and deterministically, so results do
-    not depend on the worker count.
+    not depend on the worker count.  The pool's modules are imported only
+    when a pool runs.
     """
     if n_jobs <= 1 or len(items) <= 1:
         return [fn(*it) for it in items]
+    from concurrent.futures import ProcessPoolExecutor
+
     with ProcessPoolExecutor(max_workers=n_jobs) as pool:
         return list(pool.map(fn, *zip(*items)))
 

@@ -274,17 +274,17 @@ class _DpRowStep(NamedTuple):
     Their blocks are the consecutive steps t0, t0 + 1, ... of the cost array,
     each filled in rows i >= di; the qb indices are per end column j, clamped
     in the columns j < dj that have no edge.  Index arrays address the
-    component-major flattening (c * n + index) of the SRVF samples.
+    component-major flattening (c * n + index) of the SRVF samples; a qb
+    node lies between the samples ``b_lo`` and ``b_lo + 1`` (i0 <= n - 2, so
+    both are of the same component).
     """
 
     di: int
     t0: int
     floor: np.ndarray  # (J, 1, n): 0, or +inf in the columns j < dj
     a_idx: np.ndarray  # (n-di, 2, di+1): qa samples of node k of edge row r
-    b_lo: np.ndarray  # (J, n, 2, di+1): qb lerp indices i0 and i0 + 1
-    b_hi: np.ndarray
-    w_lo: np.ndarray  # (J, n, 1, di+1): lerp weights 1 - fr and fr
-    w_hi: np.ndarray
+    b_lo: np.ndarray  # (J, n, 2, di+1): qb lerp index i0 of node k
+    fr: np.ndarray  # (J, n, 1, di+1): its lerp fraction, the weight of i0 + 1
     wk: np.ndarray  # (di+1,): trapezoid weights of the nodes
     factor: np.ndarray  # (J, 1, 1, di+1): -2 sqrt(slope) wk
     slope: np.ndarray  # (J, 1): dj / di
@@ -333,8 +333,7 @@ def _dp_plan(n: int) -> _DpPlan:
         floor = np.where(cols < dj, np.inf, 0.0)[:, None, :]
         row_steps.append(_DpRowStep(
             di, int(t0),
-            *_frozen(floor, a_idx, i0 + comp, i0 + comp + 1, 1.0 - fr, fr, wk, factor,
-                     slope[:, None]),
+            *_frozen(floor, a_idx, i0 + comp, fr, wk, factor, slope[:, None]),
         ))
     e_idx = cols - dj_t - di_t[:, None] * n
     steps_up_to = np.searchsorted(di_t, cols, side="right")
@@ -361,7 +360,7 @@ def _dp_edge_cost(qa: np.ndarray, qb: np.ndarray) -> np.ndarray:
     for g in plan.row_steps:
         rows, inner, steps = n - g.di, 2 * (g.di + 1), len(g.slope)
         a = flat_a.take(g.a_idx)
-        u = flat_b.take(g.b_lo) * g.w_lo + flat_b.take(g.b_hi) * g.w_hi
+        u = flat_b.take(g.b_lo) * (1.0 - g.fr) + flat_b[1:].take(g.b_lo) * g.fr
         left = np.empty((rows, inner + 2))
         left[:, :inner] = a.reshape(rows, inner)
         left[:, inner] = np.einsum("ick,ick->i", a, a * g.wk)

@@ -167,12 +167,6 @@ def _integrate(samples: np.ndarray, start: np.ndarray) -> np.ndarray:
     return np.concatenate([origin, steps], axis=-2) + np.asarray(start)[..., None, :]
 
 
-def from_srvf(q: np.ndarray, start: np.ndarray) -> Branch:
-    """Reconstruct a branch from (n, 2) SRVF samples by integrating q * |q|
-    from the start point."""
-    return Branch(_integrate(np.asarray(q, dtype=float), start))
-
-
 def tree_to_srvft(tree: RootTree, n_lateral: int) -> SrvfTree:
     """SRVF-tree of a (resampled) root tree, with ``n_lateral`` samples on
     every lateral, virtual ones too; attachment s equals t."""

@@ -165,17 +165,14 @@ def json_text(payload) -> str:
     ``json.dumps(payload, indent=2, sort_keys=True)`` writes, plus a final
     newline.
 
+    The payload holds only what the package builds: str-keyed dicts, lists,
+    strs, ints, floats, bools and None.  Any other value, a tuple, a numpy
+    scalar or a non-str key among them, is a TypeError naming its type.
     With an indent, ``json.dumps`` runs the json module's pure-Python
     encoder; this builds the same text in fewer steps, and each list of
-    floats or of [x, y] float pairs in one ``str.join``.  A value that is
-    not a str-keyed dict, a list, a str, an int, a float, a bool or None is
-    written (or rejected) by ``json.dumps`` itself, and so is a payload
-    nested too deep for this recursion.
+    floats or of [x, y] float pairs in one ``str.join``.
     """
-    try:
-        return _json_value(payload, "\n") + "\n"
-    except RecursionError:
-        return json.dumps(payload, indent=2, sort_keys=True) + "\n"
+    return _json_value(payload, "\n") + "\n"
 
 
 # float reprs that json writes as JavaScript literals
@@ -206,15 +203,16 @@ def _json_value(value, nl: str) -> str:
         if items is None:
             items = ("," + inner).join([_json_value(v, inner) for v in value])
         return "[" + inner + items + nl + "]"
-    if type(value) is dict and all(isinstance(key, str) for key in value):
+    if type(value) is dict:
         if not value:
             return "{}"
+        # a non-str key fails in sorted() or encode_basestring_ascii()
         items = ("," + inner).join([
             encode_basestring_ascii(key) + ": " + _json_value(value[key], inner)
             for key in sorted(value)
         ])
         return "{" + inner + items + nl + "}"
-    return json.dumps(value, indent=2, sort_keys=True).replace("\n", nl)
+    raise TypeError(f"Object of type {type(value).__name__} is not JSON serializable")
 
 
 def _float_items(items: list, nl: str) -> str | None:
@@ -305,8 +303,9 @@ def tree_to_dict(tree: RootTree) -> dict:
 
 
 def tree_from_dict(data: dict, fallback_id: str = "root") -> RootTree:
-    """The tree of a parsed root object.  Each real lateral must start on the
-    main curve at its t, within ``ATTACH_TOL_FACTOR * main length``."""
+    """The tree of a parsed root object.  A lateral's t must be a JSON number
+    and its optional ``virtual`` a JSON boolean; each real lateral must start
+    on the main curve at its t, within ``ATTACH_TOL_FACTOR * main length``."""
     if not isinstance(data, dict):
         raise RootFormatError("root object must be a JSON object")
     try:
@@ -320,11 +319,16 @@ def tree_from_dict(data: dict, fallback_id: str = "root") -> RootTree:
     laterals = []
     for i, entry in enumerate(entries):
         try:
-            t = float(entry["t"])
+            t = entry["t"]
             pts = np.asarray(entry["points"], dtype=float)
-            virtual = bool(entry.get("virtual", False))
+            virtual = entry.get("virtual", False)
         except (KeyError, TypeError, ValueError) as exc:
             raise RootFormatError(f"invalid lateral #{i}: {exc}") from exc
+        if isinstance(t, bool) or not isinstance(t, (int, float)):
+            raise RootFormatError(f"invalid lateral #{i}: 't' must be a number, not {t!r}")
+        if not isinstance(virtual, bool):
+            raise RootFormatError(
+                f"invalid lateral #{i}: 'virtual' must be true or false, not {virtual!r}")
         laterals.append(Lateral(t, Branch(pts, is_virtual=virtual)))
     tree_id = str(data.get("id", fallback_id))
     tree = RootTree(id=tree_id, main=Branch(main_pts), laterals=tuple(laterals))

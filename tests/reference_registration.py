@@ -22,7 +22,7 @@ from scipy.optimize import linear_sum_assignment
 
 from treeshape import Branch, Lateral, RootTree, registration
 from treeshape.registration import Registration, optimal_reparam_main
-from treeshape.srvf import SrvfTree, Weights, from_srvf, trapezoid_weights
+from treeshape.srvf import SrvfTree, Weights, _integrate, trapezoid_weights
 from treeshape.tree_model import _cumulative_arclength
 
 
@@ -268,7 +268,7 @@ def _param_point(points: np.ndarray, s: float) -> tuple[np.ndarray, float]:
 
 
 def _srvft_to_tree(Q: ObjTree, tree_id: str = "reconstructed", eps_null: float = 1e-8) -> RootTree:
-    main = from_srvf(Q.q0.samples, Q.anchor)
+    main = Branch(_integrate(Q.q0.samples, Q.anchor))
     laterals = []
     for q, s in Q.laterals:
         s = min(max(float(s), 0.0), 1.0)
@@ -276,7 +276,7 @@ def _srvft_to_tree(Q: ObjTree, tree_id: str = "reconstructed", eps_null: float =
         if np.sqrt(q.norm_sq) < eps_null:
             laterals.append(Lateral(t_arc, Branch(point[None, :], is_virtual=True)))
         else:
-            laterals.append(Lateral(t_arc, from_srvf(q.samples, point)))
+            laterals.append(Lateral(t_arc, Branch(_integrate(q.samples, point))))
     return RootTree(id=tree_id, main=main, laterals=tuple(laterals))
 
 

@@ -16,7 +16,7 @@ from treeshape import Weights
 from treeshape.cli import main
 from treeshape.metric import PairOptions, prepare_pair, register_pair
 from treeshape.registration import apply_registration, lateral_cost_matrix, match_laterals
-from treeshape.srvf import _sq_norms, from_srvf, to_srvf
+from treeshape.srvf import SrvfTree, _sq_norms, srvft_to_tree, to_srvf
 from treeshape.statistics import _gram_modes, log_map
 
 from conftest import (
@@ -44,7 +44,8 @@ def test_criterion_01_srvf_round_trip():
         unit = ts.Branch(br.points / br.length)  # unit-length curve
         resampled = ts.resample_branch(unit, 100)
         q = to_srvf(resampled, 100)
-        rebuilt = from_srvf(q, resampled.points[0])
+        lateral_free = SrvfTree(q, np.zeros((0, 2, 2)), np.zeros(0), resampled.points[0])
+        rebuilt = srvft_to_tree(lateral_free).main
         max_err = max(
             max_err, float(np.max(np.linalg.norm(rebuilt.points - resampled.points, axis=1)))
         )

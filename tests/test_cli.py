@@ -1,3 +1,4 @@
+import inspect
 import json
 import os
 import shlex
@@ -13,6 +14,8 @@ import treeshape
 from treeshape import Branch, Lateral, RootTree, load_collection, load_root, save_root, statistics
 from treeshape.cli import build_parser, main
 from treeshape.metric import DistanceMatrix
+from treeshape.srvf import DEFAULT_WEIGHTS
+from treeshape.tree_model import DEFAULT_LATERAL_SAMPLES, DEFAULT_MAIN_SAMPLES
 
 from conftest import lateral_at, smooth_tree, straight_tree, transform_tree
 
@@ -523,6 +526,13 @@ def one_error_line(err: str) -> str:
     return lines[0]
 
 
+def root_with_lateral(**fields) -> dict:
+    """A root object whose one lateral, at t = 0.5 on the main, has ``fields``
+    in place of its own."""
+    lateral = {"t": 0.5, "points": [[0, -5], [1, -5]], **fields}
+    return {"main": [[0, 0], [0, -10]], "laterals": [lateral]}
+
+
 class TestMalformedFiles:
     """Malformed atlas, model, root and matrix files end in one error line
     and exit 1."""
@@ -611,8 +621,15 @@ class TestMalformedFiles:
         ("render", {"main": [[0, 0], [0, -10]],
                     "laterals": [{"t": 0.5, "points": [[0.03, -5], [1.03, -5]]}]},
          "starts 0.03 from the main curve (tolerance 0.01)"),
+        ("render", root_with_lateral(t="0.5"), "invalid lateral #0: 't' must be a number, not '0.5'"),
+        ("render", root_with_lateral(t=True), "invalid lateral #0: 't' must be a number, not True"),
+        ("render", root_with_lateral(virtual="false"),
+         "invalid lateral #0: 'virtual' must be true or false, not 'false'"),
+        ("render", root_with_lateral(virtual=0),
+         "invalid lateral #0: 'virtual' must be true or false, not 0"),
     ], ids=["root-laterals-null", "matrix-labels-null", "matrix-top-level-array",
-            "matrix-labels-numbers", "matrix-failure-out-of-range", "root-lateral-off-the-main"])
+            "matrix-labels-numbers", "matrix-failure-out-of-range", "root-lateral-off-the-main",
+            "root-t-string", "root-t-boolean", "root-virtual-string", "root-virtual-number"])
     def test_root_and_matrix(self, tmp_path, capsys, command, payload, message):
         bad = tmp_path / "bad.json"
         bad.write_text(json.dumps(payload))
@@ -650,11 +667,39 @@ class TestRender:
         assert len(root.findall(f".//{SVG_NS}polyline")) == 3  # main + 2 laterals
 
 
-def test_import_loads_no_scipy():
-    # scipy is a test oracle only; the command line must run without it
+def test_parser_defaults_are_the_library_defaults():
+    def defaults(func) -> dict:
+        return {k: v.default for k, v in inspect.signature(func).parameters.items()}
+
+    def parsed(*argv: str):
+        return build_parser().parse_args([*argv, "--out", "x.json"])
+
+    karcher = defaults(statistics.karcher_mean)
+    for command in ("distance", "geodesic", "matrix", "mean", "atlas", "regress-fit"):
+        args = parsed(command, *(["a", "b"] if command in ("distance", "geodesic") else ["a"]))
+        assert (args.lambda_m, args.lambda_s, args.lambda_p) == DEFAULT_WEIGHTS.as_tuple()
+        assert (args.n_main, args.n_lat) == (DEFAULT_MAIN_SAMPLES, DEFAULT_LATERAL_SAMPLES)
+        if command in ("mean", "atlas", "regress-fit"):
+            assert (args.step, args.max_iter) == (karcher["step"], karcher["max_iter"])
+    assert parsed("geodesic", "a", "b").steps == defaults(treeshape.geodesic)["steps"]
+    assert parsed("sample", "a").n == defaults(statistics.sample_random)["n"]
+
+
+def after_cli_import(expr: str) -> str:
+    """What ``print(expr)`` writes in a fresh interpreter that imported treeshape.cli."""
     env = dict(os.environ)
     src = str(Path(treeshape.__file__).parents[1])
     env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
-    code = "import sys, treeshape.cli; print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))"
+    code = f"import sys, treeshape.cli; print({expr})"
     out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True)
-    assert out.stdout.strip() == "[]"
+    return out.stdout.strip()
+
+
+def test_import_loads_no_process_pool():
+    # the pool's modules load only when a pool runs
+    assert after_cli_import("'multiprocessing' in sys.modules") == "False"
+
+
+def test_import_loads_no_scipy():
+    # scipy is a test oracle only; the command line must run without it
+    assert after_cli_import("sorted(m for m in sys.modules if m.split('.')[0] == 'scipy')") == "[]"

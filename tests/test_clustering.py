@@ -93,6 +93,12 @@ class TestLinkage:
         dend = linkage(dm)
         assert dend.leaf_labels == ("a", "b", "c", "d")
 
+    @pytest.mark.parametrize("m", [2, 3])
+    def test_unknown_method_rejected_before_merging(self, rng, m):
+        # two leaves merge without a look at the other clusters
+        with pytest.raises(ValueError, match="^unknown linkage method: 'bogus'$"):
+            linkage(as_matrix(random_distance_matrix(rng, m)), "bogus")
+
     @pytest.mark.parametrize("count", [3, 5])
     def test_label_count_mismatch(self, rng, count):
         labels = tuple(f"leaf{i}" for i in range(count))

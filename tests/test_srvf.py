@@ -11,7 +11,6 @@ from treeshape import (
     SrvfTree,
     Weights,
     augment_pair,
-    from_srvf,
     resample_tree,
     srvft_to_tree,
     to_srvf,
@@ -86,21 +85,29 @@ class TestToSrvf:
             assert abs(_sq_norms(q)[0] - br.length) / br.length < 1e-3
 
 
+def rebuild_branch(q: np.ndarray, start: np.ndarray) -> Branch:
+    """The branch of (n, 2) SRVF samples from ``start``: the main branch
+    ``srvft_to_tree`` integrates for a tree without laterals."""
+    return srvft_to_tree(SrvfTree(q, np.zeros((0, 2, 2)), np.zeros(0), start)).main
+
+
 class TestFromSrvf:
+    """The inverse transform, a branch from its SRVF samples."""
+
     def test_constant_unit(self):
         q = np.column_stack([np.ones(50), np.zeros(50)])
-        br = from_srvf(q, np.zeros(2))
+        br = rebuild_branch(q, np.zeros(2))
         np.testing.assert_allclose(br.points[-1], [1.0, 0.0], atol=1e-12)
 
     def test_constant_sqrt2(self):
         q = np.column_stack([np.full(50, np.sqrt(2.0)), np.zeros(50)])
-        br = from_srvf(q, np.zeros(2))
+        br = rebuild_branch(q, np.zeros(2))
         np.testing.assert_allclose(br.points[-1], [2.0, 0.0], atol=1e-12)
 
     def test_half_circle_round_trip(self):
         t = np.linspace(0.0, 1.0, 100)
         arc = Branch(np.column_stack([np.cos(np.pi * t), np.sin(np.pi * t)]))
-        rebuilt = from_srvf(to_srvf(arc, 100), arc.points[0])
+        rebuilt = rebuild_branch(to_srvf(arc, 100), arc.points[0])
         # compare against the analytic arc at matched arc-length positions
         err = np.max(np.linalg.norm(rebuilt.points - arc.points, axis=1))
         assert err < 1e-2
@@ -120,7 +127,7 @@ class TestFromSrvf:
             from treeshape import resample_branch
 
             fine = resample_branch(br, n)
-            rebuilt = from_srvf(to_srvf(fine, n), fine.points[0])
+            rebuilt = rebuild_branch(to_srvf(fine, n), fine.points[0])
             errs.append(np.max(np.linalg.norm(rebuilt.points - fine.points, axis=1)))
         # order >= 1 in 1/n
         assert errs[2] < errs[0] / 2
