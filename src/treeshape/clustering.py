@@ -26,7 +26,7 @@ class Dendrogram:
     leaf_labels: tuple[str, ...]
 
     def __post_init__(self) -> None:
-        merges = np.array(self.merges, dtype=float).reshape(-1, 4)
+        merges = float_array(self.merges, "dendrogram merges").reshape(-1, 4)
         if len(merges) != len(self.leaf_labels) - 1:
             raise ValueError("a dendrogram over m leaves needs exactly m-1 merges")
         merges.flags.writeable = False
@@ -64,8 +64,7 @@ class Dendrogram:
             raise ValueError("dendrogram leaf_labels must be an array of strings")
         rows = [json_fields(m, f"dendrogram merge #{k}", "left", "right", "height", "size")
                 for k, m in enumerate(merges)]
-        return cls(merges=float_array(rows, "dendrogram merges").reshape(-1, 4),
-                   leaf_labels=tuple(labels))
+        return cls(merges=rows, leaf_labels=tuple(labels))
 
     @classmethod
     def load(cls, path: str | Path) -> "Dendrogram":
@@ -118,7 +117,7 @@ def linkage(d: DistanceMatrix, method: str = "single") -> Dendrogram:
         del active[cj]
         active[next_id] = size
         next_id += 1
-    return Dendrogram(merges=np.array(merges, dtype=float), leaf_labels=d.labels)
+    return Dendrogram(merges=merges, leaf_labels=d.labels)
 
 
 def cut(dend: Dendrogram, k: int) -> np.ndarray:

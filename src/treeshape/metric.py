@@ -29,6 +29,7 @@ from .tree_model import (
     RootTree,
     float_array,
     json_fields,
+    json_int,
     json_text,
     normalize_scale,
     read_json,
@@ -157,7 +158,7 @@ class DistanceMatrix:
     failures: tuple[tuple[int, int, str], ...] = ()
 
     def __post_init__(self) -> None:
-        vals = np.array(self.values, dtype=float)
+        vals = float_array(self.values, "distance matrix values")
         m = len(self.labels)
         if not all(isinstance(label, str) for label in self.labels):
             raise ValueError("distance matrix labels must be strings")
@@ -205,18 +206,19 @@ class DistanceMatrix:
             for k, row in enumerate(rows[1:], 1):
                 if len(row) != len(labels):
                     raise ValueError(f"{path}: row {k} has {len(row)} values, not {len(labels)}")
-            return cls(labels=tuple(labels), values=float_array(rows[1:], f"{path} values"))
+            return cls(labels=tuple(labels), values=rows[1:])
         data = read_json(path)
         labels, values = json_fields(data, "distance matrix", "labels", "values")
         if not isinstance(labels, list):
             kind = type(labels).__name__
             raise ValueError(f"distance matrix labels must be a JSON array, not {kind}")
-        try:
-            failures = tuple((int(i), int(j), str(m)) for i, j, m in data.get("failures", []))
-        except (TypeError, ValueError):
-            raise ValueError("distance matrix failures must be [i, j, message] entries") from None
-        return cls(labels=tuple(labels), values=float_array(values, "distance matrix values"),
-                   failures=failures)
+        failures = data.get("failures", [])
+        if not (isinstance(failures, list) and all(
+                isinstance(f, list) and len(f) == 3 and isinstance(f[2], str) for f in failures)):
+            raise ValueError("distance matrix failures must be [i, j, message] entries")
+        index = "distance matrix failure index"
+        failures = tuple((json_int(i, index), json_int(j, index), m) for i, j, m in failures)
+        return cls(labels=tuple(labels), values=values, failures=failures)
 
 
 def _pair_distance(Qa, Qb, w: Weights) -> float | str:

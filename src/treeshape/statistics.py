@@ -87,10 +87,9 @@ def exp_map(mu: SrvfTree, v: np.ndarray, w: Weights) -> SrvfTree | list[SrvfTree
         raise ValueError(f"tangent shape {V.shape} does not match the layout dimension {dim}")
     flat = flatten_srvft(mu) + V / _metric_scale(mu, w)
     s = flat[..., dim - mu.n_laterals:]
-    clamped = np.clip(s, 0.0, 1.0)
-    if np.any(clamped != s):
+    if np.any((s < 0.0) | (s > 1.0)):  # a NaN is not clamped: SrvfTree rejects it
         warnings.warn("attachment positions clamped to [0, 1]")
-        s[...] = clamped
+        np.clip(s, 0.0, 1.0, out=s)
     if V.ndim == 1:
         return unflatten_srvft(flat, mu)
     return [unflatten_srvft(vec, mu) for vec in flat]
@@ -225,7 +224,7 @@ class Atlas:
     ids: tuple[str, ...] = ()
 
     def __post_init__(self) -> None:
-        ev = np.array(self.eigenvalues, dtype=float)
+        ev = float_array(self.eigenvalues, "atlas eigenvalues")
         if ev.ndim != 1:
             raise ValueError("eigenvalues must be a 1-d array")
         if not np.all(np.isfinite(ev) & (ev >= 0)):
@@ -234,20 +233,24 @@ class Atlas:
             raise ValueError(f"retained must be in [0, {len(ev)}], got {self.retained}")
         ev.flags.writeable = False
         object.__setattr__(self, "eigenvalues", ev)
-        md = np.array(self.modes, dtype=float)
+        md = float_array(self.modes, "atlas modes")
         shape = (len(ev), _dim(self.mean))
         if md.size == 0 and not len(ev):  # an atlas file writes no modes as []
             md = md.reshape(shape)
         if md.shape != shape:
             raise ValueError(f"modes must have shape {shape}, got {md.shape}")
+        if not np.isfinite(md).all():
+            raise ValueError("atlas modes must be finite")
         md.flags.writeable = False
         object.__setattr__(self, "modes", md)
-        tc = np.array(self.training_coeffs, dtype=float)
+        tc = float_array(self.training_coeffs, "atlas training_coeffs")
         if tc.size == 0:  # no coefficients at all, as an empty list in a file
             tc = tc.reshape(0, self.retained)
         if tc.ndim != 2 or tc.shape[1] != self.retained:
             raise ValueError(
                 f"training_coeffs must have shape (m, {self.retained}), got {tc.shape}")
+        if not np.isfinite(tc).all():
+            raise ValueError("atlas training_coeffs must be finite")
         tc.flags.writeable = False
         object.__setattr__(self, "training_coeffs", tc)
 
@@ -295,15 +298,9 @@ class Atlas:
         sizes = json_fields(layout, "atlas layout", *expected)
         if [json_int(v, "atlas layout size") for v in sizes] != list(expected.values()):
             raise ValueError(f"atlas layout {layout} disagrees with its mean ({expected})")
-        return cls(
-            mean=mean,
-            eigenvalues=float_array(evals, "atlas eigenvalues"),
-            modes=float_array(modes, "atlas modes"),
-            retained=json_int(retained, "atlas retained"),
-            training_coeffs=float_array(coeffs, "atlas training_coeffs"),
-            weights=Weights(*weights.tolist()),
-            ids=tuple(ids),
-        )
+        return cls(mean=mean, eigenvalues=evals, modes=modes,
+                   retained=json_int(retained, "atlas retained"), training_coeffs=coeffs,
+                   weights=Weights(*weights.tolist()), ids=tuple(ids))
 
     def save(self, path: str | Path) -> None:
         write_text(path, json_text(self.to_dict()))
@@ -422,12 +419,14 @@ class RegressionModel:
     atlas: Atlas
 
     def __post_init__(self) -> None:
-        M = np.array(self.M, dtype=float)
+        M = float_array(self.M, "model M")
         if M.ndim != 2 or M.shape[1] != len(self.param_names) + 1:
             raise ValueError("M must have one column per parameter plus an affine column")
         if len(M) != self.atlas.retained:
             raise ValueError(
                 f"M has {len(M)} rows, but the atlas retains {self.atlas.retained} modes")
+        if not np.isfinite(M).all():
+            raise ValueError("model M must be finite")
         M.flags.writeable = False
         object.__setattr__(self, "M", M)
         object.__setattr__(self, "param_names", tuple(self.param_names))
@@ -445,8 +444,7 @@ class RegressionModel:
         M, names, atlas = json_fields(data, "model", "M", "param_names", "atlas")
         if not (isinstance(names, list) and all(isinstance(n, str) for n in names)):
             raise ValueError("model param_names must be an array of strings")
-        return cls(M=float_array(M, "model M"), param_names=tuple(names),
-                   atlas=Atlas.from_dict(atlas))
+        return cls(M=M, param_names=tuple(names), atlas=Atlas.from_dict(atlas))
 
     def save(self, path: str | Path) -> None:
         write_text(path, json_text(self.to_dict()))

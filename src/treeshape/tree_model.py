@@ -10,6 +10,7 @@ Trees are immutable; every operation returns a new tree.
 from __future__ import annotations
 
 import json
+from contextlib import contextmanager
 from dataclasses import dataclass
 from itertools import chain
 from json.encoder import encode_basestring_ascii
@@ -24,6 +25,10 @@ DEFAULT_LATERAL_SAMPLES = 50
 # Attachment tolerance of a root file, relative to the main-curve arc length.
 # Skeletonized scans carry pixel noise, so exact incidence cannot be required.
 ATTACH_TOL_FACTOR = 1e-3
+
+# The longest real branch.  The SRVF squares velocities about as large as the
+# branch length, so below this bound every square stays far from overflow.
+MAX_BRANCH_LENGTH = 1e150
 
 
 class RootFormatError(ValueError):
@@ -77,7 +82,7 @@ class Branch:
     is_virtual: bool = False
 
     def __post_init__(self) -> None:
-        pts = np.array(self.points, dtype=float)
+        pts = float_array(self.points, "branch points")
         if pts.ndim != 2 or pts.shape[1] != 2:
             raise TreeValidationError("branch points must be an (n, 2) array")
         if not np.isfinite(pts).all():
@@ -89,10 +94,16 @@ class Branch:
             if len(pts) < 2:
                 raise TreeValidationError("branch needs at least 2 points")
             # the length is 0 exactly when every squared step is (the squares
-            # underflow as they do in ``polyline_length``)
-            step = pts[1:] - pts[:-1]
-            if not (step * step).any():
+            # underflow as they do in ``polyline_length``); one that overflows
+            # is a length above the bound
+            with np.errstate(over="ignore"):
+                step = pts[1:] - pts[:-1]
+                length = np.sqrt((step * step).sum(axis=1)).sum()
+            if length == 0.0:
                 raise TreeValidationError("branch has zero length")
+            if length > MAX_BRANCH_LENGTH:
+                raise TreeValidationError(
+                    f"branch length {length:.6g} exceeds the bound {MAX_BRANCH_LENGTH:g}")
         pts.flags.writeable = False
         object.__setattr__(self, "points", pts)
 
@@ -138,7 +149,8 @@ class RootTree:
     def __post_init__(self) -> None:
         if self.main.is_virtual:
             raise TreeValidationError("main branch cannot be virtual")
-        lats = tuple(Lateral(float(t), br) for t, br in self.laterals)
+        ts = float_array([t for t, _ in self.laterals], "lateral t").tolist()
+        lats = tuple(Lateral(t, br) for t, (_, br) in zip(ts, self.laterals))
         for t, _ in lats:
             if not (0.0 <= t <= 1.0):
                 raise TreeValidationError(f"t out of range: {t!r} not in [0, 1]")
@@ -270,11 +282,12 @@ def json_fields(data, what: str, *keys: str) -> list:
 
 
 def float_array(value, what: str) -> np.ndarray:
-    """A new float array of ``value``; a value that holds anything but numbers
-    (a string or a JSON object, say) is a ValueError."""
+    """A new float array of ``value``: the one conversion of every number read
+    from a file.  A value that holds anything but numbers (a string or a JSON
+    object, say) or an integer too large for a float is a ValueError."""
     try:
         return np.array(value, dtype=float)
-    except (TypeError, ValueError) as exc:
+    except (TypeError, ValueError, OverflowError) as exc:
         raise ValueError(f"{what} must be a regular array of numbers ({exc})") from None
 
 
@@ -302,36 +315,40 @@ def tree_to_dict(tree: RootTree) -> dict:
     return out
 
 
+@contextmanager
+def _root_field(what: str):
+    """Prefix ``what`` to a missing key, a wrong type or a rejected value raised
+    inside: a TreeValidationError keeps its type, the rest become RootFormatErrors."""
+    try:
+        yield
+    except (KeyError, TypeError, ValueError) as exc:
+        error = TreeValidationError if isinstance(exc, TreeValidationError) else RootFormatError
+        raise error(f"{what}: {exc}") from None
+
+
 def tree_from_dict(data: dict, fallback_id: str = "root") -> RootTree:
     """The tree of a parsed root object.  A lateral's t must be a JSON number
     and its optional ``virtual`` a JSON boolean; each real lateral must start
     on the main curve at its t, within ``ATTACH_TOL_FACTOR * main length``."""
     if not isinstance(data, dict):
         raise RootFormatError("root object must be a JSON object")
-    try:
-        main_pts = np.asarray(data["main"], dtype=float)
-    except (KeyError, TypeError, ValueError) as exc:
-        raise RootFormatError(f"invalid or missing 'main' array: {exc}") from exc
+    with _root_field("invalid or missing 'main' array"):
+        main = Branch(data["main"])
     entries = data.get("laterals", [])
     if not isinstance(entries, list):
         kind = type(entries).__name__
         raise RootFormatError(f"root 'laterals' must be a JSON array, not {kind}")
     laterals = []
     for i, entry in enumerate(entries):
-        try:
-            t = entry["t"]
-            pts = np.asarray(entry["points"], dtype=float)
-            virtual = entry.get("virtual", False)
-        except (KeyError, TypeError, ValueError) as exc:
-            raise RootFormatError(f"invalid lateral #{i}: {exc}") from exc
-        if isinstance(t, bool) or not isinstance(t, (int, float)):
-            raise RootFormatError(f"invalid lateral #{i}: 't' must be a number, not {t!r}")
-        if not isinstance(virtual, bool):
-            raise RootFormatError(
-                f"invalid lateral #{i}: 'virtual' must be true or false, not {virtual!r}")
-        laterals.append(Lateral(t, Branch(pts, is_virtual=virtual)))
-    tree_id = str(data.get("id", fallback_id))
-    tree = RootTree(id=tree_id, main=Branch(main_pts), laterals=tuple(laterals))
+        with _root_field(f"invalid lateral #{i}"):
+            t, virtual = entry["t"], entry.get("virtual", False)
+            if isinstance(t, bool) or not isinstance(t, (int, float)):
+                raise TypeError(f"'t' must be a number, not {t!r}")
+            if not isinstance(virtual, bool):
+                raise TypeError(f"'virtual' must be true or false, not {virtual!r}")
+            laterals.append(Lateral(t, Branch(entry["points"], is_virtual=virtual)))
+    with _root_field("invalid root"):
+        tree = RootTree(id=str(data.get("id", fallback_id)), main=main, laterals=tuple(laterals))
     tol = ATTACH_TOL_FACTOR * tree.main.length
     for t, br in tree.real_laterals:
         gap = float(np.linalg.norm(br.start - tree.main.point_at(t)))

@@ -17,7 +17,7 @@ from treeshape import Branch, Lateral, RootTree
 from treeshape.srvf import EPS_NULL, SrvfTree, _integrate, _sq_norms
 from treeshape.statistics import (COEFF_BOUND, Atlas, _dim, _metric_scale, flatten_srvft,
                                   unflatten_srvft)
-from treeshape.tree_model import _cumulative_arclength, polyline_length
+from treeshape.tree_model import MAX_BRANCH_LENGTH, _cumulative_arclength, polyline_length
 
 
 def branch_error(points, is_virtual: bool = False) -> str | None:
@@ -33,8 +33,11 @@ def branch_error(points, is_virtual: bool = False) -> str | None:
     else:
         if len(pts) < 2:
             return "branch needs at least 2 points"
-        if polyline_length(pts) <= 0.0:
+        length = polyline_length(pts)
+        if length <= 0.0:
             return "branch has zero length"
+        if length > MAX_BRANCH_LENGTH:
+            return f"branch length {length:.6g} exceeds the bound {MAX_BRANCH_LENGTH:g}"
     return None
 
 

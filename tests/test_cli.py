@@ -1,28 +1,36 @@
+import contextlib
+import copy
+import csv
 import inspect
+import io
 import json
 import os
 import shlex
 import subprocess
 import sys
+import warnings
 import xml.etree.ElementTree as ET
 from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import treeshape
 from treeshape import Branch, Lateral, RootTree, load_collection, load_root, save_root, statistics
 from treeshape.cli import build_parser, main
 from treeshape.metric import DistanceMatrix
 from treeshape.srvf import DEFAULT_WEIGHTS
-from treeshape.tree_model import DEFAULT_LATERAL_SAMPLES, DEFAULT_MAIN_SAMPLES
+from treeshape.tree_model import DEFAULT_LATERAL_SAMPLES, DEFAULT_MAIN_SAMPLES, tree_to_dict
 
 from conftest import lateral_at, smooth_tree, straight_tree, transform_tree
 
 SVG_NS = "{http://www.w3.org/2000/svg}"
 
 FAST_FLAGS = ["--n-main", "50", "--n-lat", "20"]
-FIXTURE_MODEL = Path(__file__).resolve().parents[1] / "bench" / "fixtures" / "model.json"
+FIXTURES = Path(__file__).resolve().parents[1] / "bench" / "fixtures"
+FIXTURE_MODEL = FIXTURES / "model.json"
 
 
 @pytest.fixture
@@ -551,9 +559,17 @@ class TestMalformedFiles:
         ("retained", 5, "retained must be in [0, 4], got 5"),
         ("modes", lambda md: np.transpose(md).tolist(),
          "modes must have shape (4, 346), got (346, 4)"),
+        ("modes", lambda md: [[10**400, *md[0][1:]], *md[1:]],
+         "atlas modes must be a regular array of numbers (int too large to convert to float)"),
+        ("modes", lambda md: [[float("nan"), *md[0][1:]], *md[1:]], "atlas modes must be finite"),
+        ("training_coeffs", lambda tc: [[float("-inf"), *tc[0][1:]], *tc[1:]],
+         "atlas training_coeffs must be finite"),
+        ("eigenvalues", lambda ev: [10**400, *ev[1:]],
+         "atlas eigenvalues must be a regular array of numbers (int too large to convert to float)"),
     ], ids=["mean-array", "retained-null", "weights-string", "layout-partial", "eigenvalues-number",
             "weights-nan", "eigenvalues-negative", "eigenvalues-inf", "retained-negative",
-            "retained-above-modes", "modes-transposed"])
+            "retained-above-modes", "modes-transposed", "modes-huge-integer", "modes-nan",
+            "training_coeffs-inf", "eigenvalues-huge-integer"])
     def test_atlas_field(self, fitted, tmp_path, capsys, recwarn, field, value, message):
         data = json.loads((fitted / "atlas.json").read_text())
         data[field] = value(data[field]) if callable(value) else value
@@ -594,8 +610,14 @@ class TestMalformedFiles:
         ("fixture", lambda d: d["atlas"].update(
             training_coeffs=np.transpose(d["atlas"]["training_coeffs"]).tolist()),
          "training_coeffs must have shape (m, 6), got (6, 8)"),
+        ("fixture", lambda d: d["M"][0].__setitem__(0, 10**400),
+         "model M must be a regular array of numbers (int too large to convert to float)"),
+        # a NaN in M once reached exp_map, which warned that it clamped the NaN
+        ("fixture", lambda d: d["M"][0].__setitem__(0, float("nan")), "model M must be finite"),
+        ("fixture", lambda d: d["atlas"]["training_coeffs"][0].__setitem__(0, float("nan")),
+         "atlas training_coeffs must be finite"),
     ], ids=["param_names-null", "atlas-retained-null", "no-M", "M-extra-row",
-            "training_coeffs-transposed"])
+            "training_coeffs-transposed", "M-huge-integer", "M-nan", "training_coeffs-nan"])
     def test_model(self, fitted, tmp_path, capsys, recwarn, model, change, message):
         path = fitted / "model.json" if model == "fitted" else FIXTURE_MODEL
         data = json.loads(path.read_text())
@@ -627,14 +649,55 @@ class TestMalformedFiles:
          "invalid lateral #0: 'virtual' must be true or false, not 'false'"),
         ("render", root_with_lateral(virtual=0),
          "invalid lateral #0: 'virtual' must be true or false, not 0"),
+        ("render", {"main": [[0, 0], [0, -10**400]]},
+         "invalid or missing 'main' array: branch points must be a regular array of numbers "
+         "(int too large to convert to float)"),
+        ("render", root_with_lateral(t=10**400),
+         "invalid root: lateral t must be a regular array of numbers "
+         "(int too large to convert to float)"),
+        ("render", root_with_lateral(points=[[0, -5], [1e200, -5]]),
+         "invalid lateral #0: branch length inf exceeds the bound 1e+150"),
+        ("cluster", {"labels": ["a", "b"], "values": [[0, 1], [1, 0]], "failures": ["01x"]},
+         "distance matrix failures must be [i, j, message] entries"),
+        ("cluster", {"labels": ["a", "b"], "values": [[0, 1], [1, 0]], "failures": [[0, 1.7, "x"]]},
+         "distance matrix failure index must be an integer, not 1.7"),
+        # written as is: json.dumps would spell the parsed value Infinity
+        ("cluster", '{"labels": ["a", "b"], "values": [[0, 1], [1, 0]], "failures": [[0, 1e400, "x"]]}',
+         "distance matrix failure index must be an integer, not inf"),
+        ("cluster", {"labels": ["a", "b"], "values": [[0, 1], [1, 0]], "failures": [[0, 1, "x", 2]]},
+         "distance matrix failures must be [i, j, message] entries"),
+        ("cluster", {"labels": ["a", "b"], "values": [[0, 1], [1, 0]], "failures": [[0, 1, 7]]},
+         "distance matrix failures must be [i, j, message] entries"),
     ], ids=["root-laterals-null", "matrix-labels-null", "matrix-top-level-array",
             "matrix-labels-numbers", "matrix-failure-out-of-range", "root-lateral-off-the-main",
-            "root-t-string", "root-t-boolean", "root-virtual-string", "root-virtual-number"])
+            "root-t-string", "root-t-boolean", "root-virtual-string", "root-virtual-number",
+            "root-main-huge-integer", "root-t-huge-integer", "root-lateral-beyond-the-bound",
+            "matrix-failure-string", "matrix-failure-fractional-index",
+            "matrix-failure-infinite-index", "matrix-failure-four-items",
+            "matrix-failure-number-message"])
     def test_root_and_matrix(self, tmp_path, capsys, command, payload, message):
         bad = tmp_path / "bad.json"
-        bad.write_text(json.dumps(payload))
+        bad.write_text(payload if isinstance(payload, str) else json.dumps(payload))
         assert main([command, str(bad), "--out", str(tmp_path / "out.svg")]) == 1
         assert message in one_error_line(capsys.readouterr().err)
+
+    @pytest.mark.parametrize("command", ["render", "distance"])
+    def test_coordinates_beyond_the_bound(self, tree_files, tmp_path, capsys, recwarn, command):
+        # near 1e200 the squared steps overflow: distance once printed a wrong
+        # value after RuntimeWarnings, and render drew the tree
+        pa, pb = tree_files
+        data = json.loads(pa.read_text())
+        scale = lambda pts: (np.asarray(pts) * 1e200).tolist()
+        data["main"] = scale(data["main"])
+        for lateral in data["laterals"]:
+            lateral["points"] = scale(lateral["points"])
+        big = tmp_path / "big.json"
+        big.write_text(json.dumps(data))
+        files = [big, pb] if command == "distance" else [big]
+        assert main([command, *map(str, files), "--out", str(tmp_path / "out.json")]) == 1
+        line = one_error_line(capsys.readouterr().err)
+        assert "invalid or missing 'main' array: branch length inf exceeds the bound 1e+150" in line
+        assert not recwarn.list
 
     @pytest.mark.parametrize("content", [b"{not json", b"\xff\xfe{}"], ids=["syntax", "not-utf8"])
     @pytest.mark.parametrize("command", ["mean", "sample", "cluster", "regress-predict", "render"])
@@ -656,6 +719,110 @@ class TestMalformedFiles:
         bad.write_text(text)
         assert main(["cluster", str(bad), "--out", str(tmp_path / "out.json")]) == 1
         assert f"error: {bad}: {message}" in one_error_line(capsys.readouterr().err)
+
+
+# what a fuzzed file may hold in place of a value: on every file kind, a
+# 400-digit integer, a string and null, or the value nested in a list, or no
+# value at all; on root files also non-finite and huge numbers
+NESTED, DELETED = object(), object()
+ANY_FILE = [10**400, "abc", None, NESTED, DELETED]
+ROOT_ONLY = [float("nan"), float("inf"), float("-inf"), 1e200, -1e200]
+CLAMP_WARNING = "attachment positions clamped to [0, 1]"
+
+
+def mutated(doc, draw, values):
+    """A copy of the JSON value ``doc`` in which one node, found by a random
+    descent, is replaced by one of ``values`` (or deleted)."""
+    holder = [copy.deepcopy(doc)]
+    parent, key = holder, 0
+    while isinstance(parent[key], (dict, list)) and parent[key] and not draw(st.booleans()):
+        parent, key = parent[key], draw(st.sampled_from(
+            sorted(parent[key]) if isinstance(parent[key], dict) else range(len(parent[key]))))
+    value = draw(st.sampled_from(values))
+    if value is DELETED:
+        del parent[key]
+    else:
+        parent[key] = [parent[key]] if value is NESTED else value
+    return holder[0] if holder else {}
+
+
+def csv_text(rows) -> str:
+    """CSV of mutated rows: each value that is not a string as its JSON text."""
+    buf = io.StringIO()
+    writer = csv.writer(buf, lineterminator="\n")
+    for row in rows if isinstance(rows, list) else [rows]:
+        row = row if isinstance(row, list) else [row]
+        writer.writerow([v if isinstance(v, str) else json.dumps(v) for v in row])
+    return buf.getvalue()
+
+
+def one_of_two_outcomes(argv: list) -> None:
+    """Run the command: exit 0 with an empty stderr, or exit 1 or 2 with
+    exactly one error line, and no warning but the clamp.  An exception that
+    ``main`` lets through, which would print a traceback, fails the test."""
+    err = io.StringIO()
+    with warnings.catch_warnings(record=True) as caught, contextlib.redirect_stderr(err), \
+            contextlib.redirect_stdout(io.StringIO()):
+        warnings.simplefilter("always")
+        code = main([str(a) for a in argv])
+    assert all(w.category is UserWarning and str(w.message) == CLAMP_WARNING
+               for w in caught), (argv, [str(w.message) for w in caught])
+    if code == 0:
+        assert err.getvalue() == "", argv
+    else:
+        assert code in (1, 2), argv
+        one_error_line(err.getvalue())
+
+
+@pytest.fixture(scope="module")
+def fuzz_sources(tmp_path_factory):
+    gen = np.random.default_rng(5)
+    roots = [tree_to_dict(smooth_tree(gen, name, n)) for name, n in (("a", 2), ("b", 1))]
+    model = json.loads(FIXTURE_MODEL.read_text())
+    with open(FIXTURES / "distances.csv", encoding="utf-8") as f:
+        rows = list(csv.reader(f))
+    matrix = DistanceMatrix.load(FIXTURES / "distances.csv").to_dict()
+    matrix["failures"] = [[0, 1, "registration failed"]]
+    return tmp_path_factory.mktemp("fuzz"), roots, model, rows, matrix
+
+
+class TestTwoOutcomes:
+    """Every command that reads a file, on mutated copies of valid files."""
+
+    @settings(max_examples=150)
+    @given(data=st.data())
+    def test_mutated_files(self, fuzz_sources, data):
+        d, roots, model, rows, matrix = fuzz_sources
+        draw = data.draw
+        kind = draw(st.sampled_from(["root", "model", "atlas", "matrix.json", "matrix.csv"]))
+        out = d / "out.json"
+        if kind == "root":
+            which = draw(st.sampled_from([0, 1]))
+            docs = list(roots)
+            docs[which] = mutated(roots[which], draw, ANY_FILE + ROOT_ONLY)
+            a, b = d / "a.json", d / "b.json"
+            for path, doc in zip((a, b), docs):
+                path.write_text(json.dumps(doc))
+            one_of_two_outcomes(["render", (a, b)[which], "--out", d / "out.svg"])
+            one_of_two_outcomes(["distance", a, b, "--n-main", "30", "--n-lat", "10",
+                                 "--out", out])
+        elif kind == "model":
+            path = d / "model.json"
+            path.write_text(json.dumps(mutated(model, draw, ANY_FILE)))
+            one_of_two_outcomes(["regress-predict", path, "--params", "1.0,0.3,0.05",
+                                 "--out", out])
+        elif kind == "atlas":
+            path = d / "atlas.json"
+            path.write_text(json.dumps(mutated(model["atlas"], draw, ANY_FILE)))
+            one_of_two_outcomes(["sample", path, "--n", "2", "--out", out])
+            one_of_two_outcomes(["modes", path, "--out", out])
+        else:
+            path = d / kind
+            if kind == "matrix.json":
+                path.write_text(json.dumps(mutated(matrix, draw, ANY_FILE)))
+            else:
+                path.write_text(csv_text(mutated(rows, draw, ANY_FILE)))
+            one_of_two_outcomes(["cluster", path, "--k", "2", "--out", out])
 
 
 class TestRender:

@@ -209,7 +209,9 @@ class TestBranchChecks:
 
     @pytest.mark.parametrize("step, outcome", [
         (0.0, "branch has zero length"), (5e-324, "branch has zero length"),
-        (1e-170, "branch has zero length"), (1e-150, None), (1e300, None),
+        (1e-170, "branch has zero length"), (1e-150, None), (1e100, None),
+        (1e153, "branch length 1.41421e+153 exceeds the bound 1e+150"),
+        (1e300, "branch length inf exceeds the bound 1e+150"),
     ])
     def test_tiny_and_huge_steps(self, step, outcome):
         pts = np.array([[0.0, 0.0], [step, -step]])

@@ -99,6 +99,18 @@ class TestFileFormat:
         with pytest.raises(TreeValidationError, match="t out of range"):
             load_root(path)
 
+    @pytest.mark.parametrize("main, t, message", [
+        ([[0, 0], [0, -10**400]], 0.5, "invalid or missing 'main' array: branch points"),
+        ([[0, 0], [0, -10]], 10**400, "invalid root: lateral t"),
+    ], ids=["main", "t"])
+    def test_load_rejects_an_integer_too_large_for_a_float(self, tmp_path, main, t, message):
+        payload = {"main": main, "laterals": [{"t": t, "points": [[0, -5], [1, -5]]}]}
+        path = tmp_path / "huge.json"
+        path.write_text(json.dumps(payload))
+        with pytest.raises(RootFormatError, match="int too large to convert to float") as info:
+            load_root(path)
+        assert str(info.value).startswith(message)
+
     def test_load_rejects_invalid_json(self, tmp_path):
         path = tmp_path / "broken.json"
         path.write_text("{not json")
