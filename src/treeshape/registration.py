@@ -485,7 +485,6 @@ def register(a: SrvfTree, b: SrvfTree, w: Weights) -> Registration:
             raise ValueError("registration cost is not finite")
         return cost
 
-    N = len(qa)
     memo: dict = {}  # this call's matches and DPs, keyed by the bytes of their inputs
 
     def match(rotation: np.ndarray, s: np.ndarray) -> np.ndarray:
@@ -507,26 +506,20 @@ def register(a: SrvfTree, b: SrvfTree, w: Weights) -> Registration:
 
     gamma = np.linspace(0.0, 1.0, len(a0))
     b_warped, s_moved = b0, sb  # b's main and positions under gamma
-    rotation = np.eye(2)
-    assignment = np.arange(N)
-    shapes = _sq_dists(qa, (qb @ rotation.T)[assignment])
-    history = [aligned_cost(b0 @ rotation.T, shapes, sb, assignment)]
-    # Warm-start the rotation from a main-branch-only Procrustes fit; large
-    # rotations otherwise mislead the first matching sweep into a poor local
-    # optimum.  The identity stays a candidate, and candidates are scored by
-    # the full cost under their own best match, so the start never exceeds
-    # the identity-aligned cost.
-    if N:
-        main_only = Weights(max(w.lambda_m, 1e-12), 0.0, 0.0)
-        with warnings.catch_warnings():
-            warnings.simplefilter("ignore")
-            candidate = optimal_rotation(a0, qa, b0, qb, main_only)
-        best = history[0]
-        for cand in (rotation, candidate):
-            pi = match(cand, sb)
-            c = aligned_cost(b0 @ cand.T, _sq_dists(qa, (qb @ cand.T)[pi]), sb, pi)
-            if c < best:
-                best, rotation = c, cand
+    # Warm-start from a main-branch-only Procrustes fit R0 or its half turn,
+    # whichever costs less under its own match (large rotations otherwise
+    # mislead the first matching sweep).  Both turn with b, so the descent
+    # ends in the same place for every pose of b.
+    main_only = Weights(max(w.lambda_m, 1e-12), 0.0, 0.0)
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")
+        fit = optimal_rotation(a0, qa, b0, qb, main_only)
+    history = [math.inf]
+    for cand in (fit, -fit):
+        pi = match(cand, sb)
+        c = aligned_cost(b0 @ cand.T, _sq_dists(qa, (qb @ cand.T)[pi]), sb, pi)
+        if c < history[0]:
+            history[0], rotation = c, cand
     for _ in range(MAX_SWEEPS):
         assignment = match(rotation, s_moved)
         rotation = optimal_rotation(a0, qa, b_warped, qb[assignment], w)

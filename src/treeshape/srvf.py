@@ -13,6 +13,7 @@ from typing import Sequence
 import numpy as np
 
 from .tree_model import (
+    MAX_BRANCH_LENGTH,
     Branch,
     Lateral,
     RootTree,
@@ -26,6 +27,12 @@ from .tree_model import (
 # branch during reconstruction.  Geodesics shrink branches continuously to
 # zero, so a cutoff is needed to emit valid trees.
 EPS_NULL = 1e-8
+
+# The largest SRVF sample norm.  |q|^2 is the speed, which on a branch no
+# longer than MAX_BRANCH_LENGTH reaches at most twice its length (at the
+# one-sided endpoint differences of a hairpin); the bound leaves twice that
+# room, and keeps every square and integral of q far from overflow.
+MAX_SRVF_NORM = 2.0 * np.sqrt(MAX_BRANCH_LENGTH)
 
 
 def trapezoid_weights(n: int) -> np.ndarray:
@@ -71,6 +78,12 @@ class SrvfTree:
             raise ValueError(f"anchor must be one point of shape (2,), got {anchor.shape}")
         if not (np.all(np.isfinite(q0)) and np.all(np.isfinite(q_lat))):
             raise ValueError("SRVF samples must be finite")
+        # hypot, not the squares: samples near 1e300 are finite, their squares not
+        peak = max(float(np.hypot(q[..., 0], q[..., 1]).max(initial=0.0)) for q in (q0, q_lat))
+        if peak > MAX_SRVF_NORM:
+            raise ValueError(f"SRVF sample norm {peak:.6g} exceeds the bound {MAX_SRVF_NORM:.6g}")
+        if not np.all(np.isfinite(anchor)):
+            raise ValueError("SRVF-tree anchor must be finite")
         outside = ~((s >= 0.0) & (s <= 1.0))
         if outside.any():
             raise ValueError(f"attachment position out of range: {float(s[outside][0])!r}")

@@ -206,26 +206,18 @@ def _aligned_cost(a, b, rotation, gamma, assignment, w) -> float:
 
 
 def _register(a, b, w, tol=1e-8) -> Registration:
-    n = a.q0.n
-    N = a.n_laterals
-    gamma = np.linspace(0.0, 1.0, n)
-    assignment = np.arange(N)
-    cost = _aligned_cost(a, b, np.eye(2), gamma, assignment, w)
-    history = [cost]
-    rotation = np.eye(2)
-    if N:
-        main_only = Weights(max(w.lambda_m, 1e-12), 0.0, 0.0)
-        with warnings.catch_warnings():
-            warnings.simplefilter("ignore")
-            candidate = optimal_rotation(a, b, assignment, main_only)
-        best = cost
-        for cand in (np.eye(2), candidate):
-            pi = match_laterals(a, transform_tree(b, rotation=cand), w)
-            c = _aligned_cost(a, b, cand, gamma, pi, w)
-            if c < best:
-                best = c
-                rotation = cand
-                assignment = pi
+    gamma = np.linspace(0.0, 1.0, a.q0.n)
+    main_only = Weights(max(w.lambda_m, 1e-12), 0.0, 0.0)
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")
+        fit = optimal_rotation(a, b, np.arange(a.n_laterals), main_only)
+    history = [np.inf]
+    for cand in (fit, -fit):
+        pi = match_laterals(a, transform_tree(b, rotation=cand), w)
+        c = _aligned_cost(a, b, cand, gamma, pi, w)
+        if c < history[0]:
+            history[0] = c
+            rotation = cand
     for _ in range(registration.MAX_SWEEPS):  # read per call: tests patch the cap
         moved = transform_tree(b, rotation=rotation, gamma=gamma)
         assignment = match_laterals(a, moved, w)

@@ -566,10 +566,15 @@ class TestMalformedFiles:
          "atlas training_coeffs must be finite"),
         ("eigenvalues", lambda ev: [10**400, *ev[1:]],
          "atlas eigenvalues must be a regular array of numbers (int too large to convert to float)"),
+        # a NaN anchor once loaded, and sample failed on branch coordinates
+        ("mean", lambda mean: {**mean, "anchor": [float("nan"), mean["anchor"][1]]},
+         "SRVF-tree anchor must be finite"),
+        # finite, but its SRVF squares to inf: RuntimeWarnings once preceded the error
+        ("modes", lambda md: [[1e300, *md[0][1:]], *md[1:]], "exceeds the bound 2e+75"),
     ], ids=["mean-array", "retained-null", "weights-string", "layout-partial", "eigenvalues-number",
             "weights-nan", "eigenvalues-negative", "eigenvalues-inf", "retained-negative",
             "retained-above-modes", "modes-transposed", "modes-huge-integer", "modes-nan",
-            "training_coeffs-inf", "eigenvalues-huge-integer"])
+            "training_coeffs-inf", "eigenvalues-huge-integer", "mean-anchor-nan", "modes-1e300"])
     def test_atlas_field(self, fitted, tmp_path, capsys, recwarn, field, value, message):
         data = json.loads((fitted / "atlas.json").read_text())
         data[field] = value(data[field]) if callable(value) else value
@@ -605,7 +610,8 @@ class TestMalformedFiles:
          "model param_names must be an array of strings"),
         ("fitted", lambda d: d["atlas"].update(retained=None), "atlas retained must be an integer"),
         ("fitted", lambda d: d.pop("M"), "model has no 'M' field"),
-        ("fitted", lambda d: d["M"].append(d["M"][-1]), "M has 5 rows, but the atlas retains 4 modes"),
+        # the fitted atlas's retained count depends on the registration; the fixture's is fixed
+        ("fixture", lambda d: d["M"].append(d["M"][-1]), "M has 7 rows, but the atlas retains 6 modes"),
         # the fitted atlas's coefficients are square; the fixture's are (8, 6)
         ("fixture", lambda d: d["atlas"].update(
             training_coeffs=np.transpose(d["atlas"]["training_coeffs"]).tolist()),
@@ -628,6 +634,18 @@ class TestMalformedFiles:
                      "--out", str(tmp_path / "p.json")]) == 1
         assert message in one_error_line(capsys.readouterr().err)
         assert not recwarn.list
+
+    def test_M_beyond_the_srvf_bound(self, tmp_path, capsys, recwarn):
+        # finite, but the SRVF it gives squares to inf: RuntimeWarnings once
+        # preceded the error; the huge positions are still clamped first
+        data = json.loads(FIXTURE_MODEL.read_text())
+        data["M"][0][0] = 1e300
+        bad = tmp_path / "bad.json"
+        bad.write_text(json.dumps(data))
+        assert main(["regress-predict", str(bad), "--params", "1.0,0.3,0.05",
+                     "--out", str(tmp_path / "p.json")]) == 1
+        assert "exceeds the bound 2e+75" in one_error_line(capsys.readouterr().err)
+        assert [str(w.message) for w in recwarn.list] == [CLAMP_WARNING]
 
     @pytest.mark.parametrize("command, payload, message", [
         ("render", {"main": [[0, 0], [0, -1]], "laterals": None},
@@ -723,10 +741,12 @@ class TestMalformedFiles:
 
 # what a fuzzed file may hold in place of a value: on every file kind, a
 # 400-digit integer, a string and null, or the value nested in a list, or no
-# value at all; on root files also non-finite and huge numbers
+# value at all; on root files also non-finite and huge numbers, and on atlas
+# and model files numbers whose squares overflow
 NESTED, DELETED = object(), object()
 ANY_FILE = [10**400, "abc", None, NESTED, DELETED]
 ROOT_ONLY = [float("nan"), float("inf"), float("-inf"), 1e200, -1e200]
+ATLAS_ONLY = [1e300, -1e300]
 CLAMP_WARNING = "attachment positions clamped to [0, 1]"
 
 
@@ -808,12 +828,12 @@ class TestTwoOutcomes:
                                  "--out", out])
         elif kind == "model":
             path = d / "model.json"
-            path.write_text(json.dumps(mutated(model, draw, ANY_FILE)))
+            path.write_text(json.dumps(mutated(model, draw, ANY_FILE + ATLAS_ONLY)))
             one_of_two_outcomes(["regress-predict", path, "--params", "1.0,0.3,0.05",
                                  "--out", out])
         elif kind == "atlas":
             path = d / "atlas.json"
-            path.write_text(json.dumps(mutated(model["atlas"], draw, ANY_FILE)))
+            path.write_text(json.dumps(mutated(model["atlas"], draw, ANY_FILE + ATLAS_ONLY)))
             one_of_two_outcomes(["sample", path, "--n", "2", "--out", out])
             one_of_two_outcomes(["modes", path, "--out", out])
         else:

@@ -114,8 +114,7 @@ shifts = st.tuples(st.floats(-3.0, 3.0), st.floats(-3.0, 3.0))
 class TestMetricProperties:
     """The metric invariants, on generated trees.  ``well_posed_pair`` gives
     pairs whose optimal correspondence is unambiguous; ``smooth_tree`` gives
-    curved mains, on which the descent can end in a local optimum that
-    depends on b's pose (see the xfail below)."""
+    curved mains, on which the descent can end in a local optimum."""
 
     @settings(max_examples=40)
     @given(seed=seeds, n_lat=st.integers(0, 4))
@@ -147,10 +146,18 @@ class TestMetricProperties:
         dab, dba = distance(a, b, opts=FAST), distance(b, a, opts=FAST)
         assert abs(dab - dba) <= 1e-9 * max(dab, dba)
 
-    @pytest.mark.xfail(strict=True, reason=(
-        "register starts from the identity or a main-only Procrustes fit and "
-        "descends locally, so a rotation of b can reach a lower optimum"
-    ))
+    @settings(max_examples=100)
+    @given(seed=seeds, theta=angles, shift=shifts)
+    def test_rigid_motion_invariance_on_curved_pairs(self, seed, theta, shift):
+        # register starts from a main-only Procrustes fit or its half turn,
+        # both of which turn with b, so b's pose cannot move the local optimum
+        rng = np.random.default_rng(seed)
+        a = smooth_tree(rng, "a", int(rng.integers(0, 4)))
+        b = smooth_tree(rng, "b", int(rng.integers(0, 4)))
+        d = distance(a, b, opts=FAST)
+        moved = distance(a, transform_tree(b, theta=theta, shift=shift), opts=FAST)
+        assert abs(moved - d) <= 1e-9 * d
+
     def test_rotation_invariance_on_curved_pairs(self):
         rng = np.random.default_rng(24)
         a = smooth_tree(rng, "a", int(rng.integers(0, 4)))

@@ -634,12 +634,14 @@ class TestArrayRegisterMatchesObjects:
             assert_same_registration(register(Qa, Qb, Weights()), ref.register(Qa, Qb, Weights()))
 
     def test_non_finite_cost_raises(self):
-        # samples so large that squared differences overflow
-        big = np.full((5, 2), 1e200)
-        a = SrvfTree(big, np.zeros((0, 2, 2)), np.zeros(0), np.zeros(2))
-        b = SrvfTree(-big, np.zeros((0, 2, 2)), np.zeros(0), np.zeros(2))
+        # a main weight so large that the weighted main term overflows, while
+        # the weighted Procrustes sums stay finite: a's main runs one way, b's
+        # turns back halfway, so no rotation aligns them
+        a0 = np.tile([1.0, 0.0], (5, 1))
+        b0 = a0 * [[1.0], [1.0], [1.0], [-1.0], [-1.0]]
+        a, b = (SrvfTree(q0, np.zeros((0, 2, 2)), np.zeros(0), np.zeros(2)) for q0 in (a0, b0))
         with pytest.raises(ValueError, match="not finite"):
-            register(a, b, Weights())
+            register(a, b, Weights(1.5e308, 1.0, 1.0))
 
 
 class TestDpReuse:
@@ -730,7 +732,8 @@ class TestMatchReuse:
 class TestRegisterMemo:
     """Within one ``register``, the lateral match and the DP each run once
     per distinct input, and the first sweep uses the match of the kept
-    warm-start candidate; the registration is the reference's bit for bit."""
+    warm-start candidate, R0 or -R0; the registration is the reference's bit
+    for bit."""
 
     @staticmethod
     def check(a, b, w):
@@ -758,11 +761,9 @@ class TestRegisterMemo:
         match_inputs = inputs("match", 2, 3)  # rotated laterals and positions
         assert len(set(dp_inputs)) == len(dp_inputs) >= 1
         assert len(set(match_inputs)) == len(match_inputs) >= 1
-        if not a.n_laterals:
-            return
         # the warm start: a main-only rotation R0, then one match per distinct
-        # candidate input, b's laterals under the identity and under R0 at
-        # b's own positions
+        # candidate input, b's laterals under R0 and under -R0 at b's own
+        # positions
         rotations = [i for i, (k, _, _) in enumerate(events) if k == "rotation"]
         R0, first_sweep = events[rotations[0]][2], rotations[1]
         warm = events[1:first_sweep]
@@ -777,9 +778,10 @@ class TestRegisterMemo:
             moved = apply_registration(b, Registration(R, gamma, pi_of(R), 0.0))
             return preshape_dissimilarity_sq(a, moved, w)
 
-        assert len(warm) == len({(b.q_lat @ R.T).tobytes() for R in (np.eye(2), R0)})
-        identity_cost = got.cost_history[0]
-        kept = R0 if start_cost(R0) < min(identity_cost, start_cost(np.eye(2))) else np.eye(2)
+        assert len(warm) == len({(b.q_lat @ R.T).tobytes() for R in (R0, -R0)})
+        # the first sweep continues from the cheaper start, whose cost opens the history
+        kept = -R0 if start_cost(-R0) < start_cost(R0) else R0
+        assert got.cost_history[0] == start_cost(kept)
         sweep_lats = events[first_sweep][1][3]  # b's laterals in the first sweep's order
         np.testing.assert_array_equal(sweep_lats, b.q_lat[pi_of(kept)])
 

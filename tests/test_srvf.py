@@ -16,10 +16,17 @@ from treeshape import (
     to_srvf,
     tree_to_srvft,
 )
-from treeshape.srvf import EPS_NULL, _sq_dists, _sq_norms, trapezoid_weights
+from treeshape.srvf import EPS_NULL, MAX_SRVF_NORM, _sq_dists, _sq_norms, trapezoid_weights
 from treeshape.statistics import exp_map, flatten_srvft, log_map, unflatten_srvft
-from treeshape.metric import interpolate_srvft
-from treeshape.tree_model import DEFAULT_LATERAL_SAMPLES, json_text, tree_from_dict, tree_to_dict
+from treeshape.metric import PairOptions, interpolate_srvft, prepare_trees
+from treeshape.tree_model import (
+    DEFAULT_LATERAL_SAMPLES,
+    MAX_BRANCH_LENGTH,
+    RootTree,
+    json_text,
+    tree_from_dict,
+    tree_to_dict,
+)
 
 from conftest import rotation_matrix, smooth_branch, smooth_tree, straight_tree
 
@@ -292,6 +299,7 @@ def corrupted(Q: SrvfTree, how: str, rng: np.random.Generator) -> dict:
     args = {"q0": Q.q0.copy(), "q_lat": Q.q_lat.copy(), "s": Q.s.copy(), "anchor": Q.anchor}
     N, k = Q.q_lat.shape[:2]
     bad = rng.choice([np.nan, np.inf, -np.inf])
+    huge = rng.choice([-1e300, 1.01 * MAX_SRVF_NORM])
     if how == "non-finite main":
         args["q0"][rng.integers(len(Q.q0)), rng.integers(2)] = bad
     elif how == "non-finite lateral":
@@ -306,6 +314,12 @@ def corrupted(Q: SrvfTree, how: str, rng: np.random.Generator) -> dict:
         args["q_lat"] = Q.q_lat[..., 0]
     elif how == "anchor in 3-d":
         args["anchor"] = np.append(Q.anchor, 0.0)
+    elif how == "non-finite anchor":
+        args["anchor"] = np.where(np.arange(2) == rng.integers(2), bad, Q.anchor)
+    elif how == "main beyond the bound":
+        args["q0"][rng.integers(len(Q.q0)), rng.integers(2)] = huge
+    elif how == "lateral beyond the bound":
+        args["q_lat"][rng.integers(N), rng.integers(k), rng.integers(2)] = huge
     elif how == "s out of range":
         args["s"][rng.integers(N)] = rng.choice([-1e-12, 1.0 + 1e-12, -np.inf, np.inf, np.nan])
     elif how == "ragged laterals":
@@ -320,6 +334,7 @@ def corrupted(Q: SrvfTree, how: str, rng: np.random.Generator) -> dict:
 NEEDS_LATERALS = {
     "non-finite lateral": 1, "laterals of one sample": 1, "laterals without the point axis": 1,
     "s out of range": 1, "ragged laterals": 2, "one position too few": 1,
+    "lateral beyond the bound": 1,
 }
 
 
@@ -350,6 +365,7 @@ class TestSrvfTreeArrays:
         "non-finite main", "non-finite lateral", "main of one sample", "main in 3-d",
         "laterals of one sample", "laterals without the point axis", "anchor in 3-d",
         "s out of range", "ragged laterals", "one position too many", "one position too few",
+        "non-finite anchor", "main beyond the bound", "lateral beyond the bound",
     ]), seed=st.integers(0, 2**32 - 1))
     def test_constructor_rejects(self, pair, how, seed):
         Q, _ = pair
@@ -365,6 +381,17 @@ class TestSrvfTreeArrays:
         tree = srvft_to_tree(interpolate_srvft(*pair, r), tree_id="x")
         back = tree_from_dict(tree_to_dict(tree))
         assert back.lateral_ts().tolist() == tree.lateral_ts().tolist()
+
+    def test_sample_norm_bound(self):
+        # a hairpin just under the branch-length bound, resampled to its
+        # turn: the one-sided difference at the start doubles the speed, so
+        # |q|^2 reaches twice the length, and the tree still prepares
+        L = 0.999 * MAX_BRANCH_LENGTH
+        hairpin = RootTree("h", Branch(np.array([[0.0, 0.0], [L / 2, 0.0], [0.0, 0.0]])))
+        Q, = prepare_trees([hairpin], PairOptions(n_main=3, n_lateral=2))
+        peak = np.hypot(*Q.q0.T).max()
+        assert peak**2 == pytest.approx(2 * L, rel=1e-12)
+        assert peak < MAX_SRVF_NORM  # the other side: test_constructor_rejects
 
     def test_no_laterals_is_one_shape(self):
         for q_lat in ([], np.zeros((0, 30, 2)), np.zeros(0)):
