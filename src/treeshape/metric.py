@@ -8,6 +8,7 @@ from __future__ import annotations
 
 import csv
 import io
+from contextlib import contextmanager
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Sequence
@@ -230,19 +231,25 @@ def _pair_distance(Qa, Qb, w: Weights) -> float | str:
         return f"{type(exc).__name__}: {exc}"
 
 
-def parallel_map(fn, items: list[tuple], n_jobs: int) -> list:
-    """Order-preserving ``fn(*item)`` per item, optionally over a process pool.
+@contextmanager
+def worker_pool(n_jobs: int, largest: int):
+    """Yield ``run(fn, items)``: order-preserving ``fn(*item)`` per item,
+    over one process pool that every call in the context shares.
 
     Each item is computed independently and deterministically, so results do
-    not depend on the worker count.  The pool's modules are imported only
-    when a pool runs.
+    not depend on the worker count.  The pool has at most ``largest``
+    workers, the item count of the context's largest call; with one worker
+    or none, ``run`` computes in this process, and the pool's modules are
+    imported only when a pool runs.
     """
-    if n_jobs <= 1 or len(items) <= 1:
-        return [fn(*it) for it in items]
+    workers = min(n_jobs, largest)
+    if workers <= 1:
+        yield lambda fn, items: [fn(*it) for it in items]
+        return
     from concurrent.futures import ProcessPoolExecutor
 
-    with ProcessPoolExecutor(max_workers=n_jobs) as pool:
-        return list(pool.map(fn, *zip(*items)))
+    with ProcessPoolExecutor(max_workers=workers) as pool:
+        yield lambda fn, items: list(pool.map(fn, *zip(*items)))
 
 
 def pairwise_matrix(
@@ -266,7 +273,9 @@ def pairwise_matrix(
     jobs = [(prepared[i], prepared[j], w) for i, j in pairs]
     values = np.zeros((m, m))
     failures = []
-    for (i, j), d in zip(pairs, parallel_map(_pair_distance, jobs, n_jobs)):
+    with worker_pool(n_jobs, len(jobs)) as run:
+        distances = run(_pair_distance, jobs)
+    for (i, j), d in zip(pairs, distances):
         if isinstance(d, str):
             failures.append((i, j, d))
             d = float("nan")

@@ -295,8 +295,9 @@ class _DpPlan(NamedTuple):
 
     stencil: tuple[tuple[int, int], ...]
     row_steps: tuple[_DpRowStep, ...]
-    # (T, n): flat index of E[i-di, j-dj] at row i = 0; it advances by n per row
-    e_idx: np.ndarray
+    # (T,): flat start of the candidates E[i-di, -dj : n-dj] in the padded E
+    # of ``_reparam_dp``, less i * (n + DP_MAX_STEP); the same for every row i
+    e_off: np.ndarray
     steps_up_to: np.ndarray  # (n,): steps with di <= i, a stencil prefix
 
 
@@ -335,9 +336,10 @@ def _dp_plan(n: int) -> _DpPlan:
             di, int(t0),
             *_frozen(floor, a_idx, i0 + comp, fr, wk, factor, slope[:, None]),
         ))
-    e_idx = cols - dj_t - di_t[:, None] * n
+    width = n + DP_MAX_STEP
+    e_off = (DP_MAX_STEP - di_t) * width + DP_MAX_STEP - dj_t[:, 0]
     steps_up_to = np.searchsorted(di_t, cols, side="right")
-    return _DpPlan(stencil, tuple(row_steps), *_frozen(e_idx, steps_up_to))
+    return _DpPlan(stencil, tuple(row_steps), *_frozen(e_off, steps_up_to))
 
 
 def _dp_edge_cost(qa: np.ndarray, qb: np.ndarray) -> np.ndarray:
@@ -360,7 +362,10 @@ def _dp_edge_cost(qa: np.ndarray, qb: np.ndarray) -> np.ndarray:
     for g in plan.row_steps:
         rows, inner, steps = n - g.di, 2 * (g.di + 1), len(g.slope)
         a = flat_a.take(g.a_idx)
-        u = flat_b.take(g.b_lo) * (1.0 - g.fr) + flat_b[1:].take(g.b_lo) * g.fr
+        u = flat_b.take(g.b_lo) * (1.0 - g.fr)
+        hi = flat_b[1:].take(g.b_lo)
+        hi *= g.fr
+        u += hi  # the lerp u = lo * (1 - fr) + hi * fr, in place
         left = np.empty((rows, inner + 2))
         left[:, :inner] = a.reshape(rows, inner)
         left[:, inner] = np.einsum("ick,ick->i", a, a * g.wk)
@@ -381,27 +386,33 @@ def _reparam_dp(qa: np.ndarray, qb: np.ndarray) -> tuple[np.ndarray, float]:
     E[i, j], the least energy of a path from (0, 0) to (i, j), is filled one
     row at a time: the candidates E[i-di, j-dj] + costs[t, i, j] of all
     stencil steps t with di <= i are gathered into one (T, n) array and
-    reduced by argmin.  argmin keeps the first minimum, so a tie goes to the
-    earliest step in stencil order (sorted (di, dj)).  In the columns j < dj
-    the flat index of E[i-di, j-dj] falls in another row, or wraps to E's
-    end when i = di, and is paired with a +inf cost.
+    reduced by min.  E carries ``DP_MAX_STEP`` rows and columns of +inf
+    before its row 0 and column 0, so row i's candidates are the n-entry
+    windows of the flat E that start at i * (n + DP_MAX_STEP) + ``e_off``,
+    and the columns j < dj read +inf.  Only the cells of the optimal path
+    need their step: walking back from (n-1, n-1), each one recomputes its
+    candidates from the same E entries and costs and takes the first
+    minimum, so a tie goes to the earliest step in stencil order (sorted
+    (di, dj)).
     """
     n = len(qa)
     plan = _dp_plan(n)
     costs = _dp_edge_cost(qa, qb)
-    e_idx = plan.e_idx.copy()
-    cols = np.arange(n)
-    E = np.full(n * n, np.inf)
-    E[0] = 0.0
-    bt = np.zeros((n, n), dtype=np.int16)
+    pad = DP_MAX_STEP
+    width = n + pad
+    E = np.full(width * width, np.inf)  # E[i, j] at (i + pad) * width + pad + j
+    E[pad * width + pad] = 0.0
+    # windows[k] = E[k : k + n], only read; built on E's buffer because
+    # numpy's sliding_window_view raised a 110-pass atlas run's peak RSS by
+    # 1.4 MB
+    windows = np.ndarray((len(E) - n + 1, n), buffer=E, strides=(E.itemsize, E.itemsize))
+    e_off, steps_up_to = plan.e_off, plan.steps_up_to
     for i in range(1, n):
-        e_idx += n
-        m = plan.steps_up_to[i]
-        cand = E.take(e_idx[:m])
+        m = steps_up_to[i]
+        cand = windows[i * width :][e_off[:m]]
         cand += costs[:m, i]
-        best = cand.argmin(axis=0)
-        bt[i] = best
-        E[i * n : (i + 1) * n] = cand[best, cols]
+        start = (i + pad) * width + pad
+        cand.min(axis=0, out=E[start : start + n])
     energy = float(E[-1])
     if not np.isfinite(energy):
         return np.linspace(0.0, 1.0, n), energy
@@ -409,7 +420,10 @@ def _reparam_dp(qa: np.ndarray, qb: np.ndarray) -> tuple[np.ndarray, float]:
     path_i, path_j = [n - 1], [n - 1]
     i = j = n - 1
     while i > 0 or j > 0:
-        di, dj = plan.stencil[bt[i, j]]
+        m = steps_up_to[i]
+        cand = E[i * width + j :].take(e_off[:m])
+        cand += costs[:m, i, j]
+        di, dj = plan.stencil[cand.argmin()]
         i -= di
         j -= dj
         path_i.append(i)

@@ -16,7 +16,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .metric import DEFAULT_OPTIONS, PairOptions, parallel_map, prepare_trees
+from .metric import DEFAULT_OPTIONS, PairOptions, prepare_trees, worker_pool
 from .registration import apply_registration, register
 from .srvf import (
     DEFAULT_WEIGHTS,
@@ -147,7 +147,8 @@ def karcher_mean(
     attachment position out of [0, 1], is halved until it does not, so the
     objective sequence is nonincreasing; when eight halvings do not, the
     descent stops with ``halving-exhausted``.  ``step`` must be finite and
-    above 0, and ``max_iter`` at least 0.
+    above 0, and ``max_iter`` at least 0.  All registrations of one call run
+    over one ``worker_pool`` of at most ``n_jobs`` workers.
     """
     if not 0 < step < math.inf:
         raise ValueError(f"step must be finite and above 0, got {step!r}")
@@ -161,50 +162,51 @@ def karcher_mean(
     if m == 1:
         return KarcherResult(samples[0], (samples[0],), (0.0,), "gradient", w, ids)
 
-    def registered_to(mu: SrvfTree) -> tuple[list[SrvfTree], float]:
-        """The samples registered to mu, and the objective: the sum of their
-        registration costs, in sample order."""
-        regs = parallel_map(register, [(mu, Q, w) for Q in samples], n_jobs)
-        registered = [apply_registration(Q, reg) for Q, reg in zip(samples, regs)]
-        return registered, float(sum(reg.cost for reg in regs))
-
-    # medoid initialization
     upper = np.triu_indices(m, 1)
     pairs = [(samples[i], samples[j], w) for i, j in zip(*upper)]
-    pair_cost = np.zeros((m, m))
-    pair_cost[upper] = [reg.cost for reg in parallel_map(register, pairs, n_jobs)]
-    medoid = int(np.argmin((pair_cost + pair_cost.T).sum(axis=1)))
-    anchor = np.mean([Q.anchor for Q in samples], axis=0)
-    mu = replace(samples[medoid], anchor=anchor)
+    with worker_pool(n_jobs, max(len(pairs), m)) as run:
+        def registered_to(mu: SrvfTree) -> tuple[list[SrvfTree], float]:
+            """The samples registered to mu, and the objective: the sum of their
+            registration costs, in sample order."""
+            regs = run(register, [(mu, Q, w) for Q in samples])
+            registered = [apply_registration(Q, reg) for Q, reg in zip(samples, regs)]
+            return registered, float(sum(reg.cost for reg in regs))
 
-    scale = _metric_scale(mu, w)
-    registered, obj = registered_to(mu)
-    objective = [obj]
-    stop_reason = "iteration-limit"
-    for _ in range(max_iter):
-        flat_mu = flatten_srvft(mu)
-        vbar = np.mean([flatten_srvft(Q) for Q in registered], axis=0) - flat_mu
-        if float(np.linalg.norm(vbar * scale)) < GRADIENT_TOL:
-            stop_reason = "gradient"
-            break
-        step_k = step
-        for _ in range(8):
-            try:
-                candidate = unflatten_srvft(flat_mu + step_k * vbar, mu)
-            except ValueError:  # a position left [0, 1]: not a tree
-                cand_obj = math.inf
-            else:
-                cand_registered, cand_obj = registered_to(candidate)
-            if cand_obj <= objective[-1] + 1e-15:
-                mu = candidate
-                registered = cand_registered
-                objective.append(cand_obj)
+        # medoid initialization
+        pair_cost = np.zeros((m, m))
+        pair_cost[upper] = [reg.cost for reg in run(register, pairs)]
+        medoid = int(np.argmin((pair_cost + pair_cost.T).sum(axis=1)))
+        anchor = np.mean([Q.anchor for Q in samples], axis=0)
+        mu = replace(samples[medoid], anchor=anchor)
+
+        scale = _metric_scale(mu, w)
+        registered, obj = registered_to(mu)
+        objective = [obj]
+        stop_reason = "iteration-limit"
+        for _ in range(max_iter):
+            flat_mu = flatten_srvft(mu)
+            vbar = np.mean([flatten_srvft(Q) for Q in registered], axis=0) - flat_mu
+            if float(np.linalg.norm(vbar * scale)) < GRADIENT_TOL:
+                stop_reason = "gradient"
                 break
-            step_k *= 0.5
-        else:
-            stop_reason = "halving-exhausted"
-            break
-    return KarcherResult(mu, tuple(registered), tuple(objective), stop_reason, w, ids)
+            step_k = step
+            for _ in range(8):
+                try:
+                    candidate = unflatten_srvft(flat_mu + step_k * vbar, mu)
+                except ValueError:  # a position left [0, 1]: not a tree
+                    cand_obj = math.inf
+                else:
+                    cand_registered, cand_obj = registered_to(candidate)
+                if cand_obj <= objective[-1] + 1e-15:
+                    mu = candidate
+                    registered = cand_registered
+                    objective.append(cand_obj)
+                    break
+                step_k *= 0.5
+            else:
+                stop_reason = "halving-exhausted"
+                break
+        return KarcherResult(mu, tuple(registered), tuple(objective), stop_reason, w, ids)
 
 
 # ---------------------------------------------------------------------------

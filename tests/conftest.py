@@ -113,3 +113,28 @@ def smooth_branch(rng: np.random.Generator, n_pts: int = 200, length: float = 1.
 @pytest.fixture
 def rng():
     return np.random.default_rng(20240817)
+
+
+@pytest.fixture
+def fake_executor(monkeypatch):
+    """Replace the process pool by one that maps in this process and records
+    the ``max_workers`` of each executor built; no process is started."""
+    import concurrent.futures
+
+    started = []
+
+    class FakeExecutor:
+        def __init__(self, max_workers):
+            started.append(max_workers)
+
+        def map(self, fn, *iterables):
+            return map(fn, *iterables)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            pass
+
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", FakeExecutor)
+    return started

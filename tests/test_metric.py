@@ -305,6 +305,17 @@ class TestPairwiseMatrix:
             for j in range(i + 1, 4):
                 assert serial.values[i, j] == distance(trees[i], trees[j], opts=FAST)
 
+    def test_pool_starts_no_more_workers_than_pairs(self, rng, fake_executor):
+        # 4 trees at 64 workers: one pool of 6 workers, one per pair
+        trees = [smooth_tree(rng, f"t{i}", i) for i in range(4)]
+        dm = pairwise_matrix(trees, opts=FAST, n_jobs=64)
+        assert fake_executor == [6]
+        np.testing.assert_array_equal(dm.values, pairwise_matrix(trees, opts=FAST).values)
+
+    def test_one_pair_runs_without_a_pool(self, rng, fake_executor):
+        pairwise_matrix([smooth_tree(rng, "a", 1), smooth_tree(rng, "b", 2)], opts=FAST, n_jobs=2)
+        assert fake_executor == []
+
     def test_prepares_each_tree_once(self, rng, monkeypatch):
         calls = []
 

@@ -378,6 +378,16 @@ class TestReparamDPMatchesLoop:
                     np.testing.assert_allclose(block, ref, rtol=0, atol=1e-14 * max(1.0, ref.max()))
 
 
+def test_dp_plan_size_is_bounded():
+    """The arrays of the n = 100 plan take at most 1 133 888 bytes.  Every
+    pool worker builds and holds its own plan, and the ``matrix``
+    benchmark's ``peak_rss_mb`` counts the largest worker twice, so any
+    growth of the plan shows there doubled."""
+    plan = _dp_plan(100)
+    fields = [*plan, *(field for g in plan.row_steps for field in g)]
+    assert sum(f.nbytes for f in fields if isinstance(f, np.ndarray)) <= 1_133_888
+
+
 @st.composite
 def cost_matrices(draw):
     """Square costs of size 0-25: continuous, small integers, or a constant

@@ -176,6 +176,18 @@ class TestKarcherMean:
         with pytest.raises(ValueError):
             karcher_mean([], W)
 
+    def test_one_pool_per_call(self, rng, fake_executor):
+        # the medoid, the start and every line-search trial share one pool
+        trees = small_collection(rng, 3)
+        result = karcher_mean(trees, W, opts=FAST, max_iter=2, n_jobs=2)
+        assert fake_executor == [2]
+        assert len(result.objective) >= 2
+
+    def test_pool_starts_no_more_workers_than_jobs(self, rng, fake_executor):
+        # 3 trees: 3 medoid pairs, then 3 registrations per step
+        karcher_mean(small_collection(rng, 3), W, opts=FAST, max_iter=1, n_jobs=64)
+        assert fake_executor == [3]
+
 
 class TestAtlas:
     def test_identical_trees_zero_variance(self, rng):
