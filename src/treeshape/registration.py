@@ -281,7 +281,6 @@ class _DpRowStep(NamedTuple):
 
     di: int
     t0: int
-    floor: np.ndarray  # (J, 1, n): 0, or +inf in the columns j < dj
     a_idx: np.ndarray  # (n-di, 2, di+1): qa samples of node k of edge row r
     b_lo: np.ndarray  # (J, n, 2, di+1): qb lerp index i0 of node k
     fr: np.ndarray  # (J, n, 1, di+1): its lerp fraction, the weight of i0 + 1
@@ -324,17 +323,15 @@ def _dp_plan(n: int) -> _DpPlan:
         wk = np.full(di + 1, h)
         wk[[0, -1]] = 0.5 * h
         a_idx = np.arange(n - di)[:, None, None] + comp + np.arange(di + 1)
-        # qb position of node k on the edge into column j; it is clamped to
-        # qb's samples in the columns j < dj, whose costs become +inf
+        # qb position of node k on the edge into column j, clamped to qb's
+        # samples in the columns j < dj, which have no edge (see _dp_edge_cost)
         x = (cols - dj)[:, :, None, None] + np.arange(di + 1) * slope[:, None, None, None]
         x = np.clip(x, 0, n - 1)
         i0 = np.minimum(x.astype(int), n - 2)
         fr = x - i0
         factor = (-2.0 * np.sqrt(slope))[:, None, None, None] * wk
-        floor = np.where(cols < dj, np.inf, 0.0)[:, None, :]
         row_steps.append(_DpRowStep(
-            di, int(t0),
-            *_frozen(floor, a_idx, i0 + comp, fr, wk, factor, slope[:, None]),
+            di, int(t0), *_frozen(a_idx, i0 + comp, fr, wk, factor, slope[:, None]),
         ))
     width = n + DP_MAX_STEP
     e_off = (DP_MAX_STEP - di_t) * width + DP_MAX_STEP - dj_t[:, 0]
@@ -347,12 +344,13 @@ def _dp_edge_cost(qa: np.ndarray, qb: np.ndarray) -> np.ndarray:
 
     ``costs[t, i, j]`` is the trapezoid-rule energy of
     |qa(t) - sqrt(slope) * qb(gamma(t))|^2 over the di grid intervals of the
-    edge from (i-di, j-dj) into (i, j), with gamma linear on the edge; it is
-    +inf in the columns j < dj, which have no edge, and rows i < di are left
-    unset.  Per row step di, the blocks of all its steps come from one
-    batched matrix product, one gemm per step: the node-stacked qa samples
-    extended by [|qa|^2, 1] against the weighted qb samples extended by
-    [1, slope * |u|^2].
+    edge from (i-di, j-dj) into (i, j), with gamma linear on the edge,
+    clamped at 0.  The columns j < dj have no edge: their costs are finite,
+    and the DP adds them only to the +inf of E's padding, the one border of
+    the grid.  Rows i < di are left unset.  Per row step di, the blocks of
+    all its steps come from one batched matrix product, one gemm per step:
+    the node-stacked qa samples extended by [|qa|^2, 1] against the weighted
+    qb samples extended by [1, slope * |u|^2].
     """
     n = len(qa)
     plan = _dp_plan(n)
@@ -376,7 +374,7 @@ def _dp_edge_cost(qa: np.ndarray, qb: np.ndarray) -> np.ndarray:
         right[..., inner + 1] = g.slope * np.einsum("tjck,tjck->tj", u, u * g.wk)
         block = costs[g.t0 : g.t0 + steps, g.di :]
         np.matmul(left, right.transpose(0, 2, 1), out=block)
-        np.maximum(block, g.floor, out=block)
+        np.maximum(block, 0.0, out=block)
     return costs
 
 
@@ -389,11 +387,11 @@ def _reparam_dp(qa: np.ndarray, qb: np.ndarray) -> tuple[np.ndarray, float]:
     reduced by min.  E carries ``DP_MAX_STEP`` rows and columns of +inf
     before its row 0 and column 0, so row i's candidates are the n-entry
     windows of the flat E that start at i * (n + DP_MAX_STEP) + ``e_off``,
-    and the columns j < dj read +inf.  Only the cells of the optimal path
-    need their step: walking back from (n-1, n-1), each one recomputes its
-    candidates from the same E entries and costs and takes the first
-    minimum, so a tie goes to the earliest step in stencil order (sorted
-    (di, dj)).
+    and in the columns j < dj, which have no edge, each candidate is +inf.
+    Only the cells of the optimal path need their step: walking back from
+    (n-1, n-1), each one recomputes its candidates from the same E entries
+    and costs and takes the first minimum, so a tie goes to the earliest
+    step in stencil order (sorted (di, dj)).
     """
     n = len(qa)
     plan = _dp_plan(n)

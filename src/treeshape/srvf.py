@@ -84,6 +84,11 @@ class SrvfTree:
             raise ValueError(f"SRVF sample norm {peak:.6g} exceeds the bound {MAX_SRVF_NORM:.6g}")
         if not np.all(np.isfinite(anchor)):
             raise ValueError("SRVF-tree anchor must be finite")
+        # beyond it, the O(1) offsets of the integrated branches round away
+        far = anchor[np.abs(anchor) > MAX_BRANCH_LENGTH]
+        if far.size:
+            raise ValueError(
+                f"SRVF-tree anchor coordinate {far[0]:.6g} exceeds the bound {MAX_BRANCH_LENGTH:g}")
         outside = ~((s >= 0.0) & (s <= 1.0))
         if outside.any():
             raise ValueError(f"attachment position out of range: {float(s[outside][0])!r}")

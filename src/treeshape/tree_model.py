@@ -405,26 +405,20 @@ def resample_branch(branch: Branch, n: int) -> Branch:
         raise TreeValidationError("cannot resample a virtual branch")
     if n < 2:
         raise ValueError(f"need n >= 2 sample points, got {n}")
-    pts = np.asarray(branch.points, dtype=float)
-    if len(pts) == n:
-        seg = np.linalg.norm(np.diff(pts, axis=0), axis=1)
-        mean = seg.mean()
-        if mean > 0 and np.max(np.abs(seg - mean)) / mean < 1e-12:
-            return branch  # already at the fixed point
-    first, last = pts[0].copy(), pts[-1].copy()
+    pts = branch.points
+    seg = np.linalg.norm(np.diff(pts, axis=0), axis=1)
     for _ in range(20):
-        cum = _cumulative_arclength(pts)
+        mean = seg.mean()
+        if len(pts) == n and (mean <= 0 or np.max(np.abs(seg - mean)) / mean < 1e-12):
+            break
+        cum = np.concatenate([[0.0], np.cumsum(seg)])
         target = np.linspace(0.0, cum[-1], n)
         pts = np.column_stack(
             [np.interp(target, cum, pts[:, 0]), np.interp(target, cum, pts[:, 1])]
         )
-        pts[0] = first
-        pts[-1] = last
+        pts[[0, -1]] = branch.points[[0, -1]]
         seg = np.linalg.norm(np.diff(pts, axis=0), axis=1)
-        mean = seg.mean()
-        if mean <= 0 or np.max(np.abs(seg - mean)) / mean < 1e-12:
-            break
-    return Branch(pts)
+    return branch if pts is branch.points else Branch(pts)
 
 
 def resample_tree(

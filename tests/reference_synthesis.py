@@ -5,7 +5,9 @@ These are the versions of ``Branch`` validation, ``exp_map``,
 that build one tree (or one polyline) at a time, as the package did before
 it reconstructed a whole batch of trees in one pass.  They are slow but easy
 to check by reading; the tests require the package to give the same trees,
-the same errors and the same SVG text.
+the same errors and the same SVG text.  ``resample_branch`` is the version
+that tests uniformity twice, before its loop and inside it; the package
+must give the same points to the bit.
 """
 from __future__ import annotations
 
@@ -39,6 +41,33 @@ def branch_error(points, is_virtual: bool = False) -> str | None:
         if length > MAX_BRANCH_LENGTH:
             return f"branch length {length:.6g} exceeds the bound {MAX_BRANCH_LENGTH:g}"
     return None
+
+
+def resample_branch(branch: Branch, n: int) -> Branch:
+    """n points uniform in arc length: the input itself if it is already at
+    the fixed point, else up to 20 interpolation passes, each of which
+    measures its iterate's segments for the test and again for its arc
+    length."""
+    pts = np.asarray(branch.points, dtype=float)
+    if len(pts) == n:
+        seg = np.linalg.norm(np.diff(pts, axis=0), axis=1)
+        mean = seg.mean()
+        if mean > 0 and np.max(np.abs(seg - mean)) / mean < 1e-12:
+            return branch
+    first, last = pts[0].copy(), pts[-1].copy()
+    for _ in range(20):
+        cum = _cumulative_arclength(pts)
+        target = np.linspace(0.0, cum[-1], n)
+        pts = np.column_stack(
+            [np.interp(target, cum, pts[:, 0]), np.interp(target, cum, pts[:, 1])]
+        )
+        pts[0] = first
+        pts[-1] = last
+        seg = np.linalg.norm(np.diff(pts, axis=0), axis=1)
+        mean = seg.mean()
+        if mean <= 0 or np.max(np.abs(seg - mean)) / mean < 1e-12:
+            break
+    return Branch(pts)
 
 
 def exp_map(mu: SrvfTree, v: np.ndarray, w) -> SrvfTree:

@@ -22,7 +22,8 @@ from treeshape import Branch, Lateral, RootTree, load_collection, load_root, sav
 from treeshape.cli import build_parser, main
 from treeshape.metric import DistanceMatrix
 from treeshape.srvf import DEFAULT_WEIGHTS
-from treeshape.tree_model import DEFAULT_LATERAL_SAMPLES, DEFAULT_MAIN_SAMPLES, tree_to_dict
+from treeshape.tree_model import (DEFAULT_LATERAL_SAMPLES, DEFAULT_MAIN_SAMPLES, MAX_BRANCH_LENGTH,
+                                  tree_to_dict)
 
 from conftest import lateral_at, smooth_tree, straight_tree, transform_tree
 
@@ -569,12 +570,16 @@ class TestMalformedFiles:
         # a NaN anchor once loaded, and sample failed on branch coordinates
         ("mean", lambda mean: {**mean, "anchor": [float("nan"), mean["anchor"][1]]},
          "SRVF-tree anchor must be finite"),
+        # finite, but every x coordinate of a sample once collapsed to the anchor's
+        ("mean", lambda mean: {**mean, "anchor": [-1e300, mean["anchor"][1]]},
+         "SRVF-tree anchor coordinate -1e+300 exceeds the bound 1e+150"),
         # finite, but its SRVF squares to inf: RuntimeWarnings once preceded the error
         ("modes", lambda md: [[1e300, *md[0][1:]], *md[1:]], "exceeds the bound 2e+75"),
     ], ids=["mean-array", "retained-null", "weights-string", "layout-partial", "eigenvalues-number",
             "weights-nan", "eigenvalues-negative", "eigenvalues-inf", "retained-negative",
             "retained-above-modes", "modes-transposed", "modes-huge-integer", "modes-nan",
-            "training_coeffs-inf", "eigenvalues-huge-integer", "mean-anchor-nan", "modes-1e300"])
+            "training_coeffs-inf", "eigenvalues-huge-integer", "mean-anchor-nan",
+            "mean-anchor-1e300", "modes-1e300"])
     def test_atlas_field(self, fitted, tmp_path, capsys, recwarn, field, value, message):
         data = json.loads((fitted / "atlas.json").read_text())
         data[field] = value(data[field]) if callable(value) else value
@@ -741,12 +746,14 @@ class TestMalformedFiles:
 
 # what a fuzzed file may hold in place of a value: on every file kind, a
 # 400-digit integer, a string and null, or the value nested in a list, or no
-# value at all; on root files also non-finite and huge numbers, and on atlas
-# and model files numbers whose squares overflow
+# value at all; on root files also non-finite and huge numbers, on atlas
+# and model files numbers whose squares overflow, and in an atlas mean's
+# anchor coordinates just beyond their bound
 NESTED, DELETED = object(), object()
 ANY_FILE = [10**400, "abc", None, NESTED, DELETED]
 ROOT_ONLY = [float("nan"), float("inf"), float("-inf"), 1e200, -1e200]
 ATLAS_ONLY = [1e300, -1e300]
+BEYOND_ANCHOR = [2 * MAX_BRANCH_LENGTH, -2 * MAX_BRANCH_LENGTH]
 CLAMP_WARNING = "attachment positions clamped to [0, 1]"
 
 
@@ -776,10 +783,11 @@ def csv_text(rows) -> str:
     return buf.getvalue()
 
 
-def one_of_two_outcomes(argv: list) -> None:
+def one_of_two_outcomes(argv: list) -> int:
     """Run the command: exit 0 with an empty stderr, or exit 1 or 2 with
-    exactly one error line, and no warning but the clamp.  An exception that
-    ``main`` lets through, which would print a traceback, fails the test."""
+    exactly one error line, and no warning but the clamp; returns the exit
+    code.  An exception that ``main`` lets through, which would print a
+    traceback, fails the test."""
     err = io.StringIO()
     with warnings.catch_warnings(record=True) as caught, contextlib.redirect_stderr(err), \
             contextlib.redirect_stdout(io.StringIO()):
@@ -792,6 +800,7 @@ def one_of_two_outcomes(argv: list) -> None:
     else:
         assert code in (1, 2), argv
         one_error_line(err.getvalue())
+    return code
 
 
 @pytest.fixture(scope="module")
@@ -814,7 +823,8 @@ class TestTwoOutcomes:
     def test_mutated_files(self, fuzz_sources, data):
         d, roots, model, rows, matrix = fuzz_sources
         draw = data.draw
-        kind = draw(st.sampled_from(["root", "model", "atlas", "matrix.json", "matrix.csv"]))
+        kind = draw(st.sampled_from(["root", "model", "atlas", "anchor", "matrix.json",
+                                     "matrix.csv"]))
         out = d / "out.json"
         if kind == "root":
             which = draw(st.sampled_from([0, 1]))
@@ -836,6 +846,16 @@ class TestTwoOutcomes:
             path.write_text(json.dumps(mutated(model["atlas"], draw, ANY_FILE + ATLAS_ONLY)))
             one_of_two_outcomes(["sample", path, "--n", "2", "--out", out])
             one_of_two_outcomes(["modes", path, "--out", out])
+        elif kind == "anchor":
+            # every mutation of the mean's anchor, one just beyond the
+            # coordinate bound included, is an error
+            atlas = copy.deepcopy(model["atlas"])
+            atlas["mean"]["anchor"] = mutated(atlas["mean"]["anchor"], draw,
+                                              ANY_FILE + ATLAS_ONLY + BEYOND_ANCHOR)
+            path = d / "atlas.json"
+            path.write_text(json.dumps(atlas))
+            assert one_of_two_outcomes(["sample", path, "--n", "2", "--out", out]) == 1
+            assert one_of_two_outcomes(["modes", path, "--out", out]) == 1
         else:
             path = d / kind
             if kind == "matrix.json":

@@ -316,6 +316,9 @@ def corrupted(Q: SrvfTree, how: str, rng: np.random.Generator) -> dict:
         args["anchor"] = np.append(Q.anchor, 0.0)
     elif how == "non-finite anchor":
         args["anchor"] = np.where(np.arange(2) == rng.integers(2), bad, Q.anchor)
+    elif how == "anchor beyond the bound":
+        far = rng.choice([1e300, -1.01 * MAX_BRANCH_LENGTH])
+        args["anchor"] = np.where(np.arange(2) == rng.integers(2), far, Q.anchor)
     elif how == "main beyond the bound":
         args["q0"][rng.integers(len(Q.q0)), rng.integers(2)] = huge
     elif how == "lateral beyond the bound":
@@ -365,7 +368,8 @@ class TestSrvfTreeArrays:
         "non-finite main", "non-finite lateral", "main of one sample", "main in 3-d",
         "laterals of one sample", "laterals without the point axis", "anchor in 3-d",
         "s out of range", "ragged laterals", "one position too many", "one position too few",
-        "non-finite anchor", "main beyond the bound", "lateral beyond the bound",
+        "non-finite anchor", "anchor beyond the bound", "main beyond the bound",
+        "lateral beyond the bound",
     ]), seed=st.integers(0, 2**32 - 1))
     def test_constructor_rejects(self, pair, how, seed):
         Q, _ = pair

@@ -2,7 +2,7 @@ import json
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from treeshape import (
@@ -21,8 +21,10 @@ from treeshape import (
     resample_tree,
     save_root,
 )
-from treeshape.tree_model import ATTACH_TOL_FACTOR, json_text, tree_from_dict, tree_to_dict
+from treeshape.tree_model import (ATTACH_TOL_FACTOR, json_text, polyline_length,
+                                  tree_from_dict, tree_to_dict)
 
+import reference_synthesis as ref
 from conftest import smooth_branch, smooth_tree, straight_tree
 
 
@@ -211,6 +213,39 @@ class TestResample:
         assert out.n_points == n
         np.testing.assert_array_equal(out.points[0], br.points[0])
         np.testing.assert_array_equal(out.points[-1], br.points[-1])
+
+    @given(
+        rows=st.lists(st.tuples(st.floats(-1e3, 1e3), st.floats(-1e3, 1e3)),
+                      min_size=2, max_size=26),
+        repeats=st.lists(st.integers(1, 3), min_size=26, max_size=26),
+        n=st.integers(2, 80),
+        same_count=st.booleans(),
+    )
+    @settings(max_examples=200)
+    def test_matches_the_two_test_reference(self, rows, repeats, n, same_count):
+        # one uniformity test per step gives the reference's points to the
+        # bit, and the input itself back when it is already uniform; each
+        # output is resampled again to reach that early return.  A closed
+        # polyline resampled to 2 points has zero length in both.
+        pts = np.repeat(np.array(rows), repeats[: len(rows)], axis=0)
+        assume(polyline_length(pts) > 0)
+        branch = Branch(pts)
+        n = len(pts) if same_count else n
+
+        def resampled(fn, branch):
+            try:
+                return fn(branch, n)
+            except TreeValidationError as exc:
+                return str(exc)
+
+        for _ in range(2):
+            got, want = resampled(resample_branch, branch), resampled(ref.resample_branch, branch)
+            if isinstance(want, str):
+                assert got == want
+                break
+            assert (got is branch) == (want is branch)
+            assert got.points.tobytes() == want.points.tobytes()
+            branch = got
 
 
 class TestNormalize:
