@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import argparse
 import functools
+import math
 import sys
 from pathlib import Path
 
@@ -16,6 +17,7 @@ import numpy as np
 
 from . import clustering, metric, render, statistics
 from .metric import DistanceMatrix, PairOptions
+from .registration import MAX_MAIN_SAMPLES
 from .srvf import DEFAULT_WEIGHTS, Weights, srvft_to_tree
 from .statistics import Atlas, RegressionModel
 from .tree_model import (
@@ -64,8 +66,10 @@ def _add_pipeline_args(parser: argparse.ArgumentParser, threads: bool = False) -
     _add_weight_args(parser)
     parser.add_argument("--normalize", action="store_true",
                         help="rescale every tree by its main-root length before analysis")
-    parser.add_argument("--n-main", type=_at_least(2), default=DEFAULT_MAIN_SAMPLES,
-                        help="main-branch sample count (>= 2)")
+    parser.add_argument("--n-main", type=_at_least(2, MAX_MAIN_SAMPLES),
+                        default=DEFAULT_MAIN_SAMPLES,
+                        help=f"main-branch sample count (2 to {MAX_MAIN_SAMPLES}, the DP's "
+                             "memory ceiling)")
     parser.add_argument("--n-lat", type=_at_least(2), default=DEFAULT_LATERAL_SAMPLES,
                         help="lateral-branch sample count (>= 2)")
     if threads:
@@ -92,12 +96,15 @@ def _pair_options(args: argparse.Namespace) -> PairOptions:
     )
 
 
-def _at_least(lo: int):
-    """argparse type: an integer of at least ``lo``; anything else exits 2."""
+def _at_least(lo: int, hi: float = math.inf):
+    """argparse type: an integer of at least ``lo`` and at most ``hi``;
+    anything else exits 2."""
     def parse(text: str) -> int:
         value = int(text)
         if value < lo:
             raise argparse.ArgumentTypeError(f"must be at least {lo}, got {value}")
+        if value > hi:
+            raise argparse.ArgumentTypeError(f"must be at most {hi}, got {value}")
         return value
     parse.__name__ = "int"  # argparse reports "invalid int value" for non-integers
     return parse

@@ -65,11 +65,18 @@ def prepare_trees(
             for t in trees]
 
 
+def prepare_collection(
+    trees: Sequence[RootTree], opts: PairOptions = DEFAULT_OPTIONS
+) -> list[SrvfTree]:
+    """Prepare every tree and augment the collection to equal lateral counts."""
+    return augment_srvfts(prepare_trees(trees, opts))
+
+
 def prepare_pair(
     a: RootTree, b: RootTree, opts: PairOptions = DEFAULT_OPTIONS
 ) -> tuple[SrvfTree, SrvfTree]:
-    """Prepare both trees and augment them to equal lateral counts."""
-    Qa, Qb = augment_srvfts(prepare_trees([a, b], opts))
+    """``prepare_collection`` of the two trees."""
+    Qa, Qb = prepare_collection([a, b], opts)
     return Qa, Qb
 
 

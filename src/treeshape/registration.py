@@ -25,6 +25,10 @@ from .srvf import SrvfTree, Weights, _sq_dists, trapezoid_weights
 # linearly growing speed needs unbounded slope near the ends).
 DP_MAX_STEP = 10
 
+# Bytes that the DP's (T, n, n) float64 edge-cost array may take in one
+# process; ``MAX_MAIN_SAMPLES``, the largest main grid within it, is 1 459.
+DP_MAX_BYTES = 2**30
+
 # ``register`` stops once a sweep lowers the cost by less than this fraction,
 # or after this many sweeps.
 SWEEP_TOL = 1e-8
@@ -111,28 +115,23 @@ def _preshape_cost(
 
 
 def transform_tree(
-    Q: SrvfTree, rotation: np.ndarray | None = None, gamma: np.ndarray | None = None
+    Q: SrvfTree, rotation: np.ndarray, gamma: np.ndarray, perm: np.ndarray
 ) -> SrvfTree:
-    """Rotate all SRVFs and reparameterize the main branch (no reordering)."""
-    q0, lats, s, anchor = Q.q0, Q.q_lat, Q.s, Q.anchor
-    if gamma is not None:
-        q0, s = _warp(q0, gamma), _remap(s, gamma)
-    if rotation is not None:
-        rot = np.asarray(rotation)
-        q0, lats, anchor = q0 @ rot.T, lats @ rot.T, rot @ anchor
-    return SrvfTree(q0, lats, s, anchor)
+    """Q moved by a rotation, a main-curve warp gamma and a lateral
+    correspondence: the main is warped then rotated, each attachment
+    position s moves to gamma^-1(s), where the old attachment point now
+    occurs, and lateral k of the result is Q's lateral perm[k], rotated."""
+    rot = np.asarray(rotation)
+    return SrvfTree(
+        _warp(Q.q0, gamma) @ rot.T, Q.q_lat[perm] @ rot.T, _remap(Q.s, gamma)[perm], rot @ Q.anchor
+    )
 
 
 def apply_registration(Q: SrvfTree, reg: Registration) -> SrvfTree:
-    """Transform tree b by a registration found against some reference a.
-
-    ``transform_tree`` by the rotation and gamma (remapping each attachment
-    position s to gamma^-1(s), where the old attachment point now occurs),
-    then the laterals reordered so index k corresponds to the reference's
-    lateral k.
-    """
-    moved, perm = transform_tree(Q, reg.rotation, reg.gamma), reg.assignment
-    return SrvfTree(moved.q0, moved.q_lat[perm], moved.s[perm], moved.anchor)
+    """Transform tree b by a registration found against some reference a:
+    ``transform_tree`` by its rotation, gamma and assignment, so that b's
+    lateral k corresponds to the reference's lateral k."""
+    return transform_tree(Q, reg.rotation, reg.gamma, reg.assignment)
 
 
 def lateral_cost_matrix(
@@ -266,6 +265,7 @@ _DP_STENCIL = tuple(sorted(
     for dj in range(1, DP_MAX_STEP + 1)
     if math.gcd(di, dj) == 1
 ))
+MAX_MAIN_SAMPLES = math.isqrt(DP_MAX_BYTES // (8 * len(_DP_STENCIL)))
 
 
 class _DpRowStep(NamedTuple):
@@ -439,11 +439,14 @@ def optimal_reparam_main(qa: np.ndarray, qb: np.ndarray) -> np.ndarray:
 
     Solved by dynamic programming over monotone grid paths; the identity path
     lies in the search space, so the optimal energy never exceeds the
-    identity energy.  Samples of different shapes, or non-finite samples,
-    are a ValueError.
+    identity energy.  Samples of different shapes, non-finite samples, or
+    more than ``MAX_MAIN_SAMPLES`` of them are a ValueError.
     """
     if qa.shape != qb.shape:
         raise ValueError(f"sample shapes differ: {qa.shape} vs {qb.shape}")
+    if len(qa) > MAX_MAIN_SAMPLES:
+        raise ValueError(
+            f"{len(qa)} main-curve samples exceed the DP's ceiling of {MAX_MAIN_SAMPLES}")
     if not (np.isfinite(qa).all() and np.isfinite(qb).all()):
         raise ValueError("SRVF samples must be finite")
     gamma = _reparam_dp(qa, qb)[0]

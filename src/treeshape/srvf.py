@@ -204,9 +204,9 @@ def augment_srvfts(Qs: Sequence[SrvfTree]) -> list[SrvfTree]:
     *other* trees (with multiplicity, in tree order), then its laterals are
     stably sorted by s, so real laterals stay ahead of added ones on ties.
     A virtual lateral's SRVF is zero and its s equals its t, so this equals
-    ``tree_to_srvft`` of the trees equalized by ``augment_pair`` or
-    ``augment_collection``.  Zero laterals take the lateral sample count of
-    the first tree that has laterals.
+    ``tree_to_srvft`` of the trees equalized by ``tree_model.augment_pair``
+    or ``tree_model.augment_collection``.  Zero laterals take the lateral
+    sample count of the first tree that has laterals.
     """
     if not Qs:
         raise ValueError("empty collection")

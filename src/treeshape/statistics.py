@@ -16,13 +16,12 @@ from typing import Sequence
 
 import numpy as np
 
-from .metric import DEFAULT_OPTIONS, PairOptions, prepare_trees, worker_pool
+from .metric import DEFAULT_OPTIONS, PairOptions, prepare_collection, worker_pool
 from .registration import apply_registration, register
 from .srvf import (
     DEFAULT_WEIGHTS,
     SrvfTree,
     Weights,
-    augment_srvfts,
     srvft_to_tree,
     trapezoid_weights,
 )
@@ -121,13 +120,6 @@ class KarcherResult:
     @property
     def converged(self) -> bool:
         return self.stop_reason != "iteration-limit"
-
-
-def prepare_collection(
-    trees: Sequence[RootTree], opts: PairOptions = DEFAULT_OPTIONS
-) -> list[SrvfTree]:
-    """Prepare every tree and augment the collection to equal lateral counts."""
-    return augment_srvfts(prepare_trees(trees, opts))
 
 
 def karcher_mean(

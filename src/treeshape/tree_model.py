@@ -430,16 +430,26 @@ def resample_tree(
 
     Resampling shifts the main polyline slightly, so each real lateral's t is
     re-derived by projecting its (unchanged) start point onto the new main; a
-    coarse main cuts the curve's bends, so that start can lie off it.
+    coarse main cuts the curve's bends, so that start can lie off it.  A
+    branch that resampling collapses to zero length (a closed one at 2
+    points) is a TreeValidationError naming the branch and the sample count.
     """
-    main = resample_branch(tree.main, n_main)
+    def resampled(branch: Branch, n: int, name: str) -> Branch:
+        try:
+            return resample_branch(branch, n)
+        except TreeValidationError:  # a valid branch resampled can only lose its length
+            raise TreeValidationError(
+                f"{name}: resampling to {n} points collapses the branch to zero length "
+                "(its first and last points coincide)") from None
+
+    main = resampled(tree.main, n_main, "main")
     laterals = []
     for t, br in tree.laterals:
         if br.is_virtual:
             laterals.append(Lateral(t, br))
         else:
             t_new = project_to_polyline(main.points, br.points[0])
-            laterals.append(Lateral(t_new, resample_branch(br, n_lateral)))
+            laterals.append(Lateral(t_new, resampled(br, n_lateral, f"lateral at t={t:g}")))
     return RootTree(id=tree.id, main=main, laterals=tuple(laterals))
 
 

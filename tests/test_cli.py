@@ -21,6 +21,7 @@ import treeshape
 from treeshape import Branch, Lateral, RootTree, load_collection, load_root, save_root, statistics
 from treeshape.cli import build_parser, main
 from treeshape.metric import DistanceMatrix
+from treeshape.registration import MAX_MAIN_SAMPLES
 from treeshape.srvf import DEFAULT_WEIGHTS
 from treeshape.tree_model import (DEFAULT_LATERAL_SAMPLES, DEFAULT_MAIN_SAMPLES, MAX_BRANCH_LENGTH,
                                   tree_to_dict)
@@ -117,6 +118,16 @@ class TestDistanceCommand:
         pa, pb = tree_files
         assert main(["distance", str(pa), str(pb), "--n-main", "2", "--n-lat", "2"]) == 0
         assert np.isfinite(float(capsys.readouterr().out.strip().split("=")[-1]))
+
+    def test_closed_lateral_collapsed_by_resampling_exit_1(self, tmp_path, capsys):
+        # the error names the lateral and the resampling, not the file
+        path = tmp_path / "loop.json"
+        path.write_text(json.dumps(root_with_lateral(points=[[0, -5], [1, -5], [1, -6], [0, -5]])))
+        assert main(["distance", str(path), str(path), "--n-lat", "2"]) == 1
+        assert one_error_line(capsys.readouterr().err) == (
+            "error: lateral at t=0.5: resampling to 2 points collapses the branch to zero length "
+            "(its first and last points coincide)")
+        assert main(["distance", str(path), str(path), "--n-lat", "3"]) == 0
 
     def test_unknown_command_exit_2(self):
         assert main(["frobnicate"]) == 2
@@ -363,6 +374,16 @@ class TestUsageErrors:
         switch = next(a for a in argv if a.startswith("--"))
         assert main([*argv, "--out", str(tmp_path / "out.json")]) == 2
         assert f"unrecognized arguments: {switch}" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("command", ["distance", "geodesic", "matrix", "mean", "atlas",
+                                         "regress-fit"])
+    def test_n_main_above_the_dp_ceiling_exit_2(self, command, tmp_path, capsys):
+        inputs = ["a.json", "b.json"] if command in ("distance", "geodesic") else ["roots"]
+        out = ["--out", str(tmp_path / "out.json")]
+        assert main([command, *inputs, "--n-main", str(MAX_MAIN_SAMPLES + 1), *out]) == 2
+        assert "argument --n-main: must be at most 1459, got 1460" in capsys.readouterr().err
+        args = build_parser().parse_args([command, *inputs, "--n-main", "1459", *out])
+        assert args.n_main == MAX_MAIN_SAMPLES
 
     def test_parser_built_once(self):
         assert build_parser() is build_parser()

@@ -13,6 +13,7 @@ from treeshape import (
     register,
 )
 from treeshape import metric as metric_mod
+from treeshape import statistics as statistics_mod
 from treeshape.metric import (
     DistanceMatrix,
     PairOptions,
@@ -451,6 +452,9 @@ def root_dicts(draw, tree_id):
 
 
 class TestOnePreparationPath:
+    def test_statistics_prepares_by_the_metric_path(self):
+        assert statistics_mod.prepare_collection is metric_mod.prepare_collection
+
     @given(data=st.data(), m=st.integers(1, 4))
     @settings(max_examples=60)
     def test_srvf_augmentation_equals_tree_augmentation(self, data, m):

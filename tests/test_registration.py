@@ -3,7 +3,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 from scipy.optimize import linear_sum_assignment
@@ -24,8 +24,11 @@ from treeshape import (
 from treeshape.metric import interpolate_srvft, prepare_pair
 from treeshape.registration import (
     _DP_STENCIL,
+    DP_MAX_BYTES,
+    MAX_MAIN_SAMPLES,
     _dp_edge_cost,
     _dp_plan,
+    _is_identity,
     _linear_assignment,
     _reparam_dp,
     _remap,
@@ -211,6 +214,21 @@ class TestReparamDP:
         for qa, qb in ((q, q_bad), (q_bad, q)):
             with pytest.raises(ValueError, match="finite"):
                 optimal_reparam_main(qa, qb)
+
+    def test_sample_ceiling_is_the_cost_array_budget(self):
+        # the largest n whose (T, n, n) float64 edge costs fit DP_MAX_BYTES
+        T = len(_DP_STENCIL)
+        assert MAX_MAIN_SAMPLES == 1459
+        assert 8 * T * MAX_MAIN_SAMPLES**2 <= DP_MAX_BYTES < 8 * T * (MAX_MAIN_SAMPLES + 1) ** 2
+
+    def test_above_the_ceiling_raises_before_planning(self, monkeypatch):
+        def no_plan(n):
+            raise AssertionError(f"the DP of {n} samples was planned")
+
+        monkeypatch.setattr(registration, "_dp_plan", no_plan)
+        q = np.ones((MAX_MAIN_SAMPLES + 1, 2))
+        with pytest.raises(ValueError, match="1460 main-curve samples exceed the DP's ceiling of 1459"):
+            optimal_reparam_main(q, q)
 
 
 def reference_edge_cost(qa, qb, di, dj):
@@ -505,6 +523,39 @@ class TestApplyRegistration:
         reg = Registration(np.eye(2), grid**2, np.arange(1), 0.0)
         out = apply_registration(Q, reg)
         assert abs(out.s[0] - 0.5) < 1e-9
+
+    def test_builds_one_srvf_tree(self, rng, monkeypatch):
+        Q = srvft_of(smooth_tree(rng, "ap", 2))
+        grid = np.linspace(0, 1, len(Q.q0))
+        reg = Registration(rotation_matrix(0.4), grid**2, [1, 0], 0.0)
+        built = []
+        post_init = SrvfTree.__post_init__
+
+        def counted(self):
+            built.append(self)
+            post_init(self)
+
+        monkeypatch.setattr(SrvfTree, "__post_init__", counted)
+        out = apply_registration(Q, reg)
+        assert built == [out]
+
+    @settings(max_examples=100)
+    @given(seed=st.integers(0, 2**32 - 1), n=st.integers(3, 40), k=st.integers(2, 20),
+           n_lat=st.integers(0, 6))
+    def test_matches_the_reference_under_a_warp(self, seed, n, k, n_lat):
+        # a random rotation, a strictly increasing gamma other than the
+        # identity and a random permutation, bit for bit
+        rng = np.random.default_rng(seed)
+        Q = SrvfTree(rng.normal(size=(n, 2)), rng.normal(size=(n_lat, k, 2)),
+                     np.sort(rng.uniform(size=n_lat)), rng.normal(size=2))
+        steps = rng.uniform(0.05, 1.0, n - 1)
+        gamma = np.concatenate([[0.0], np.cumsum(steps[:-1]) / steps.sum(), [1.0]])
+        assume(not _is_identity(gamma))
+        reg = Registration(rotation_matrix(rng.uniform(-np.pi, np.pi)), gamma,
+                           rng.permutation(n_lat), 0.0)
+        got, want = apply_registration(Q, reg), ref.apply_registration(Q, reg)
+        for field in ("q0", "q_lat", "s", "anchor"):
+            assert getattr(got, field).tobytes() == getattr(want, field).tobytes(), field
 
 
 class TestRegister:

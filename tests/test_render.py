@@ -5,7 +5,6 @@ import pytest
 
 from treeshape import (
     DistanceMatrix,
-    augment_pair,
     geodesic,
     linkage,
     render_dendrogram,
@@ -14,6 +13,7 @@ from treeshape import (
 )
 from treeshape.metric import PairOptions
 from treeshape.render import PANEL_WIDTH
+from treeshape.tree_model import augment_pair
 
 from conftest import smooth_tree, straight_tree
 

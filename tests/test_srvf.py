@@ -10,7 +10,6 @@ from treeshape import (
     Branch,
     SrvfTree,
     Weights,
-    augment_pair,
     resample_tree,
     srvft_to_tree,
     to_srvf,
@@ -23,6 +22,7 @@ from treeshape.tree_model import (
     DEFAULT_LATERAL_SAMPLES,
     MAX_BRANCH_LENGTH,
     RootTree,
+    augment_pair,
     json_text,
     tree_from_dict,
     tree_to_dict,

@@ -11,8 +11,6 @@ from treeshape import (
     RootTree,
     RootFormatError,
     TreeValidationError,
-    augment_collection,
-    augment_pair,
     extract_bio_params,
     load_collection,
     load_root,
@@ -21,8 +19,8 @@ from treeshape import (
     resample_tree,
     save_root,
 )
-from treeshape.tree_model import (ATTACH_TOL_FACTOR, json_text, polyline_length,
-                                  tree_from_dict, tree_to_dict)
+from treeshape.tree_model import (ATTACH_TOL_FACTOR, augment_collection, augment_pair, json_text,
+                                  polyline_length, tree_from_dict, tree_to_dict)
 
 import reference_synthesis as ref
 from conftest import smooth_branch, smooth_tree, straight_tree
@@ -204,6 +202,21 @@ class TestResample:
         br = Branch(np.array([[0.0, 0.0], [1.0, 0.0]]))
         with pytest.raises(ValueError):
             resample_branch(br, 1)
+
+    def test_closed_branch_collapsed_by_resampling_is_named(self):
+        # a closed branch resampled to its two endpoints has zero length: the
+        # error names the branch, the resampling and the sample count
+        main = Branch(np.array([[0.0, 0.0], [0.0, -10.0]]))
+        loop = Branch(np.array([[0.0, -5.0], [1.0, -5.0], [1.0, -6.0], [0.0, -5.0]]))
+        tree = RootTree("loop", main, (Lateral(0.5, loop),))
+        with pytest.raises(TreeValidationError) as info:
+            resample_tree(tree, 50, 2)
+        assert str(info.value) == ("lateral at t=0.5: resampling to 2 points collapses the branch "
+                                   "to zero length (its first and last points coincide)")
+        assert resample_tree(tree, 50, 3).laterals[0].branch.n_points == 3
+        closed_main = RootTree("closed", Branch(np.array([[0, 0], [0, -10], [1, -10], [0, 0]])))
+        with pytest.raises(TreeValidationError, match="^main: resampling to 2 points collapses"):
+            resample_tree(closed_main, 2, 20)
 
     @given(n=st.integers(min_value=2, max_value=200))
     @settings(max_examples=25)
