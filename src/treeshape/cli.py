@@ -12,6 +12,7 @@ import functools
 import math
 import sys
 from pathlib import Path
+from typing import Iterable
 
 import numpy as np
 
@@ -28,8 +29,8 @@ from .tree_model import (
     json_text,
     load_collection,
     load_root,
+    save_collection,
     save_root,
-    tree_to_dict,
     write_text,
 )
 
@@ -44,13 +45,17 @@ def _write_text(path: Path, text: str) -> None:
     write_text(path, text)
 
 
-def _write_trees(path: Path, trees: list[RootTree], titles: list[str]) -> None:
-    """An .svg row of titled panels, else a JSON array of root objects (also
-    for one tree, so ``load_collection`` reads every such file)."""
+def _write_trees(path: Path, trees: Iterable[RootTree], titles: list[str] | None = None) -> None:
+    """An .svg row of panels titled ``titles`` (by default the tree ids),
+    which needs every tree at once for the row's bounding box; else a JSON
+    array of root objects, written one tree at a time as ``trees`` yields
+    them (also for one tree, so ``load_collection`` reads every such file)."""
     if path.suffix == ".svg":
+        trees = list(trees)
+        titles = [t.id for t in trees] if titles is None else titles
         _write_text(path, render.render_tree_row(trees, titles=titles))
     else:
-        _write_text(path, _json_text([tree_to_dict(t) for t in trees]))
+        save_collection(trees, path)
 
 
 def _add_weight_args(parser: argparse.ArgumentParser) -> None:
@@ -334,8 +339,7 @@ def _cmd_modes(args) -> int:
 
 def _cmd_sample(args) -> int:
     atlas = Atlas.load(args.atlas)
-    trees = statistics.sample_random(atlas, args.seed, args.n)
-    _write_trees(args.out, trees, [t.id for t in trees])
+    _write_trees(args.out, statistics.iter_samples(atlas, args.seed, args.n))
     print(f"{args.n} samples (seed {args.seed}) -> {args.out}")
     return 0
 

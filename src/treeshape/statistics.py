@@ -11,8 +11,9 @@ from __future__ import annotations
 import math
 import warnings
 from dataclasses import dataclass, replace
+from itertools import islice
 from pathlib import Path
-from typing import Sequence
+from typing import Iterable, Iterator, Sequence
 
 import numpy as np
 
@@ -360,44 +361,74 @@ def fit_atlas(result: KarcherResult) -> Atlas:
     )
 
 
+# the most trees synthesized at once: each chunk of tangent rows goes through
+# ``exp_map`` and ``srvft_to_tree`` as one stack, so memory stays bounded at
+# any tree count (see CHANGES.md for the measured chunk table)
+SYNTH_CHUNK = 16
+
+
+def _synthesize(atlas: Atlas, tangents: Iterable[np.ndarray],
+                ids: Iterable[str]) -> Iterator[RootTree]:
+    """The trees at the tangent vectors, with one id each, built
+    ``SYNTH_CHUNK`` at a time; every tree equals the one built alone.
+    ``tangents`` is consumed one chunk ahead of the trees yielded."""
+    tangents, ids = iter(tangents), iter(ids)
+    while chunk := list(islice(tangents, SYNTH_CHUNK)):
+        Qs = exp_map(atlas.mean, np.array(chunk), atlas.weights)
+        yield from srvft_to_tree(Qs, list(islice(ids, len(chunk))))
+
+
 def mode_path(atlas: Atlas, mode: int, alphas: Sequence[float]) -> list[RootTree]:
     """The trees at each of ``alphas`` standard deviations along one
-    principal mode, built in one pass."""
+    principal mode, built ``SYNTH_CHUNK`` at a time."""
     if not (0 <= mode < atlas.retained):
         raise IndexError(f"mode {mode} out of range (retained={atlas.retained})")
     alphas = [float(alpha) for alpha in alphas]
-    V = (np.array(alphas) * np.sqrt(atlas.eigenvalues[mode]))[:, None] * atlas.modes[mode]
-    Qs = exp_map(atlas.mean, V, atlas.weights)
-    return srvft_to_tree(Qs, [f"mode{mode}_alpha{alpha:+.2f}" for alpha in alphas])
+    sd = np.sqrt(atlas.eigenvalues[mode])
+    tangents = ((alpha * sd) * atlas.modes[mode] for alpha in alphas)
+    return list(_synthesize(atlas, tangents, [f"mode{mode}_alpha{alpha:+.2f}" for alpha in alphas]))
 
 
-def sample_random(atlas: Atlas, rng: np.random.Generator | int, n: int = 1) -> list[RootTree]:
-    """Draw ``n`` trees, ``sample-000``, ``sample-001``, ..., from the
-    Gaussian mode model, in one pass.
+def _truncated_normals(rng: np.random.Generator, k: int) -> np.ndarray:
+    """``k`` standard normal draws, each redrawn until it falls inside
+    [-COEFF_BOUND, COEFF_BOUND]."""
+    row = np.empty(k)
+    for i in range(k):
+        b = rng.standard_normal()
+        while not (-COEFF_BOUND <= b <= COEFF_BOUND):
+            b = rng.standard_normal()
+        row[i] = b
+    return row
 
-    Coefficients are standard normal draws, redrawn until they fall inside
-    [-COEFF_BOUND, COEFF_BOUND] so implausibly remote trees are avoided; they
-    are drawn tree by tree, so the first k of n trees are the k trees of the
-    same seed.  Deterministic for a seeded generator.
-    """
+
+def iter_samples(atlas: Atlas, rng: np.random.Generator | int, n: int = 1) -> Iterator[RootTree]:
+    """The ``n`` trees of ``sample_random``, drawn, built and yielded
+    ``SYNTH_CHUNK`` at a time, so memory does not grow with ``n``.  The
+    arguments are checked when it is called, not when the first tree is
+    taken."""
     if atlas.retained < 1:
         raise ValueError("atlas has no retained modes to sample from")
     if n < 1:
         raise ValueError(f"n must be at least 1, got {n!r}")
     if isinstance(rng, (int, np.integer)):
         rng = np.random.default_rng(int(rng))
-    coeffs = np.empty((n, atlas.retained))
-    for row in coeffs:
-        for i in range(atlas.retained):
-            b = rng.standard_normal()
-            while not (-COEFF_BOUND <= b <= COEFF_BOUND):
-                b = rng.standard_normal()
-            row[i] = b
     # one (retained,) @ (retained, dim) product per tree: a stacked product
     # rounds differently
-    V = np.array([atlas.tangent_from_coeffs(row) for row in coeffs])
-    Qs = exp_map(atlas.mean, V, atlas.weights)
-    return srvft_to_tree(Qs, [f"sample-{i:03d}" for i in range(n)])
+    tangents = (atlas.tangent_from_coeffs(_truncated_normals(rng, atlas.retained))
+                for _ in range(n))
+    return _synthesize(atlas, tangents, (f"sample-{i:03d}" for i in range(n)))
+
+
+def sample_random(atlas: Atlas, rng: np.random.Generator | int, n: int = 1) -> list[RootTree]:
+    """Draw ``n`` trees, ``sample-000``, ``sample-001``, ..., from the
+    Gaussian mode model: ``list(iter_samples(atlas, rng, n))``.
+
+    Coefficients are standard normal draws, redrawn until they fall inside
+    [-COEFF_BOUND, COEFF_BOUND] so implausibly remote trees are avoided; they
+    are drawn tree by tree, so the first k of n trees are the k trees of the
+    same seed.  Deterministic for a seeded generator.
+    """
+    return list(iter_samples(atlas, rng, n))
 
 
 # ---------------------------------------------------------------------------

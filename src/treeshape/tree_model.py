@@ -10,12 +10,15 @@ Trees are immutable; every operation returns a new tree.
 from __future__ import annotations
 
 import json
+import os
+import stat
+import tempfile
 from contextlib import contextmanager
 from dataclasses import dataclass
 from itertools import chain
 from json.encoder import encode_basestring_ascii
 from pathlib import Path
-from typing import NamedTuple, Sequence
+from typing import Iterable, Iterator, NamedTuple, Sequence
 
 import numpy as np
 
@@ -248,10 +251,48 @@ def _float_items(items: list, nl: str) -> str | None:
 
 
 def write_text(path: str | Path, text: str) -> None:
-    """Write UTF-8 text, creating the missing parent directories."""
+    """Write UTF-8 text as one piece of ``write_pieces``."""
+    write_pieces(path, (text,))
+
+
+def write_pieces(path: str | Path, pieces: Iterable[str]) -> None:
+    """Write the UTF-8 text pieces one after another, creating the missing
+    parent directories.
+
+    A regular file, or a path that does not exist yet, is replaced only once
+    every piece is written: the pieces go to a temporary sibling file, which
+    then takes the path's place with the permissions a plain write would
+    leave.  On any exception the sibling is removed and the path keeps its
+    bytes.  Any other existing path, a symbolic link, a FIFO or a device, is
+    written in place.
+    """
     path = Path(path)
     path.parent.mkdir(parents=True, exist_ok=True)
-    path.write_text(text, encoding="utf-8")
+    if path.is_symlink() or (path.exists() and not path.is_file()):
+        with path.open("w", encoding="utf-8") as f:
+            f.writelines(pieces)
+        return
+    mode = _file_mode(path)
+    fd, tmp = tempfile.mkstemp(prefix=f".{path.name}.", suffix=".tmp", dir=path.parent)
+    try:
+        with os.fdopen(fd, "w", encoding="utf-8") as f:
+            os.chmod(tmp, mode)
+            f.writelines(pieces)
+        os.replace(tmp, path)
+    except BaseException:
+        os.unlink(tmp)
+        raise
+
+
+def _file_mode(path: Path) -> int:
+    """The permission bits of the file ``open(path, "w")`` leaves: the
+    existing file's, else 0o666 less the umask."""
+    try:
+        return stat.S_IMODE(path.stat().st_mode)
+    except FileNotFoundError:
+        umask = os.umask(0)
+        os.umask(umask)
+        return 0o666 & ~umask
 
 
 def read_json(path: str | Path):
@@ -360,10 +401,20 @@ def tree_from_dict(data: dict, fallback_id: str = "root") -> RootTree:
     return tree
 
 
+def _tree_at(where: str, data, fallback_id: str) -> RootTree:
+    """``tree_from_dict``, with ``where`` (a file, and an index in it)
+    prefixed to the message of a ValueError, whose type is kept."""
+    try:
+        return tree_from_dict(data, fallback_id)
+    except ValueError as exc:
+        raise type(exc)(f"{where}: {exc}") from None
+
+
 def load_root(path: str | Path) -> RootTree:
-    """Load and validate a single root tree from a JSON file."""
+    """Load and validate a single root tree from a JSON file; an invalid
+    root is a ValueError that starts with the file name."""
     path = Path(path)
-    return tree_from_dict(_read_root_json(path), fallback_id=path.stem)
+    return _tree_at(str(path), _read_root_json(path), path.stem)
 
 
 def save_root(tree: RootTree, path: str | Path) -> None:
@@ -371,11 +422,29 @@ def save_root(tree: RootTree, path: str | Path) -> None:
     write_text(path, json_text(tree_to_dict(tree)))
 
 
+def save_collection(trees: Iterable[RootTree], path: str | Path) -> None:
+    """Write trees as one JSON array, one tree at a time, through
+    ``write_pieces``: the bytes of ``json_text([tree_to_dict(t) for t in
+    trees])``, which ``load_collection`` reads back."""
+    write_pieces(path, _json_array_pieces(tree_to_dict(t) for t in trees))
+
+
+def _json_array_pieces(values: Iterable) -> Iterator[str]:
+    """``json_text(list(values))`` in one piece per value, and a last one."""
+    sep = "[\n  "
+    for value in values:
+        yield sep + _json_value(value, "\n  ")
+        sep = ",\n  "
+    yield "[]\n" if sep == "[\n  " else "\n]\n"
+
+
 def load_collection(path: str | Path) -> list[RootTree]:
     """Load a collection: a directory of root files or one JSON array.
 
     Directory entries are read in sorted filename order so downstream
-    results are reproducible.
+    results are reproducible.  An invalid root is a ValueError that starts
+    with its file name and, in an array, its index (``roots.json: root #1:
+    ...``).
     """
     path = Path(path)
     if path.is_dir():
@@ -386,7 +455,7 @@ def load_collection(path: str | Path) -> list[RootTree]:
     data = _read_root_json(path)
     if not isinstance(data, list):
         raise RootFormatError(f"{path}: expected a JSON array of root objects")
-    return [tree_from_dict(d, fallback_id=f"{path.stem}-{i}") for i, d in enumerate(data)]
+    return [_tree_at(f"{path}: root #{i}", d, f"{path.stem}-{i}") for i, d in enumerate(data)]
 
 
 # ---------------------------------------------------------------------------

@@ -725,6 +725,23 @@ class TestMalformedFiles:
         assert main([command, str(bad), "--out", str(tmp_path / "out.svg")]) == 1
         assert message in one_error_line(capsys.readouterr().err)
 
+    def test_root_of_an_array_is_named(self, tmp_path, capsys):
+        bad = tmp_path / "bad.json"
+        off = root_with_lateral(points=[[6.7, -5], [7.7, -5]])
+        bad.write_text(json.dumps([root_with_lateral(), off]))
+        assert main(["matrix", str(bad), "--out", str(tmp_path / "m.csv")]) == 1
+        assert one_error_line(capsys.readouterr().err).startswith(
+            f"error: {bad}: root #1: lateral at t=0.5 starts 6.7 from the main curve")
+
+    def test_file_of_a_directory_is_named(self, tmp_path, capsys):
+        roots = tmp_path / "roots"
+        roots.mkdir()
+        (roots / "a.json").write_text(json.dumps(root_with_lateral()))
+        (roots / "b.json").write_text(json.dumps(root_with_lateral(points=[[6.7, -5], [7.7, -5]])))
+        assert main(["matrix", str(roots), "--out", str(tmp_path / "m.csv")]) == 1
+        assert one_error_line(capsys.readouterr().err).startswith(
+            f"error: {roots / 'b.json'}: lateral at t=0.5 starts 6.7 from the main curve")
+
     @pytest.mark.parametrize("command", ["render", "distance"])
     def test_coordinates_beyond_the_bound(self, tree_files, tmp_path, capsys, recwarn, command):
         # near 1e200 the squared steps overflow: distance once printed a wrong

@@ -1,4 +1,7 @@
 import json
+import os
+import stat
+import threading
 
 import numpy as np
 import pytest
@@ -19,8 +22,9 @@ from treeshape import (
     resample_tree,
     save_root,
 )
-from treeshape.tree_model import (ATTACH_TOL_FACTOR, augment_collection, augment_pair, json_text,
-                                  polyline_length, tree_from_dict, tree_to_dict)
+from treeshape.tree_model import (ATTACH_TOL_FACTOR, _json_array_pieces, augment_collection,
+                                  augment_pair, json_text, polyline_length, save_collection,
+                                  tree_from_dict, tree_to_dict, write_pieces, write_text)
 
 import reference_synthesis as ref
 from conftest import smooth_branch, smooth_tree, straight_tree
@@ -109,7 +113,7 @@ class TestFileFormat:
         path.write_text(json.dumps(payload))
         with pytest.raises(RootFormatError, match="int too large to convert to float") as info:
             load_root(path)
-        assert str(info.value).startswith(message)
+        assert str(info.value).startswith(f"{path}: {message}")
 
     def test_load_rejects_invalid_json(self, tmp_path):
         path = tmp_path / "broken.json"
@@ -436,3 +440,64 @@ class TestJsonText:
         # json.dumps writes these; the package never builds them
         with pytest.raises(TypeError, match=name):
             json_text(payload)
+
+
+class TestStreamedWrites:
+    """A JSON array of trees is written one tree at a time, to a temporary
+    sibling that replaces the target only when complete."""
+
+    @pytest.mark.parametrize("count", [0, 1, 3])
+    def test_same_bytes_as_json_text(self, rng, tmp_path, count):
+        trees = [smooth_tree(rng, f"t{i}", i) for i in range(count)]
+        path = tmp_path / "trees.json"
+        save_collection(iter(trees), path)
+        want = json_text([tree_to_dict(t) for t in trees])
+        assert path.read_text(encoding="utf-8") == want
+        assert want == json.dumps([tree_to_dict(t) for t in trees], indent=2, sort_keys=True) + "\n"
+        if count:
+            assert [t.id for t in load_collection(path)] == [t.id for t in trees]
+
+    @settings(max_examples=100)
+    @given(values=st.lists(PAYLOADS, max_size=4))
+    def test_pieces_join_to_json_text(self, values):
+        assert "".join(_json_array_pieces(values)) == json_text(values)
+
+    def test_failure_keeps_the_target(self, tmp_path):
+        path = tmp_path / "out.json"
+        path.write_text("earlier\n")
+
+        def pieces():
+            yield "[\n"
+            raise ValueError("stopped")
+
+        with pytest.raises(ValueError, match="stopped"):
+            write_pieces(path, pieces())
+        assert path.read_text() == "earlier\n"
+        assert list(tmp_path.iterdir()) == [path]
+
+    def test_permissions_of_a_plain_write(self, tmp_path):
+        plain, new = tmp_path / "plain.txt", tmp_path / "new.txt"
+        plain.write_text("x")
+        write_text(new, "x")
+        assert new.stat().st_mode == plain.stat().st_mode
+        os.chmod(plain, 0o640)
+        write_text(plain, "y")
+        assert stat.S_IMODE(plain.stat().st_mode) == 0o640 and plain.read_text() == "y"
+
+    def test_symbolic_link_is_written_through(self, tmp_path):
+        target, link = tmp_path / "target.txt", tmp_path / "link.txt"
+        target.write_text("old")
+        link.symlink_to(target)
+        write_text(link, "new")
+        assert link.is_symlink() and target.read_text() == "new"
+
+    def test_fifo_is_written_in_place(self, tmp_path):
+        fifo = tmp_path / "out.fifo"
+        os.mkfifo(fifo)
+        received = []
+        reader = threading.Thread(target=lambda: received.append(fifo.read_text()), daemon=True)
+        reader.start()
+        write_pieces(fifo, ["a", "b"])
+        reader.join(timeout=10)
+        assert received == ["ab"]
+        assert list(tmp_path.iterdir()) == [fifo]
