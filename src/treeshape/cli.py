@@ -45,6 +45,14 @@ def _write_text(path: Path, text: str) -> None:
     write_text(path, text)
 
 
+def _write_tree(path: Path, tree: RootTree) -> None:
+    """An .svg drawing of ``tree``; else its root file."""
+    if path.suffix == ".svg":
+        _write_text(path, render.render_tree(tree))
+    else:
+        save_root(tree, path)
+
+
 def _write_trees(path: Path, trees: Iterable[RootTree], titles: list[str] | None = None) -> None:
     """An .svg row of panels titled ``titles`` (by default the tree ids),
     which needs every tree at once for the row's bounding box; else a JSON
@@ -140,17 +148,12 @@ def _finite_list(text: str) -> list[float]:
     raise argparse.ArgumentTypeError(f"expected comma-separated finite numbers, got {text!r}")
 
 
-def _split_range(text: str, n_parts: int) -> list[str]:
-    parts = text.split(":")
-    if len(parts) != n_parts:
-        raise argparse.ArgumentTypeError(
-            f"expected {n_parts} colon-separated values, got {text!r}")
-    return parts
-
-
 def _alpha_range(text: str) -> tuple[float, float, int]:
     """``LO:HI:COUNT`` with finite LO and HI and an integer COUNT >= 1."""
-    lo, hi, count = _split_range(text, 3)
+    parts = text.split(":")
+    if len(parts) != 3:
+        raise argparse.ArgumentTypeError(f"expected 3 colon-separated values, got {text!r}")
+    lo, hi, count = parts
     lo, hi = float(lo), float(hi)
     if not np.isfinite([lo, hi]).all():
         raise argparse.ArgumentTypeError(f"LO and HI must be finite, got {text!r}")
@@ -232,9 +235,9 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--k", type=_at_least(1), default=None, help="also cut into k clusters (>= 1)")
     p.add_argument("--out", type=Path, required=True, help=".json dendrogram or .svg drawing")
 
-    p = sub.add_parser("render", help="draw one root file as SVG")
+    p = sub.add_parser("render", help="draw one root file as SVG, or rewrite it as JSON")
     p.add_argument("tree")
-    p.add_argument("--out", type=Path, required=True, help="output .svg")
+    p.add_argument("--out", type=Path, required=True, help=".svg drawing or .json root")
 
     return parser
 
@@ -243,12 +246,16 @@ def build_parser() -> argparse.ArgumentParser:
 # subcommand implementations
 
 
+def _shown_distance(d: float) -> float:
+    """The distance that ``distance`` and ``geodesic`` report: one below 1e-12
+    is numerically zero at shape scale and shown as 0."""
+    return 0.0 if d < 1e-12 else d
+
+
 def _cmd_distance(args) -> int:
     a, b = load_root(args.a), load_root(args.b)
     Qa, Qb, reg = metric.register_pair(a, b, _weights(args), _pair_options(args))
-    d = reg.distance
-    if d < 1e-12:
-        d = 0.0  # numerically zero at shape scale
+    d = _shown_distance(reg.distance)
     print(f"distance({a.id}, {b.id}) = {d:.9g}")
     if args.out is not None:
         payload = {
@@ -271,7 +278,7 @@ def _cmd_geodesic(args) -> int:
     _write_trees(args.out, trees, [f"r={r:.2f}" for r in path.r_values])
     print(
         f"geodesic {a.id} -> {b.id}: {args.steps} steps, "
-        f"distance {path.registration.distance:.9g}"
+        f"distance {_shown_distance(path.registration.distance):.9g}"
     )
     return 0
 
@@ -296,11 +303,7 @@ def _karcher_from_args(args) -> tuple[list[RootTree], statistics.KarcherResult]:
 
 def _cmd_mean(args) -> int:
     trees, result = _karcher_from_args(args)
-    mean_tree = srvft_to_tree(result.mean, tree_id="karcher-mean")
-    if args.out.suffix == ".svg":
-        _write_text(args.out, render.render_tree(mean_tree))
-    else:
-        save_root(mean_tree, args.out)
+    _write_tree(args.out, srvft_to_tree(result.mean, tree_id="karcher-mean"))
     obj = result.objective
     print(
         f"mean of {len(trees)} trees in {len(obj) - 1} accepted steps; "
@@ -362,11 +365,7 @@ def _cmd_regress_fit(args) -> int:
 
 def _cmd_regress_predict(args) -> int:
     model = RegressionModel.load(args.model)
-    tree = statistics.predict(model, args.params)
-    if args.out.suffix == ".svg":
-        _write_text(args.out, render.render_tree(tree))
-    else:
-        save_root(tree, args.out)
+    _write_tree(args.out, statistics.predict(model, args.params))
     pairs = ", ".join(f"{n}={v:g}" for n, v in zip(model.param_names, args.params))
     print(f"predicted root for {pairs} -> {args.out}")
     return 0
@@ -391,7 +390,7 @@ def _cmd_cluster(args) -> int:
 
 def _cmd_render(args) -> int:
     tree = load_root(args.tree)
-    _write_text(args.out, render.render_tree(tree))
+    _write_tree(args.out, tree)
     print(f"rendered {tree.id} -> {args.out}")
     return 0
 

@@ -163,8 +163,6 @@ def _linear_assignment(cost: np.ndarray) -> list[int]:
     n = len(cost)
     if not np.isfinite(cost).all():
         raise ValueError("assignment costs must be finite")
-    if n <= 1:
-        return list(range(n))
     c = cost.tolist()
     u, v = [0.0] * n, [0.0] * n
     path, col4row, row4col = [-1] * n, [-1] * n, [-1] * n

@@ -525,6 +525,4 @@ def predict(model: RegressionModel, params: Sequence[float], tree_id: str = "pre
     if not np.all(np.isfinite(p)):
         raise ValueError("parameters must be finite")
     coeffs = model.M @ np.concatenate([p, [1.0]])
-    atlas = model.atlas
-    Q = exp_map(atlas.mean, atlas.tangent_from_coeffs(coeffs), atlas.weights)
-    return srvft_to_tree(Q, tree_id=tree_id)
+    return next(_synthesize(model.atlas, [model.atlas.tangent_from_coeffs(coeffs)], [tree_id]))

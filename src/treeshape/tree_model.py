@@ -96,12 +96,10 @@ class Branch:
         else:
             if len(pts) < 2:
                 raise TreeValidationError("branch needs at least 2 points")
-            # the length is 0 exactly when every squared step is (the squares
-            # underflow as they do in ``polyline_length``); one that overflows
-            # is a length above the bound
+            # the length is 0 exactly when every squared step underflows; one
+            # that overflows is a length above the bound
             with np.errstate(over="ignore"):
-                step = pts[1:] - pts[:-1]
-                length = np.sqrt((step * step).sum(axis=1)).sum()
+                length = polyline_length(pts)
             if length == 0.0:
                 raise TreeValidationError("branch has zero length")
             if length > MAX_BRANCH_LENGTH:

@@ -1,13 +1,13 @@
 """Per-tree synthesis and drawing, kept as test references.
 
 These are the versions of ``Branch`` validation, ``exp_map``,
-``srvft_to_tree``, ``mode_path``, ``sample_random`` and ``render._polyline``
-that build one tree (or one polyline) at a time, as the package did before
-it reconstructed a whole batch of trees in one pass.  They are slow but easy
-to check by reading; the tests require the package to give the same trees,
-the same errors and the same SVG text.  ``resample_branch`` is the version
-that tests uniformity twice, before its loop and inside it; the package
-must give the same points to the bit.
+``srvft_to_tree``, ``mode_path``, ``sample_random``, ``predict`` and
+``render._polyline`` that build one tree (or one polyline) at a time, as
+the package did before it reconstructed a whole batch of trees in one
+pass.  They are slow but easy to check by reading; the tests require the
+package to give the same trees, the same errors and the same SVG text.
+``resample_branch`` is the version that tests uniformity twice, before its
+loop and inside it; the package must give the same points to the bit.
 """
 from __future__ import annotations
 
@@ -17,8 +17,8 @@ import numpy as np
 
 from treeshape import Branch, Lateral, RootTree
 from treeshape.srvf import EPS_NULL, SrvfTree, _integrate, _sq_norms
-from treeshape.statistics import (COEFF_BOUND, Atlas, _dim, _metric_scale, flatten_srvft,
-                                  unflatten_srvft)
+from treeshape.statistics import (COEFF_BOUND, Atlas, RegressionModel, _dim, _metric_scale,
+                                  flatten_srvft, unflatten_srvft)
 from treeshape.tree_model import MAX_BRANCH_LENGTH, _cumulative_arclength, polyline_length
 
 
@@ -125,6 +125,13 @@ def sample_random(atlas: Atlas, rng: np.random.Generator, tree_id: str) -> RootT
         while not (-COEFF_BOUND <= b <= COEFF_BOUND):
             b = rng.standard_normal()
         coeffs[i] = b
+    Q = exp_map(atlas.mean, atlas.tangent_from_coeffs(coeffs), atlas.weights)
+    return srvft_to_tree(Q, tree_id=tree_id)
+
+
+def predict(model: RegressionModel, params, tree_id: str = "predicted") -> RootTree:
+    coeffs = model.M @ np.concatenate([np.asarray(params, dtype=float), [1.0]])
+    atlas = model.atlas
     Q = exp_map(atlas.mean, atlas.tangent_from_coeffs(coeffs), atlas.weights)
     return srvft_to_tree(Q, tree_id=tree_id)
 

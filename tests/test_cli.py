@@ -157,6 +157,15 @@ class TestGeodesicCommand:
         steps = [tree_from_dict(d) for d in json.loads(out.read_text())]
         assert len(steps) == 3
 
+    def test_self_distance_prints_as_distance_does(self, tree_files, tmp_path, capsys):
+        # both commands show a numerically zero distance as 0
+        pa, _ = tree_files
+        assert main(["distance", str(pa), str(pa), *FAST_FLAGS]) == 0
+        assert capsys.readouterr().out.endswith("= 0\n")
+        assert main(["geodesic", str(pa), str(pa), *FAST_FLAGS,
+                     "--out", str(tmp_path / "g.json")]) == 0
+        assert capsys.readouterr().out.endswith("distance 0\n")
+
 
 class TestMatrixCommand:
     def test_csv_output(self, collection_dir, tmp_path, capsys):
@@ -542,7 +551,7 @@ class TestOutputDirectories:
         ("distance", ".json"), ("geodesic", ".json"), ("matrix", ".csv"), ("matrix", ".json"),
         ("mean", ".json"), ("mean", ".svg"), ("atlas", ".json"), ("modes", ".json"),
         ("sample", ".json"), ("regress-fit", ".json"), ("regress-predict", ".json"),
-        ("cluster", ".json"), ("render", ".svg"),
+        ("cluster", ".json"), ("render", ".svg"), ("render", ".json"),
     ])
     def test_writes_into_a_missing_directory(self, fitted, tmp_path, command, suffix):
         out = tmp_path / "missing" / "dir" / f"out{suffix}"
@@ -910,6 +919,14 @@ class TestRender:
         assert main(["render", str(pa), "--out", str(out)]) == 0
         root = ET.fromstring(out.read_text())
         assert len(root.findall(f".//{SVG_NS}polyline")) == 3  # main + 2 laterals
+
+    def test_json_round_trip(self, tree_files, tmp_path):
+        # any suffix but .svg writes the root file, as save_root does
+        pa, _ = tree_files
+        out = tmp_path / "again.json"
+        assert main(["render", str(pa), "--out", str(out)]) == 0
+        assert out.read_bytes() == pa.read_bytes()
+        assert tree_to_dict(load_root(out)) == tree_to_dict(load_root(pa))
 
 
 def test_parser_defaults_are_the_library_defaults():

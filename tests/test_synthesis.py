@@ -1,8 +1,8 @@
 """Chunked synthesis and drawing against the per-tree references.
 
-``sample_random``, ``iter_samples`` and ``mode_path`` build their trees
-``SYNTH_CHUNK`` at a time, ``srvft_to_tree`` builds a whole batch in one
-pass, and ``render._polyline`` formats whole coordinate
+``sample_random``, ``iter_samples``, ``mode_path`` and ``predict`` build
+their trees ``SYNTH_CHUNK`` at a time, ``srvft_to_tree`` builds a whole
+batch in one pass, and ``render._polyline`` formats whole coordinate
 columns; ``reference_synthesis`` keeps the versions that built one tree (or
 one polyline) at a time.  Both must give the same trees, the same errors and
 the same SVG text.
@@ -212,6 +212,26 @@ class TestModePath:
 
     def test_empty_sweep(self, fixture_atlas):
         assert mode_path(fixture_atlas, 0, []) == []
+
+
+class TestPredict:
+    @pytest.fixture(scope="class")
+    def model(self):
+        return RegressionModel.load(FIXTURE_MODEL)
+
+    @pytest.mark.parametrize("params", [
+        [1.0, 0.3, 0.05], [2.0, 0.5, 0.1], [0.5, 0.1, 0.0], [1.2, 0.25, 0.08]])
+    def test_fixture_model(self, model, params):
+        want = json_text(tree_to_dict(ref.predict(model, params, "p")))
+        assert json_text(tree_to_dict(statistics.predict(model, params, "p"))) == want
+
+    @pytest.mark.parametrize("params", [[3.0, 1.0, 0.3], [-2.0, 1.0, 0.5]])
+    def test_clamped_parameters(self, model, params):
+        with pytest.warns(UserWarning, match="clamped"):
+            got = statistics.predict(model, params)
+        with pytest.warns(UserWarning, match="clamped"):
+            want = ref.predict(model, params)
+        assert json_text(tree_to_dict(got)) == json_text(tree_to_dict(want))
 
 
 def reconstruction(Qs, ids):
