@@ -13,7 +13,7 @@ from pathlib import Path
 import numpy as np
 
 from .metric import DistanceMatrix
-from .tree_model import float_array, json_fields, read_json
+from .tree_model import float_array, json_fields, naming, read_json
 
 LINKAGE_METHODS = ("single", "complete", "average")
 
@@ -68,7 +68,8 @@ class Dendrogram:
 
     @classmethod
     def load(cls, path: str | Path) -> "Dendrogram":
-        return cls.from_dict(read_json(path))
+        with naming(path):
+            return cls.from_dict(read_json(path))
 
 
 def _validate_matrix(values: np.ndarray) -> np.ndarray:

@@ -32,6 +32,7 @@ from .tree_model import (
     json_fields,
     json_int,
     json_text,
+    naming,
     normalize_scale,
     read_json,
     resample_tree,
@@ -204,29 +205,31 @@ class DistanceMatrix:
     @classmethod
     def load(cls, path: str | Path) -> "DistanceMatrix":
         path = Path(path)
-        if path.suffix == ".csv":
-            rows = list(csv.reader(io.StringIO(path.read_text(encoding="utf-8"))))
-            if not rows:
-                raise ValueError(f"{path}: empty distance-matrix file, no label row")
-            labels = rows[0]
-            if len(rows) - 1 != len(labels):
-                raise ValueError(f"{path}: {len(labels)} labels but {len(rows) - 1} rows")
-            for k, row in enumerate(rows[1:], 1):
-                if len(row) != len(labels):
-                    raise ValueError(f"{path}: row {k} has {len(row)} values, not {len(labels)}")
-            return cls(labels=tuple(labels), values=rows[1:])
-        data = read_json(path)
-        labels, values = json_fields(data, "distance matrix", "labels", "values")
-        if not isinstance(labels, list):
-            kind = type(labels).__name__
-            raise ValueError(f"distance matrix labels must be a JSON array, not {kind}")
-        failures = data.get("failures", [])
-        if not (isinstance(failures, list) and all(
-                isinstance(f, list) and len(f) == 3 and isinstance(f[2], str) for f in failures)):
-            raise ValueError("distance matrix failures must be [i, j, message] entries")
-        index = "distance matrix failure index"
-        failures = tuple((json_int(i, index), json_int(j, index), m) for i, j, m in failures)
-        return cls(labels=tuple(labels), values=values, failures=failures)
+        with naming(path):
+            if path.suffix == ".csv":
+                rows = list(csv.reader(io.StringIO(path.read_text(encoding="utf-8"))))
+                if not rows:
+                    raise ValueError("empty distance-matrix file, no label row")
+                labels = rows[0]
+                if len(rows) - 1 != len(labels):
+                    raise ValueError(f"{len(labels)} labels but {len(rows) - 1} rows")
+                for k, row in enumerate(rows[1:], 1):
+                    if len(row) != len(labels):
+                        raise ValueError(f"row {k} has {len(row)} values, not {len(labels)}")
+                return cls(labels=tuple(labels), values=rows[1:])
+            data = read_json(path)
+            labels, values = json_fields(data, "distance matrix", "labels", "values")
+            if not isinstance(labels, list):
+                kind = type(labels).__name__
+                raise ValueError(f"distance matrix labels must be a JSON array, not {kind}")
+            failures = data.get("failures", [])
+            if not (isinstance(failures, list) and all(
+                    isinstance(f, list) and len(f) == 3 and isinstance(f[2], str)
+                    for f in failures)):
+                raise ValueError("distance matrix failures must be [i, j, message] entries")
+            index = "distance matrix failure index"
+            failures = tuple((json_int(i, index), json_int(j, index), m) for i, j, m in failures)
+            return cls(labels=tuple(labels), values=values, failures=failures)
 
 
 def _pair_distance(Qa, Qb, w: Weights) -> float | str:

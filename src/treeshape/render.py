@@ -102,8 +102,9 @@ def render_tree_row(trees: Sequence[RootTree], titles: Sequence[str] | None = No
     """Side-by-side panels on one shared scale, with consistent lateral
     colors across panels.
 
-    Used for geodesic strips and mode sweeps, where the k-th lateral of each
-    tree corresponds to the k-th lateral of every other.
+    Used for geodesic strips and mode sweeps: ``srvft_to_tree`` keeps SRVF
+    lateral k as lateral k, so the k-th lateral of each tree corresponds to
+    the k-th lateral of every other.
     """
     if not trees:
         raise ValueError("nothing to render")

@@ -34,6 +34,11 @@ EPS_NULL = 1e-8
 # room, and keeps every square and integral of q far from overflow.
 MAX_SRVF_NORM = 2.0 * np.sqrt(MAX_BRANCH_LENGTH)
 
+# the most SRVF-trees that ``srvft_to_tree`` integrates as one stack, so its
+# temporaries stay bounded at any tree count (see CHANGES.md for the measured
+# chunk table)
+SYNTH_CHUNK = 16
+
 
 def trapezoid_weights(n: int) -> np.ndarray:
     """Quadrature weights for the uniform grid on [0, 1] (they sum to 1)."""
@@ -228,22 +233,28 @@ def srvft_to_tree(
     Q: SrvfTree | Sequence[SrvfTree], tree_id: str | Sequence[str] = "reconstructed"
 ) -> RootTree | list[RootTree]:
     """Map an SRVF-tree back to a root tree, or a sequence of SRVF-trees of
-    one layout, with one id each, to the list of their trees in one pass.
+    one layout, with one id each, to the list of their trees, integrated
+    ``SYNTH_CHUNK`` at a time; every tree equals the one rebuilt alone.
 
-    The main branch is integrated from the anchor; each lateral starts where
-    the reconstructed main sits at its attachment parameter.  Laterals whose
-    SRVF norm falls below ``EPS_NULL``, or whose points all round to their
-    start, come out virtual.  Attachment t values are stored as arc-length
-    fractions of the reconstructed main, so a written tree passes
-    ``tree_from_dict``'s attachment check even when the main is not uniform
-    speed (as happens for interior geodesic points).
+    The main branch is integrated from the anchor; lateral k is SRVF lateral
+    k, starting where the reconstructed main sits at its attachment
+    parameter.  Laterals whose SRVF norm falls below ``EPS_NULL``, or whose
+    points all round to their start, come out virtual.  Attachment t values
+    are arc-length fractions of the reconstructed main, so a written tree
+    passes ``tree_from_dict``'s attachment check even when the main is not
+    uniform speed (as happens for interior geodesic points).
     """
     single = isinstance(Q, SrvfTree)
     Qs, ids = ([Q], [tree_id]) if single else (Q, tree_id)
     if len(ids) != len(Qs):
         raise ValueError(f"{len(Qs)} SRVF-trees need as many ids, got {len(ids)}")
-    if not Qs:
-        return []
+    trees = [tree for i in range(0, len(Qs), SYNTH_CHUNK)
+             for tree in _rebuild(Qs[i:i + SYNTH_CHUNK], ids[i:i + SYNTH_CHUNK])]
+    return trees[0] if single else trees
+
+
+def _rebuild(Qs: Sequence[SrvfTree], ids: Sequence[str]) -> list[RootTree]:
+    """``srvft_to_tree`` of a nonempty sequence, integrated as one stack."""
     mains = _integrate(np.stack([P.q0 for P in Qs]), np.stack([P.anchor for P in Qs]))
     q_lat = np.stack([P.q_lat for P in Qs])
     s = np.stack([P.s for P in Qs])
@@ -271,7 +282,7 @@ def srvft_to_tree(
             for t, base, curve, is_null in zip(ts, bases, lats, nulls)
         )
         trees.append(RootTree(id=tree_id, main=main, laterals=laterals))
-    return trees[0] if single else trees
+    return trees
 
 
 # ---------------------------------------------------------------------------

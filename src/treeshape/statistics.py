@@ -21,13 +21,14 @@ from .metric import DEFAULT_OPTIONS, PairOptions, prepare_collection, worker_poo
 from .registration import apply_registration, register
 from .srvf import (
     DEFAULT_WEIGHTS,
+    SYNTH_CHUNK,
     SrvfTree,
     Weights,
     srvft_to_tree,
     trapezoid_weights,
 )
-from .tree_model import (RootTree, float_array, json_fields, json_int, json_text, read_json,
-                         write_text)
+from .tree_model import (RootTree, float_array, json_fields, json_int, json_text, naming,
+                         read_json, write_text)
 
 
 def _dim(Q: SrvfTree) -> int:
@@ -302,7 +303,8 @@ class Atlas:
 
     @classmethod
     def load(cls, path: str | Path) -> "Atlas":
-        return cls.from_dict(read_json(path))
+        with naming(path):
+            return cls.from_dict(read_json(path))
 
 
 VARIANCE_TARGET = 0.99
@@ -361,17 +363,13 @@ def fit_atlas(result: KarcherResult) -> Atlas:
     )
 
 
-# the most trees synthesized at once: each chunk of tangent rows goes through
-# ``exp_map`` and ``srvft_to_tree`` as one stack, so memory stays bounded at
-# any tree count (see CHANGES.md for the measured chunk table)
-SYNTH_CHUNK = 16
-
-
 def _synthesize(atlas: Atlas, tangents: Iterable[np.ndarray],
                 ids: Iterable[str]) -> Iterator[RootTree]:
-    """The trees at the tangent vectors, with one id each, built
-    ``SYNTH_CHUNK`` at a time; every tree equals the one built alone.
-    ``tangents`` is consumed one chunk ahead of the trees yielded."""
+    """The trees at the tangent vectors, with one id each, drawn and built
+    ``SYNTH_CHUNK`` at a time (each chunk of tangent rows goes through
+    ``exp_map`` and ``srvft_to_tree`` as one stack); every tree equals the
+    one built alone.  ``tangents`` is consumed one chunk ahead of the trees
+    yielded."""
     tangents, ids = iter(tangents), iter(ids)
     while chunk := list(islice(tangents, SYNTH_CHUNK)):
         Qs = exp_map(atlas.mean, np.array(chunk), atlas.weights)
@@ -476,7 +474,8 @@ class RegressionModel:
 
     @classmethod
     def load(cls, path: str | Path) -> "RegressionModel":
-        return cls.from_dict(read_json(path))
+        with naming(path):
+            return cls.from_dict(read_json(path))
 
 
 def fit_regression(

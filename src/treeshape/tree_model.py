@@ -139,8 +139,8 @@ class Lateral(NamedTuple):
 class RootTree:
     """A main branch plus laterals attached at arc-length positions.
 
-    Laterals are stored sorted by t (stable, so ties keep insertion order).
-    Only root files are checked for laterals starting on the main at their t.
+    Laterals keep the order given (only ``srvf.augment_srvfts`` sorts).  Only
+    root files are checked for laterals starting on the main at their t.
     """
 
     id: str
@@ -155,7 +155,7 @@ class RootTree:
         for t, _ in lats:
             if not (0.0 <= t <= 1.0):
                 raise TreeValidationError(f"t out of range: {t!r} not in [0, 1]")
-        object.__setattr__(self, "laterals", tuple(sorted(lats, key=lambda lb: lb.t)))
+        object.__setattr__(self, "laterals", lats)
 
     @property
     def n_laterals(self) -> int:
@@ -293,13 +293,26 @@ def _file_mode(path: Path) -> int:
         return 0o666 & ~umask
 
 
+@contextmanager
+def naming(where: str | Path):
+    """Prefix ``where`` (a file, and an index in it) to the message of a
+    ValueError raised inside, keeping its type: the one rule by which every
+    loader names its file.  A UnicodeDecodeError, which cannot be rebuilt
+    from one message, becomes a plain ValueError."""
+    try:
+        yield
+    except ValueError as exc:
+        kind = ValueError if isinstance(exc, UnicodeDecodeError) else type(exc)
+        raise kind(f"{where}: {exc}") from None
+
+
 def read_json(path: str | Path):
     """The parsed content of a UTF-8 JSON file; bytes that are not UTF-8
-    JSON are a ValueError naming the file."""
+    JSON are a ValueError, which the loader's ``naming`` prefixes."""
     try:
         return json.loads(Path(path).read_text(encoding="utf-8"))
     except (json.JSONDecodeError, UnicodeDecodeError) as exc:
-        raise ValueError(f"{path}: not valid JSON: {exc}") from None
+        raise ValueError(f"not valid JSON: {exc}") from None
 
 
 def _read_root_json(path: Path):
@@ -399,20 +412,12 @@ def tree_from_dict(data: dict, fallback_id: str = "root") -> RootTree:
     return tree
 
 
-def _tree_at(where: str, data, fallback_id: str) -> RootTree:
-    """``tree_from_dict``, with ``where`` (a file, and an index in it)
-    prefixed to the message of a ValueError, whose type is kept."""
-    try:
-        return tree_from_dict(data, fallback_id)
-    except ValueError as exc:
-        raise type(exc)(f"{where}: {exc}") from None
-
-
 def load_root(path: str | Path) -> RootTree:
     """Load and validate a single root tree from a JSON file; an invalid
     root is a ValueError that starts with the file name."""
     path = Path(path)
-    return _tree_at(str(path), _read_root_json(path), path.stem)
+    with naming(path):
+        return tree_from_dict(_read_root_json(path), path.stem)
 
 
 def save_root(tree: RootTree, path: str | Path) -> None:
@@ -450,10 +455,15 @@ def load_collection(path: str | Path) -> list[RootTree]:
         if not files:
             raise RootFormatError(f"{path}: no .json root files found")
         return [load_root(p) for p in files]
-    data = _read_root_json(path)
-    if not isinstance(data, list):
-        raise RootFormatError(f"{path}: expected a JSON array of root objects")
-    return [_tree_at(f"{path}: root #{i}", d, f"{path.stem}-{i}") for i, d in enumerate(data)]
+    with naming(path):
+        data = _read_root_json(path)
+        if not isinstance(data, list):
+            raise RootFormatError("expected a JSON array of root objects")
+        trees = []
+        for i, d in enumerate(data):
+            with naming(f"root #{i}"):
+                trees.append(tree_from_dict(d, f"{path.stem}-{i}"))
+        return trees
 
 
 # ---------------------------------------------------------------------------
@@ -547,18 +557,18 @@ def augment_collection(trees: Sequence[RootTree]) -> list[RootTree]:
 
     Every tree gains virtual laterals, placed on its own main curve, at the
     attachment positions of all *other* trees (with multiplicity), so each
-    output has sum(n_i) laterals.  Existing laterals are untouched.
+    output has sum(n_i) laterals, stably sorted by t as ``srvf.augment_srvfts``
+    sorts by s.  Existing laterals are untouched.
     """
     if not trees:
         raise ValueError("empty collection")
     all_ts = [[t for t, _ in tree.laterals] for tree in trees]
     out = []
     for i, tree in enumerate(trees):
-        extra = tuple(
-            Lateral(t, Branch(tree.main.point_at(t)[None, :], is_virtual=True))
-            for j, ts in enumerate(all_ts) if j != i for t in ts
-        )
-        out.append(RootTree(id=tree.id, main=tree.main, laterals=tree.laterals + extra))
+        extra = [Lateral(t, Branch(tree.main.point_at(t)[None, :], is_virtual=True))
+                 for j, ts in enumerate(all_ts) if j != i for t in ts]
+        laterals = sorted(tree.laterals + tuple(extra), key=lambda lat: lat.t)
+        out.append(RootTree(id=tree.id, main=tree.main, laterals=tuple(laterals)))
     return out
 
 

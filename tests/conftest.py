@@ -52,6 +52,19 @@ def smooth_tree(
     return RootTree(id=tree_id, main=main, laterals=tuple(lats))
 
 
+def assert_laterals_follow(tree: RootTree, Q) -> None:
+    """Lateral k of ``tree``, rebuilt from the SRVF-tree ``Q``, starts where
+    the rebuilt main sits at parameter ``Q.s[k]``, and is virtual exactly
+    when SRVF lateral k is null."""
+    main = tree.main.points
+    grid = np.arange(len(main))
+    assert tree.n_laterals == Q.n_laterals
+    for (_, branch), s, null in zip(tree.laterals, Q.s, Q.null_laterals()):
+        at = [np.interp(s * (len(main) - 1), grid, main[:, axis]) for axis in (0, 1)]
+        np.testing.assert_allclose(branch.start, at, rtol=0, atol=1e-12)
+        assert branch.is_virtual == null
+
+
 def transform_tree(tree: RootTree, theta: float = 0.0, shift=(0.0, 0.0), scale: float = 1.0) -> RootTree:
     """Rigidly move (and optionally scale) a tree; t values are unchanged."""
     R = rotation_matrix(theta)

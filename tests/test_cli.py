@@ -20,6 +20,7 @@ from hypothesis import strategies as st
 import treeshape
 from treeshape import Branch, Lateral, RootTree, load_collection, load_root, save_root, statistics
 from treeshape.cli import build_parser, main
+from treeshape.clustering import Dendrogram
 from treeshape.metric import DistanceMatrix
 from treeshape.registration import MAX_MAIN_SAMPLES
 from treeshape.srvf import DEFAULT_WEIGHTS
@@ -789,6 +790,52 @@ class TestMalformedFiles:
         bad.write_text(text)
         assert main(["cluster", str(bad), "--out", str(tmp_path / "out.json")]) == 1
         assert f"error: {bad}: {message}" in one_error_line(capsys.readouterr().err)
+
+    def test_atlas_file_is_named(self, tmp_path, capsys):
+        atlas = json.loads(FIXTURE_MODEL.read_text())["atlas"]
+        del atlas["modes"]
+        bad = tmp_path / "atlas.json"
+        bad.write_text(json.dumps(atlas))
+        assert main(["sample", str(bad), "--out", str(tmp_path / "s.json")]) == 1
+        assert one_error_line(capsys.readouterr().err).startswith(
+            f"error: {bad}: atlas has no 'modes' field")
+
+    def test_model_file_is_named(self, tmp_path, capsys):
+        model = json.loads(FIXTURE_MODEL.read_text())
+        model["M"] = "x"
+        bad = tmp_path / "model.json"
+        bad.write_text(json.dumps(model))
+        assert main(["regress-predict", str(bad), "--params", "1,1,1",
+                     "--out", str(tmp_path / "p.json")]) == 1
+        assert one_error_line(capsys.readouterr().err).startswith(
+            f"error: {bad}: model M must be a regular array of numbers")
+
+    def test_json_matrix_file_is_named(self, tmp_path, capsys):
+        bad = tmp_path / "bad.json"
+        bad.write_text(json.dumps({"labels": "ab", "values": []}))
+        assert main(["cluster", str(bad), "--out", str(tmp_path / "out.json")]) == 1
+        assert one_error_line(capsys.readouterr().err).startswith(
+            f"error: {bad}: distance matrix labels must be a JSON array")
+
+    @pytest.mark.parametrize("content, message", [
+        (b"a,b\n0,1\n1,x\n", "distance matrix values must be a regular array of numbers"),
+        (b"\xff\xfe", "'utf-8' codec can't decode byte 0xff"),
+        (b"\n", "matrix shape must match the label count"),
+    ], ids=["cell", "not-utf8", "blank-line"])
+    def test_csv_matrix_file_is_named_once(self, tmp_path, capsys, content, message):
+        bad = tmp_path / "bad.csv"
+        bad.write_bytes(content)
+        assert main(["cluster", str(bad), "--out", str(tmp_path / "out.json")]) == 1
+        line = one_error_line(capsys.readouterr().err)
+        assert line.startswith(f"error: {bad}: {message}")
+        assert line.count(str(bad)) == 1
+
+    def test_dendrogram_file_is_named(self, tmp_path):
+        bad = tmp_path / "dendrogram.json"
+        bad.write_text(json.dumps({"merges": "x", "leaf_labels": []}))
+        with pytest.raises(ValueError) as info:
+            Dendrogram.load(bad)
+        assert str(info.value).startswith(f"{bad}: dendrogram merges must be a JSON array")
 
 
 # what a fuzzed file may hold in place of a value: on every file kind, a

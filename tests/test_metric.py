@@ -22,12 +22,15 @@ from treeshape.metric import (
     prepare_trees,
     register_pair,
 )
-from treeshape.srvf import SrvfTree, augment_srvfts, tree_to_srvft
+from treeshape.cli import main
+from treeshape.srvf import SYNTH_CHUNK, SrvfTree, augment_srvfts, srvft_to_tree, tree_to_srvft
 from treeshape.statistics import prepare_collection
 from treeshape.tree_model import (
     Branch,
     augment_collection,
     augment_pair,
+    json_text,
+    load_root,
     resample_tree,
     tree_from_dict,
     tree_to_dict,
@@ -250,6 +253,14 @@ class TestGeodesic:
         trees = geodesic(a, b, steps=7, opts=FAST).trees()
         assert len(trees) == 7
 
+    def test_trees_equal_per_step_reconstruction(self, rng):
+        # srvft_to_tree integrates SYNTH_CHUNK steps per stack
+        path = geodesic(smooth_tree(rng, "a", 2), smooth_tree(rng, "b", 1),
+                        steps=2 * SYNTH_CHUNK + 3, opts=FAST)
+        want = [json_text(tree_to_dict(srvft_to_tree(Q, f"step-{i:02d}")))
+                for i, Q in enumerate(path.steps)]
+        assert [json_text(tree_to_dict(tree)) for tree in path.trees()] == want
+
     def test_rejects_too_few_steps(self, rng):
         with pytest.raises(ValueError):
             geodesic(smooth_tree(rng, "a", 1), smooth_tree(rng, "b", 1), steps=1)
@@ -449,6 +460,26 @@ def root_dicts(draw, tree_id):
             end = start + draw(st.sampled_from([[0.3, -0.1], [-0.2, -0.2]]))
             laterals.append({"t": at, "points": [start.tolist(), end.tolist()]})
     return {"id": tree_id, "main": main.points.tolist(), "laterals": laterals}
+
+
+class TestLateralOrder:
+    def test_reversed_root_files_change_nothing(self, rng, tmp_path):
+        # augmentation is the one place that orders laterals, so the order
+        # a root file lists them in reaches no distance
+        trees = [smooth_tree(rng, f"t{i}", 3) for i in range(3)]
+        for folder, step in (("given", 1), ("reversed", -1)):
+            (tmp_path / folder).mkdir()
+            for tree in trees:
+                data = tree_to_dict(tree)
+                data["laterals"] = data["laterals"][::step]
+                (tmp_path / folder / f"{tree.id}.json").write_text(json_text(data))
+        given, back = ([load_root(tmp_path / folder / f"{t.id}.json") for t in trees]
+                       for folder in ("given", "reversed"))
+        assert distance(given[0], given[1], opts=FAST) == distance(back[0], back[1], opts=FAST)
+        for folder in ("given", "reversed"):
+            assert main(["matrix", str(tmp_path / folder), "--n-main", "60", "--n-lat", "20",
+                         "--out", str(tmp_path / f"{folder}.csv")]) == 0
+        assert (tmp_path / "given.csv").read_bytes() == (tmp_path / "reversed.csv").read_bytes()
 
 
 class TestOnePreparationPath:

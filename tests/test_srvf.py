@@ -28,7 +28,8 @@ from treeshape.tree_model import (
     tree_to_dict,
 )
 
-from conftest import rotation_matrix, smooth_branch, smooth_tree, straight_tree
+from conftest import (assert_laterals_follow, rotation_matrix, smooth_branch, smooth_tree,
+                      straight_tree)
 
 
 def unit_line(n=100):
@@ -178,6 +179,16 @@ class TestTreeConversion:
         # virtual point sits on the reconstructed main
         t, br = back.laterals[0]
         np.testing.assert_allclose(br.points[0], back.main.point_at(t), atol=1e-9)
+
+    def test_laterals_keep_srvf_order(self, rng):
+        # s unsorted, one null lateral: lateral k of the tree is SRVF lateral k
+        q0 = tree_to_srvft(resample_tree(smooth_tree(rng, "a", 0)), 30).q0
+        q_lat = 0.3 * rng.normal(size=(3, 30, 2))
+        q_lat[1] = 0.0
+        Q = SrvfTree(q0, q_lat, [0.7, 0.2, 0.5], [0.5, -0.5])
+        tree = srvft_to_tree(Q)
+        assert [br.is_virtual for _, br in tree.laterals] == [False, True, False]
+        assert_laterals_follow(tree, Q)
 
     def test_lateral_that_rounds_to_its_start_becomes_virtual(self):
         # an SRVF norm just above EPS_NULL far from the origin: every

@@ -1,11 +1,11 @@
 """Chunked synthesis and drawing against the per-tree references.
 
 ``sample_random``, ``iter_samples``, ``mode_path`` and ``predict`` build
-their trees ``SYNTH_CHUNK`` at a time, ``srvft_to_tree`` builds a whole
-batch in one pass, and ``render._polyline`` formats whole coordinate
-columns; ``reference_synthesis`` keeps the versions that built one tree (or
-one polyline) at a time.  Both must give the same trees, the same errors and
-the same SVG text.
+their trees ``SYNTH_CHUNK`` at a time, ``srvft_to_tree`` integrates a batch
+``SYNTH_CHUNK`` trees per stack, and ``render._polyline`` formats whole
+coordinate columns; ``reference_synthesis`` keeps the versions that built
+one tree (or one polyline) at a time.  Both must give the same trees, the
+same errors and the same SVG text.
 """
 import json
 import tracemalloc
@@ -25,7 +25,7 @@ from treeshape.srvf import SrvfTree, srvft_to_tree, tree_to_srvft
 from treeshape.statistics import SYNTH_CHUNK
 from treeshape.tree_model import TreeValidationError, json_text, resample_tree, tree_to_dict
 
-from conftest import smooth_tree
+from conftest import assert_laterals_follow, smooth_tree
 
 FIXTURE_MODEL = Path(__file__).resolve().parents[1] / "bench" / "fixtures" / "model.json"
 
@@ -199,6 +199,18 @@ class TestModePath:
         alphas = np.linspace(-2, 2, count)
         want = [ref.mode_path(fixture_atlas, mode, float(a)) for a in alphas]
         assert dicts(mode_path(fixture_atlas, mode, alphas)) == dicts(want)
+
+    @pytest.mark.parametrize("mode", [0, 2, 5])
+    def test_laterals_keep_srvf_order(self, fixture_atlas, mode):
+        # every panel's lateral k is SRVF lateral k, so a lateral keeps its color
+        alphas = np.linspace(-2, 2, 7)
+        sd = np.sqrt(fixture_atlas.eigenvalues[mode])
+        Qs = statistics.exp_map(fixture_atlas.mean, np.outer(alphas * sd, fixture_atlas.modes[mode]),
+                                fixture_atlas.weights)
+        trees = mode_path(fixture_atlas, mode, alphas)
+        assert len(trees) == len(Qs) == 7
+        for tree, Q in zip(trees, Qs):
+            assert_laterals_follow(tree, Q)
 
     def test_clamping_sweep(self):
         atlas = synthetic_atlas(2, 2, clamp=True)

@@ -69,9 +69,10 @@ class TestRootTreeValidation:
         with pytest.raises(TreeValidationError, match="starts .* from the main curve"):
             tree_from_dict(tree_to_dict(tree))
 
-    def test_laterals_sorted_by_t(self):
+    def test_laterals_keep_given_order(self):
         tree = straight_tree(laterals=[(0.8, 0.2, 1), (0.2, 0.2, -1), (0.5, 0.1, 1)])
-        assert [t for t, _ in tree.laterals] == sorted(t for t, _ in tree.laterals)
+        assert [t for t, _ in tree.laterals] == [0.8, 0.2, 0.5]
+        assert [t for t, _ in tree_from_dict(tree_to_dict(tree)).laterals] == [0.8, 0.2, 0.5]
 
     def test_main_cannot_be_virtual(self):
         with pytest.raises(TreeValidationError):
