@@ -10,6 +10,7 @@ Trees are immutable; every operation returns a new tree.
 from __future__ import annotations
 
 import json
+import math
 import os
 import stat
 import tempfile
@@ -581,5 +582,7 @@ def extract_bio_params(tree: RootTree) -> tuple[float, float, float]:
     lengths = [br.length for _, br in tree.real_laterals]
     if not lengths:
         return (tree.main.length, 0.0, 0.0)
-    arr = np.asarray(lengths)
-    return (tree.main.length, float(arr.mean()), float(arr.std()))
+    # exactly rounded sums, so the statistics do not depend on lateral order
+    n = len(lengths)
+    mean = math.fsum(lengths) / n
+    return (tree.main.length, mean, math.sqrt(math.fsum((x - mean) ** 2 for x in lengths) / n))

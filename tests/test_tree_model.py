@@ -373,6 +373,12 @@ class TestBioParams:
         a2, _ = augment_pair(a, b)
         assert extract_bio_params(a2) == extract_bio_params(a)
 
+    @given(st.integers(0, 2**32 - 1), st.permutations(range(4)))
+    def test_lateral_order_free(self, seed, order):
+        tree = smooth_tree(np.random.default_rng(seed), "t", 4)
+        permuted = RootTree(tree.id, tree.main, tuple(tree.laterals[k] for k in order))
+        assert extract_bio_params(permuted) == extract_bio_params(tree)
+
 
 def test_resample_tree_counts(rng):
     tree = smooth_tree(rng, n_lat=2)
